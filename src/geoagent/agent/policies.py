@@ -109,9 +109,6 @@ class ScriptedPolicy:
             return decision
         return self.plan[-1]
 
-    def reset(self) -> None:
-        self._cursor = 0
-
 
 def replay_policy(steps: list[tuple[str, dict]], answer_text: str | None = None,
                   answer_value: Any = None) -> ScriptedPolicy:

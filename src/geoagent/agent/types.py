@@ -91,11 +91,6 @@ class Trajectory:
 @dataclass(frozen=True)
 class EpisodeConfig:
     max_steps: int = 25
-    no_tool_mode: bool = False
-    observation_budget: int = 8192  # transcript bytes per tool result
-    # bounds remote transports (LLM and expert-model HTTP calls); native
-    # kernels run in-process and are not interruptible
-    tool_timeout: float = 120.0
 
     def __post_init__(self):
         if self.max_steps < 1:

@@ -18,12 +18,12 @@ from ..agent import EpisodeConfig, Goal, Trajectory, replay_policy, run_episode
 from ..evaluation import (
     TaskScore,
     aggregate,
-    classify_errors,
+    count_errors,
     overall,
     render_table,
     score_trajectory,
 )
-from ..tools.registry import ToolRegistry
+from ..tools.registry import ToolRegistry, ToolResult
 from ..workspace import Workspace
 from .schema import (
     WORKSPACE_TOKEN,
@@ -64,20 +64,12 @@ def score_record(task: TaskSpec, record: TrajectoryRecord,
                  workspace_root: str | Path | None = None,
                  model_tag: str | None = None) -> TaskScore:
     """Score a persisted trajectory against a task's ground truth."""
-    from ..tools.registry import ToolResult
-
     roots = [WORKSPACE_TOKEN]
     if workspace_root is not None:
         roots.append(str(Path(workspace_root).resolve()))
-    error_counts: dict[str, int] = {}
-    for step in record.steps:
-        result = ToolResult.from_json(step["output"])
-        if result.is_error and result.error_class:
-            error_counts[result.error_class] = \
-                error_counts.get(result.error_class, 0) + 1
-    if record.stop_reason == "max_steps":
-        error_counts["UnawareOfTermination"] = \
-            error_counts.get("UnawareOfTermination", 0) + 1
+    error_counts = count_errors(
+        (ToolResult.from_json(step["output"]) for step in record.steps),
+        record.stop_reason)
     return score_trajectory(
         task_id=task.id,
         regime=record.regime,

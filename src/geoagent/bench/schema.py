@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Any
 
 from ..agent.types import REGIMES, Trajectory
-from ..tools.registry import ToolResult
 
 MODALITIES = ("Spectrum", "Products", "RGB")
 
@@ -255,7 +254,3 @@ def mask_workspace(doc: Any, root: str | Path) -> Any:
     if isinstance(doc, dict):
         return {k: mask_workspace(v, root) for k, v in doc.items()}
     return doc
-
-
-def result_from_step(step: dict) -> ToolResult:
-    return ToolResult.from_json(step["output"])

@@ -92,13 +92,10 @@ def _policy_factory(args, registry):
                                 "or a config file entry")
         key = os.environ.get("LLM_API_KEY", "")
 
-        timeout = getattr(args, "tool_timeout", 120.0)
-        budget = getattr(args, "observation_budget", 8192)
-
         def factory(task, regime):
             return LLMPolicy(endpoint, model, api_key=key, registry=registry,
-                             no_tool_mode=args.no_tools, timeout=timeout,
-                             observation_budget=budget)
+                             no_tool_mode=args.no_tools, timeout=args.tool_timeout,
+                             observation_budget=args.observation_budget)
 
         return factory
     if kind.startswith("script:"):
@@ -148,9 +145,7 @@ def cmd_run(args) -> int:
     task = load_task(args.task, workspace_root=ctx.workspace.root,
                      registry=registry)
     factory = _policy_factory(args, registry)
-    config = EpisodeConfig(max_steps=args.max_steps, no_tool_mode=args.no_tools,
-                           tool_timeout=args.tool_timeout,
-                           observation_budget=args.observation_budget)
+    config = EpisodeConfig(max_steps=args.max_steps)
     record, score = run_task(task, registry, ctx.workspace, factory,
                              REGIME_FLAGS[args.regime], config,
                              model_tag=args.model_tag)
@@ -170,9 +165,7 @@ def cmd_bench(args) -> int:
     tasks = load_suite(args.tasks_dir, workspace_root=ctx.workspace.root,
                        registry=registry)
     factory = _policy_factory(args, registry)
-    config = EpisodeConfig(max_steps=args.max_steps, no_tool_mode=args.no_tools,
-                           tool_timeout=args.tool_timeout,
-                           observation_budget=args.observation_budget)
+    config = EpisodeConfig(max_steps=args.max_steps)
     regimes = [REGIME_FLAGS[args.regime]] if args.regime != "both" \
         else list(REGIME_FLAGS.values())
     all_scores = []
@@ -245,7 +238,8 @@ def _add_policy(p: argparse.ArgumentParser) -> None:
                    help="ablation: hide tool schemas from the model")
     p.add_argument("--max-steps", type=int, default=25)
     p.add_argument("--tool-timeout", type=float, default=120.0,
-                   help="seconds allowed per remote call")
+                   help="seconds allowed per LLM request; native tool kernels "
+                        "run in-process and are not interruptible")
     p.add_argument("--observation-budget", type=int, default=8192,
                    help="transcript bytes kept per tool result")
     p.add_argument("--model-tag", default=None)

@@ -13,7 +13,13 @@ from .metrics import (
     tools_in_order,
     values_equal,
 )
-from .taxonomy import TAXONOMY, UNAWARE_OF_TERMINATION, classify_errors, merge_counts
+from .taxonomy import (
+    TAXONOMY,
+    UNAWARE_OF_TERMINATION,
+    classify_errors,
+    count_errors,
+    merge_counts,
+)
 
 __all__ = [
     "GroupReport",
@@ -23,6 +29,7 @@ __all__ = [
     "accuracy",
     "aggregate",
     "classify_errors",
+    "count_errors",
     "efficiency",
     "merge_counts",
     "normalize_path",

@@ -10,27 +10,25 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from ..agent.types import STOP_MAX_STEPS, Action, Trajectory
-from ..tools.registry import ERROR_CLASSES
+from ..agent.types import STOP_MAX_STEPS, Trajectory
+from ..tools.registry import ERROR_CLASSES, ToolResult
 
 UNAWARE_OF_TERMINATION = "UnawareOfTermination"
 
 TAXONOMY = (UNAWARE_OF_TERMINATION, *ERROR_CLASSES)
 
 
-def classify_errors(trajectory: Trajectory) -> dict[str, int]:
-    counts = classify_steps(trajectory.actions)
-    if trajectory.stop_reason == STOP_MAX_STEPS:
+def count_errors(results: Iterable[ToolResult], stop_reason: str) -> dict[str, int]:
+    """Histogram of the failed steps' classes, plus one UnawareOfTermination
+    for a max-steps stop; classes that did not occur are left out."""
+    counts = Counter(r.error_class for r in results if r.is_error and r.error_class)
+    if stop_reason == STOP_MAX_STEPS:
         counts[UNAWARE_OF_TERMINATION] += 1
-    return {k: v for k, v in counts.items() if v}
+    return dict(counts)
 
 
-def classify_steps(actions: Iterable[Action]) -> Counter:
-    counts: Counter = Counter()
-    for action in actions:
-        if action.output.is_error and action.output.error_class:
-            counts[action.output.error_class] += 1
-    return counts
+def classify_errors(trajectory: Trajectory) -> dict[str, int]:
+    return count_errors((a.output for a in trajectory.actions), trajectory.stop_reason)
 
 
 def merge_counts(many: Iterable[dict[str, int]]) -> dict[str, int]:

@@ -307,8 +307,8 @@ def threshold_value_mean(selector: Raster, target: Raster, threshold: float) -> 
     return band_mean_by_condition(target, selector, ">", threshold)
 
 
-def intersection_percentage(a: Raster, b: Raster, comparator_a: str, threshold_a: float,
-                            comparator_b: str, threshold_b: float) -> float:
+def intersection_percentage(a: Raster, b: Raster, threshold_a: float, threshold_b: float,
+                            comparator_a: str = ">", comparator_b: str = ">") -> float:
     """Percentage of pixels satisfying both single-band conditions at once."""
     require_same_grid(a, b)
     xa, xb = a.band(), b.band()
@@ -321,11 +321,11 @@ def intersection_percentage(a: Raster, b: Raster, comparator_a: str, threshold_a
     return float(100.0 * np.count_nonzero(joint) / total)
 
 
-def image_division_mean(num: Raster, den: Raster, num_band: int = 1,
-                        den_band: int = 1) -> float:
+def image_division_mean(num: Raster, den: Raster, numerator_band: int = 1,
+                        denominator_band: int = 1) -> float:
     """Mean of the pixelwise quotient, excluding zero denominators."""
     require_same_grid(num, den)
-    x, y = num.band(num_band), den.band(den_band)
+    x, y = num.band(numerator_band), den.band(denominator_band)
     sel = ~np.isnan(x) & ~np.isnan(y) & (y != 0.0)
     if not sel.any():
         raise InvalidInputError("no valid pixels with nonzero denominator")

@@ -1,15 +1,20 @@
 """The full tool catalog: every toolkit operation registered under its
 public name with a strict parameter schema.
 
-Handlers close over a ToolContext (workspace + perception backend). File
-arguments resolve against the workspace; outputs are confined to it and
-reported as "Result saved at <path>".
+Each tool is one `Tool` row naming a kit function, served by one of two
+generic handlers (`_raster_handler`, `_batch_handler`); the few rows that do
+not fit carry a handler of their own. Handlers close over a ToolContext
+(workspace + perception backend). File arguments resolve against the
+workspace; outputs are confined to it and reported as
+"Result saved at <path>".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from ..kits import analysis as an
 from ..kits import index as ix
@@ -40,12 +45,30 @@ COMPARATOR_ENUM = (">", "<", ">=", "<=")
 DIRECTION_ENUM = ("above", "below")
 
 
+class Tool(NamedTuple):
+    """One catalog row.
+
+    `fn` gets the required arguments positionally in parameter order, each
+    input path (a parameter named with "path", other than `output_path`)
+    loaded as a raster or list of rasters, and the optional arguments that
+    were given as keywords: the kit signature owns every default. The value
+    is returned, or saved to `output_path`. With `like` set, rasters arrive
+    as float64 bands and the array result takes the georeference of that
+    parameter's (first) raster. With `prefix` set, the tool is a batch (see
+    `_batch_handler`). A row with `handler` bypasses all of this.
+    """
+
+    name: str
+    description: str
+    params: tuple[ParamSpec, ...]
+    fn: Callable | None = None
+    like: str | None = None
+    prefix: str | None = None
+    handler: Callable[[dict], ToolResult] | None = None
+
+
 def _load(ctx: ToolContext, path: str) -> Raster:
     return load_raster(ctx.workspace.resolve_input(path))
-
-
-def _load_many(ctx: ToolContext, paths: list) -> list[Raster]:
-    return [_load(ctx, p) for p in paths]
 
 
 def _save(ctx: ToolContext, raster: Raster, relpath: str) -> ToolResult:
@@ -64,160 +87,144 @@ def _save_many(ctx: ToolContext, rasters: list[Raster], relpaths: list[str]) -> 
     return ok_result(value=outs, text=text, files=outs)
 
 
-def _stem(path: str) -> str:
-    return Path(path).stem
+def _bands(value: Raster | list[Raster]):
+    return [r.band() for r in value] if isinstance(value, list) else value.band()
+
+
+def _call(ctx: ToolContext, tool: Tool, args: dict):
+    """Load the input paths in parameter order and call `tool.fn`."""
+    inputs, given = {}, {}
+    for p in tool.params:
+        if not p.required:
+            if p.name in args:
+                given[p.name] = args[p.name]
+        elif p.name not in ("output_path", "output_dir"):
+            value = args[p.name]
+            if "path" in p.name:
+                value = ([_load(ctx, v) for v in value] if isinstance(value, list)
+                         else _load(ctx, value))
+                # the template stays a raster until the call: `like` needs its georeference
+                if tool.like not in (None, p.name):
+                    value = _bands(value)
+            inputs[p.name] = value
+    if tool.like is None:
+        return tool.fn(*inputs.values(), **given)
+    template = inputs[tool.like]
+    inputs[tool.like] = _bands(template)
+    out = tool.fn(*inputs.values(), **given)
+    return like(template[0] if isinstance(template, list) else template, out)
+
+
+def _raster_handler(ctx: ToolContext, tool: Tool) -> Callable[[dict], object]:
+    def handler(args: dict):
+        out = _call(ctx, tool, args)
+        return _save(ctx, out, args["output_path"]) if "output_path" in args else out
+
+    return handler
+
+
+def _batch_handler(ctx: ToolContext, tool: Tool) -> Callable[[dict], ToolResult]:
+    """Call `tool.fn` once per item of the equal-length `*_paths` lists and
+    save item i as <output_dir>/<prefix>_<stem of its first path>.tif."""
+    lists = [p.name for p in tool.params if p.name.endswith("_paths")]
+
+    def handler(args: dict) -> ToolResult:
+        lengths = {len(args[n]) for n in lists}
+        if len(lengths) != 1:
+            raise InvalidInputError(
+                f"band path lists must have equal lengths, got {sorted(lengths)}")
+        if next(iter(lengths)) == 0:
+            raise InvalidInputError("empty batch")
+        rasters, names = [], []
+        for i, item in enumerate(zip(*(args[n] for n in lists))):
+            try:
+                rasters.append(_call(ctx, tool, {**args, **dict(zip(lists, item))}))
+            except GeoAgentError as exc:
+                raise type(exc)(f"batch item {i}: {exc}") from exc
+            names.append(f"{args['output_dir']}/{tool.prefix}_{Path(item[0]).stem}.tif")
+        return _save_many(ctx, rasters, names)
+
+    return handler
 
 
 def build_registry(ctx: ToolContext) -> ToolRegistry:
+    # the rows look kit functions up now, so replacements made before this
+    # call (tracing, tests) take effect
     reg = ToolRegistry()
-    _register_index_tools(reg, ctx)
-    _register_inversion_tools(reg, ctx)
-    _register_perception_tools(reg, ctx)
-    _register_analysis_tools(reg, ctx)
-    _register_statistics_tools(reg, ctx)
+    for tool in (_index_tools() + _inversion_tools(ctx) + _perception_tools(ctx)
+                 + _analysis_tools() + _statistics_tools(ctx)):
+        if tool.handler is not None:
+            handler = tool.handler
+        elif tool.prefix is not None:
+            handler = _batch_handler(ctx, tool)
+        else:
+            handler = _raster_handler(ctx, tool)
+        reg.register(ToolSpec(tool.name, tool.description, tool.params), handler)
     return reg
+
+
+def _record(fn: Callable, names: tuple[str, ...] | None = None) -> Callable:
+    """`fn` returning a JSON object: a dataclass result by its fields, a
+    tuple result keyed by `names`."""
+    def call(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        return dict(zip(names, out)) if names else asdict(out)
+
+    return call
 
 
 # ---------------------------------------------------------------------------
 # Index kit
 # ---------------------------------------------------------------------------
 
-# tool kind -> band-role parameter names in order
-_BATCH_INDEX_KINDS = {
-    "ndvi": ("nir", "red"),
-    "ndwi": ("nir", "swir"),
-    "ndbi": ("swir", "nir"),
-    "evi": ("nir", "red", "blue"),
-    "nbr": ("nir", "swir"),
-    "wri": ("green", "red", "nir", "swir"),
-    "ndti": ("red", "green"),
-    "ndsi": ("green", "swir"),
-}
 
+def _index_tools() -> list[Tool]:
+    def index(kind: str, roles: tuple[str, ...]) -> Callable:
+        return lambda *bands: ix.compute_index(kind, dict(zip(roles, bands)))
 
-def _register_index_tools(reg: ToolRegistry, ctx: ToolContext) -> None:
-    def make_batch_handler(kind: str, roles: tuple[str, ...]):
-        def handler(args: dict) -> ToolResult:
-            path_lists = [args[f"{r}_paths"] for r in roles]
-            lengths = {len(p) for p in path_lists}
-            if len(lengths) != 1:
-                raise InvalidInputError(
-                    f"band path lists must have equal lengths, got {sorted(lengths)}")
-            if next(iter(lengths)) == 0:
-                raise InvalidInputError("empty batch")
-            rasters, names = [], []
-            for i, item in enumerate(zip(*path_lists)):
-                try:
-                    bands = {r: _load(ctx, p) for r, p in zip(roles, item)}
-                    rasters.append(ix.compute_index(kind, bands))
-                except GeoAgentError as exc:
-                    raise type(exc)(f"batch item {i}: {exc}") from exc
-                names.append(f"{args['output_dir']}/{kind}_{_stem(item[0])}.tif")
-            return _save_many(ctx, rasters, names)
-
-        return handler
-
-    for kind, roles in _BATCH_INDEX_KINDS.items():
-        params = [P(f"{r}_paths", "array", True, items="string",
-                    desc=f"{r.upper()} band raster paths, one per scene")
-                  for r in roles]
-        params.append(P("output_dir", "string", True,
-                        "directory for the output rasters, relative to the workspace"))
-        reg.register(
-            ToolSpec(
-                name=f"calculate_batch_{kind}",
-                description=f"Compute {kind.upper()} for each scene in a batch of "
-                            f"{'/'.join(r.upper() for r in roles)} raster files and "
-                            "save the results.",
-                params=tuple(params),
-            ),
-            make_batch_handler(kind, roles),
-        )
-
-    def batch_fvc(args: dict) -> ToolResult:
-        nir, red = args["nir_paths"], args["red_paths"]
-        if len(nir) != len(red):
-            raise InvalidInputError("nir_paths and red_paths lengths differ")
-        if not nir:
-            raise InvalidInputError("empty batch")
-        lo = args.get("ndvi_min", ix.FVC_NDVI_MIN)
-        hi = args.get("ndvi_max", ix.FVC_NDVI_MAX)
-        rasters, names = [], []
-        for n, r in zip(nir, red):
-            ndvi = ix.compute_index("ndvi", {"nir": _load(ctx, n), "red": _load(ctx, r)})
-            rasters.append(ix.compute_fvc(ndvi, lo, hi))
-            names.append(f"{args['output_dir']}/fvc_{_stem(n)}.tif")
-        return _save_many(ctx, rasters, names)
-
-    reg.register(
-        ToolSpec(
-            name="calculate_batch_fvc",
-            description="Compute fractional vegetation cover from NIR/Red pairs "
-                        "via squared clamped NDVI scaling and save the results.",
-            params=(
-                P("nir_paths", "array", items="string"),
-                P("red_paths", "array", items="string"),
-                P("output_dir", "string"),
-                P("ndvi_min", "number", False, "bare-soil NDVI endpoint"),
-                P("ndvi_max", "number", False, "full-vegetation NDVI endpoint"),
-            ),
-        ),
-        batch_fvc,
-    )
-
-    def batch_frp(args: dict) -> ToolResult:
-        if not args["frp_paths"]:
-            raise InvalidInputError("empty batch")
-        rasters, names = [], []
-        for p in args["frp_paths"]:
-            rasters.append(ix.frp_mask(_load(ctx, p), args["threshold"]))
-            names.append(f"{args['output_dir']}/frp_{_stem(p)}.tif")
-        return _save_many(ctx, rasters, names)
-
-    reg.register(
-        ToolSpec(
-            name="calculate_batch_frp",
-            description="Build binary fire-radiative-power masks (1 where FRP "
-                        "exceeds the threshold) for a batch of rasters.",
-            params=(
-                P("frp_paths", "array", items="string"),
-                P("threshold", "number", desc="radiance threshold, strict greater"),
-                P("output_dir", "string"),
-            ),
-        ),
-        batch_frp,
-    )
-
-    reg.register(
-        ToolSpec(
-            name="calc_extreme_snow_loss_percentage_from_binary_map",
-            description="Percentage of 1-pixels in a binary snow/ice loss map.",
-            params=(P("binary_map_path", "string"),),
-        ),
-        lambda args: ok_result(
-            value=ix.extreme_snow_loss_percentage(_load(ctx, args["binary_map_path"]))),
-    )
-
-    def tvdi(args: dict) -> ToolResult:
-        ndvi = _load(ctx, args["ndvi_path"])
-        lst = _load(ctx, args["lst_path"])
-        out = ix.compute_tvdi(ndvi, lst, bins=args.get("bins", 20))
-        return _save(ctx, out, args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="compute_tvdi",
-            description="Temperature-vegetation dryness index from NDVI and LST "
-                        "rasters, using dry/wet edges fitted over NDVI bins.",
-            params=(
-                P("ndvi_path", "string"),
-                P("lst_path", "string"),
-                P("output_path", "string"),
-                P("bins", "integer", False, "NDVI bin count for the edge fit"),
-            ),
-        ),
-        tvdi,
-    )
+    return [
+        *(Tool(f"calculate_batch_{kind}",
+               f"Compute {kind.upper()} for each scene in a batch of "
+               f"{'/'.join(r.upper() for r in roles)} raster files and "
+               "save the results.",
+               tuple(P(f"{r}_paths", "array", True, items="string",
+                       desc=f"{r.upper()} band raster paths, one per scene")
+                     for r in roles)
+               + (P("output_dir", "string", True,
+                    "directory for the output rasters, relative to the workspace"),),
+               index(kind, roles), prefix=kind)
+          for kind, roles in ix.INDEX_BANDS.items() if kind != "fvc"),
+        Tool("calculate_batch_fvc",
+             "Compute fractional vegetation cover from NIR/Red pairs "
+             "via squared clamped NDVI scaling and save the results.",
+             (P("nir_paths", "array", items="string"),
+              P("red_paths", "array", items="string"),
+              P("output_dir", "string"),
+              P("ndvi_min", "number", False, "bare-soil NDVI endpoint"),
+              P("ndvi_max", "number", False, "full-vegetation NDVI endpoint")),
+             lambda nir, red, **kw: ix.compute_fvc(
+                 ix.compute_index("ndvi", {"nir": nir, "red": red}), **kw),
+             prefix="fvc"),
+        Tool("calculate_batch_frp",
+             "Build binary fire-radiative-power masks (1 where FRP "
+             "exceeds the threshold) for a batch of rasters.",
+             (P("frp_paths", "array", items="string"),
+              P("threshold", "number", desc="radiance threshold, strict greater"),
+              P("output_dir", "string")),
+             ix.frp_mask, prefix="frp"),
+        Tool("calc_extreme_snow_loss_percentage_from_binary_map",
+             "Percentage of 1-pixels in a binary snow/ice loss map.",
+             (P("binary_map_path", "string"),),
+             ix.extreme_snow_loss_percentage),
+        Tool("compute_tvdi",
+             "Temperature-vegetation dryness index from NDVI and LST "
+             "rasters, using dry/wet edges fitted over NDVI bins.",
+             (P("ndvi_path", "string"),
+              P("lst_path", "string"),
+              P("output_path", "string"),
+              P("bins", "integer", False, "NDVI bin count for the edge fit")),
+             ix.compute_tvdi),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -225,390 +232,166 @@ def _register_index_tools(reg: ToolRegistry, ctx: ToolContext) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _register_inversion_tools(reg: ToolRegistry, ctx: ToolContext) -> None:
-    def band_ratio(args: dict) -> ToolResult:
-        absorption = _load(ctx, args["absorption_band_path"]).band()
-        window = _load(ctx, args["window_band_path"])
-        out = inv.pwv_band_ratio(absorption, window.band(),
-                                 alpha=args.get("alpha", inv.PWV_ALPHA),
-                                 beta=args.get("beta", inv.PWV_BETA))
-        return _save(ctx, like(window, out), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="band_ratio",
-            description="Precipitable water vapor from the absorption/window "
-                        "band transmittance ratio.",
-            params=(
-                P("absorption_band_path", "string"),
-                P("window_band_path", "string"),
-                P("output_path", "string"),
-                P("alpha", "number", False),
-                P("beta", "number", False),
-            ),
-        ),
-        band_ratio,
-    )
-
-    def lst_single_channel(args: dict) -> ToolResult:
-        bt = _load(ctx, args["bt_path"])
-        red = _load(ctx, args["red_path"]).band()
-        nir = _load(ctx, args["nir_path"]).band()
-        out = inv.single_channel_lst(bt.band(), red, nir,
-                                     wavelength=args.get(
-                                         "wavelength", inv.SINGLE_CHANNEL_WAVELENGTH))
-        return _save(ctx, like(bt, out), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="lst_single_channel",
-            description="Land surface temperature by single-channel emissivity "
-                        "correction, with NDVI-threshold emissivity from red/NIR.",
-            params=(
-                P("bt_path", "string", desc="thermal brightness temperature raster"),
-                P("red_path", "string"),
-                P("nir_path", "string"),
-                P("output_path", "string"),
-                P("wavelength", "number", False, "band wavelength in meters"),
-            ),
-        ),
-        lst_single_channel,
-    )
-
-    def lst_multi_channel(args: dict) -> ToolResult:
-        b31 = _load(ctx, args["band31_path"])
-        b32 = _load(ctx, args["band32_path"])
-        out = inv.multi_channel_lst(b31.band(), b32.band(),
-                                    a=args.get("a", inv.MULTI_CHANNEL_A),
-                                    b=args.get("b", inv.MULTI_CHANNEL_B),
-                                    c=args.get("c", inv.MULTI_CHANNEL_C))
-        return _save(ctx, like(b31, out), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="lst_multi_channel",
-            description="Land surface temperature from two thermal bands near "
-                        "11 and 12 micrometers via the linear two-band correction.",
-            params=(
-                P("band31_path", "string", desc="thermal band near 11 um"),
-                P("band32_path", "string", desc="thermal band near 12 um"),
-                P("output_path", "string"),
-                P("a", "number", False),
-                P("b", "number", False),
-                P("c", "number", False),
-            ),
-        ),
-        lst_multi_channel,
-    )
-
-    def split_window(args: dict) -> ToolResult:
-        b31 = _load(ctx, args["band31_path"])
-        b32 = _load(ctx, args["band32_path"])
-        out = inv.split_window_lst(b31.band(), b32.band(),
-                                   c0=args.get("c0", inv.SPLIT_WINDOW_C0),
-                                   c1=args.get("c1", inv.SPLIT_WINDOW_C1),
-                                   c2=args.get("c2", inv.SPLIT_WINDOW_C2))
-        return _save(ctx, like(b31, out), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="split_window",
-            description="Land surface temperature by the generalized split-window "
-                        "combination of two thermal bands.",
-            params=(
-                P("band31_path", "string"),
-                P("band32_path", "string"),
-                P("output_path", "string"),
-                P("c0", "number", False),
-                P("c1", "number", False),
-                P("c2", "number", False),
-            ),
-        ),
-        split_window,
-    )
-
-    def tes(args: dict) -> ToolResult:
-        paths = args["band_paths"]
-        rasters = _load_many(ctx, paths)
-        out = inv.tes_lst([r.band() for r in rasters])
-        return _save(ctx, like(rasters[0], out), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="temperature_emissivity_separation",
-            description="Land surface temperature by iterative temperature/"
-                        "emissivity separation over three thermal bands.",
-            params=(
-                P("band_paths", "array", items="string", desc="three thermal band raster paths"),
-                P("output_path", "string"),
-            ),
-        ),
-        tes,
-    )
-
-    def day_night(args: dict) -> ToolResult:
-        day = _load(ctx, args["day_path"])
-        night = _load(ctx, args["night_path"])
-        out = inv.modis_day_night_lst(day.band(), night.band(),
-                                      emissivity=args.get("emissivity", 0.97))
-        return _save(ctx, like(day, out), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="modis_day_night_lst",
-            description="Diurnal-mean land surface temperature from day and "
-                        "night brightness temperatures with a fixed-emissivity "
-                        "single-channel correction.",
-            params=(
-                P("day_path", "string"),
-                P("night_path", "string"),
-                P("output_path", "string"),
-                P("emissivity", "number", False),
-            ),
-        ),
-        day_night,
-    )
-
+def _inversion_tools(ctx: ToolContext) -> list[Tool]:
     def ttm(args: dict) -> ToolResult:
-        rasters = _load_many(ctx, args["band_paths"])
+        rasters = [_load(ctx, p) for p in args["band_paths"]]
         out, failures = inv.ttm_lst([r.band() for r in rasters])
         result = _save(ctx, like(rasters[0], out), args["output_path"])
         if failures:
             result.text += f"\n{failures} pixel(s) did not converge and are nodata"
         return result
 
-    reg.register(
-        ToolSpec(
-            name="ttm_lst",
-            description="Land surface temperature and emissivity from three "
-                        "thermal bands, solved per pixel under physical bounds; "
-                        "non-convergent pixels become nodata.",
-            params=(
-                P("band_paths", "array", items="string", desc="three thermal band raster paths"),
-                P("output_path", "string"),
-            ),
-        ),
-        ttm,
-    )
+    def nasa_team(*tb, **kwargs):
+        if "tie_points" in kwargs:
+            kwargs["tie_points"] = {k: tuple(v) for k, v in kwargs["tie_points"].items()}
+        return inv.nasa_team_sic(*tb, **kwargs)
 
-    def lst_by_ndvi(stat: str):
-        def handler(args: dict) -> ToolResult:
-            value = inv.lst_stat_by_ndvi(
-                stat,
-                _load_many(ctx, args["lst_paths"]),
-                _load_many(ctx, args["ndvi_paths"]),
-                threshold=args["threshold"],
-                direction=args.get("direction", "above"),
-            )
-            return ok_result(value=value)
-
-        return handler
-
-    for stat, name in (("mean", "calculate_mean_lst_by_ndvi"),
-                       ("max", "calculate_max_lst_by_ndvi")):
-        reg.register(
-            ToolSpec(
-                name=name,
-                description=f"{stat.capitalize()} land surface temperature over "
-                            "pixels whose paired NDVI is above or below a "
-                            "threshold, pooled across all image pairs.",
-                params=(
-                    P("lst_paths", "array", items="string"),
-                    P("ndvi_paths", "array", items="string"),
-                    P("threshold", "number"),
-                    P("direction", "string", False, enum=DIRECTION_ENUM),
-                ),
-            ),
-            lst_by_ndvi(stat),
-        )
-
-    def ati(args: dict) -> ToolResult:
-        albedo = _load(ctx, args["albedo_path"])
-        day = _load(ctx, args["day_temp_path"]).band()
-        night = _load(ctx, args["night_temp_path"]).band()
-        out = inv.ati(albedo.band(), day, night)
-        return _save(ctx, like(albedo, out), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="ATI",
-            description="Apparent thermal inertia (1 - albedo) / (day - night "
-                        "temperature); non-positive diurnal range becomes nodata.",
-            params=(
-                P("albedo_path", "string"),
-                P("day_temp_path", "string"),
-                P("night_temp_path", "string"),
-                P("output_path", "string"),
-            ),
-        ),
-        ati,
-    )
-
-    def dpdm(args: dict) -> ToolResult:
-        v = _load(ctx, args["v_path"])
-        h = _load(ctx, args["h_path"]).band()
-        out = inv.linear_difference_model(v.band(), h,
-                                          alpha=args.get("alpha", 1.0),
-                                          beta=args.get("beta", 0.0))
-        return _save(ctx, like(v, out), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="dual_polarization_differential",
-            description="Linear dual-polarization differential inversion: "
-                        "alpha * (V - H) + beta over brightness temperatures.",
-            params=(
-                P("v_path", "string", desc="vertical polarization raster"),
-                P("h_path", "string", desc="horizontal polarization raster"),
-                P("output_path", "string"),
-                P("alpha", "number", False),
-                P("beta", "number", False),
-            ),
-        ),
-        dpdm,
-    )
-
-    def dual_freq(args: dict) -> ToolResult:
-        b1 = _load(ctx, args["band1_path"])
-        b2 = _load(ctx, args["band2_path"]).band()
-        out = inv.linear_difference_model(b1.band(), b2,
-                                          alpha=args.get("alpha", 1.0),
-                                          beta=args.get("beta", 0.0))
-        return _save(ctx, like(b1, out), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="dual_frequency_diff",
-            description="Linear dual-frequency differential inversion "
-                        "alpha * (band1 - band2) + beta; the target label "
-                        "(soil moisture, vegetation index, leaf area index) "
-                        "only annotates the output.",
-            params=(
-                P("band1_path", "string"),
-                P("band2_path", "string"),
-                P("output_path", "string"),
-                P("alpha", "number", False),
-                P("beta", "number", False),
-                P("target", "string", False, enum=("SM", "VI", "LAI")),
-            ),
-        ),
-        dual_freq,
-    )
-
-    def mfbt(args: dict) -> ToolResult:
-        rasters = _load_many(ctx, args["band_paths"])
-        out = inv.multi_freq_bt([r.band() for r in rasters],
-                                coefficients=args.get("coefficients"),
-                                intercept=args.get("intercept", 0.0))
-        return _save(ctx, like(rasters[0], out), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="multi_freq_bt",
-            description="Weighted linear combination of multi-frequency "
-                        "brightness temperatures plus an intercept.",
-            params=(
-                P("band_paths", "array", items="string"),
-                P("output_path", "string"),
-                P("coefficients", "array", False, items="number"),
-                P("intercept", "number", False),
-            ),
-        ),
-        mfbt,
-    )
-
-    def chang(args: dict) -> ToolResult:
-        t18h = _load(ctx, args["tb_18h_path"])
-        t37h = _load(ctx, args["tb_37h_path"]).band()
-        out = inv.chang_snow_depth(t18h.band(), t37h,
-                                   coefficient=args.get("coefficient", inv.CHANG_COEFF))
-        return _save(ctx, like(t18h, out), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="chang_single_param_inversion",
-            description="Snow depth in centimeters from the 18H/37H brightness "
-                        "temperature difference.",
-            params=(
-                P("tb_18h_path", "string"),
-                P("tb_37h_path", "string"),
-                P("output_path", "string"),
-                P("coefficient", "number", False),
-            ),
-        ),
-        chang,
-    )
-
-    def nasa_team(args: dict) -> ToolResult:
-        t19v = _load(ctx, args["tb_19v_path"])
-        t19h = _load(ctx, args["tb_19h_path"]).band()
-        t37v = _load(ctx, args["tb_37v_path"]).band()
-        tie = args.get("tie_points")
-        if tie is not None:
-            tie = {k: tuple(v) for k, v in tie.items()}
-        out = inv.nasa_team_sic(t19v.band(), t19h, t37v, tie_points=tie)
-        return _save(ctx, like(t19v, out), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="nasa_team_sea_ice_concentration",
-            description="Sea-ice concentration (percent) from 19V/19H/37V "
-                        "passive microwave brightness temperatures via the "
-                        "two-ice-type tie-point mixing model.",
-            params=(
-                P("tb_19v_path", "string"),
-                P("tb_19h_path", "string"),
-                P("tb_37v_path", "string"),
-                P("output_path", "string"),
-                P("tie_points", "object", False,
-                  "override tie points: open_water/first_year/multi_year, "
-                  "each [19V, 19H, 37V]"),
-            ),
-        ),
-        nasa_team,
-    )
-
-    def pol_ratio(args: dict) -> ToolResult:
-        v = _load(ctx, args["v_path"])
-        h = _load(ctx, args["h_path"]).band()
-        out = inv.polarization_ratio(v.band(), h)
-        return _save(ctx, like(v, out), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="dual_polarization_ratio",
-            description="Polarization ratio (V - H) / (V + H) of two "
-                        "brightness-temperature rasters.",
-            params=(
-                P("v_path", "string"),
-                P("h_path", "string"),
-                P("output_path", "string"),
-            ),
-        ),
-        pol_ratio,
-    )
-
-    def turbidity(args: dict) -> ToolResult:
-        red = _load(ctx, args["red_band_path"])
-        out = inv.turbidity_ntu(red.band(),
-                                a=args.get("a", inv.TURBIDITY_A),
-                                c=args.get("c", inv.TURBIDITY_C))
-        return _save(ctx, like(red, out), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="calculate_water_turbidity_ntu",
-            description="Water turbidity in nephelometric turbidity units from "
-                        "red-band reflectance.",
-            params=(
-                P("red_band_path", "string"),
-                P("output_path", "string"),
-                P("a", "number", False),
-                P("c", "number", False),
-            ),
-        ),
-        turbidity,
-    )
+    return [
+        Tool("band_ratio",
+             "Precipitable water vapor from the absorption/window "
+             "band transmittance ratio.",
+             (P("absorption_band_path", "string"),
+              P("window_band_path", "string"),
+              P("output_path", "string"),
+              P("alpha", "number", False),
+              P("beta", "number", False)),
+             inv.pwv_band_ratio, like="window_band_path"),
+        Tool("lst_single_channel",
+             "Land surface temperature by single-channel emissivity "
+             "correction, with NDVI-threshold emissivity from red/NIR.",
+             (P("bt_path", "string", desc="thermal brightness temperature raster"),
+              P("red_path", "string"),
+              P("nir_path", "string"),
+              P("output_path", "string"),
+              P("wavelength", "number", False, "band wavelength in meters")),
+             inv.single_channel_lst, like="bt_path"),
+        Tool("lst_multi_channel",
+             "Land surface temperature from two thermal bands near "
+             "11 and 12 micrometers via the linear two-band correction.",
+             (P("band31_path", "string", desc="thermal band near 11 um"),
+              P("band32_path", "string", desc="thermal band near 12 um"),
+              P("output_path", "string"),
+              P("a", "number", False),
+              P("b", "number", False),
+              P("c", "number", False)),
+             inv.multi_channel_lst, like="band31_path"),
+        Tool("split_window",
+             "Land surface temperature by the generalized split-window "
+             "combination of two thermal bands.",
+             (P("band31_path", "string"),
+              P("band32_path", "string"),
+              P("output_path", "string"),
+              P("c0", "number", False),
+              P("c1", "number", False),
+              P("c2", "number", False)),
+             inv.split_window_lst, like="band31_path"),
+        Tool("temperature_emissivity_separation",
+             "Land surface temperature by iterative temperature/"
+             "emissivity separation over three thermal bands.",
+             (P("band_paths", "array", items="string", desc="three thermal band raster paths"),
+              P("output_path", "string")),
+             inv.tes_lst, like="band_paths"),
+        Tool("modis_day_night_lst",
+             "Diurnal-mean land surface temperature from day and "
+             "night brightness temperatures with a fixed-emissivity "
+             "single-channel correction.",
+             (P("day_path", "string"),
+              P("night_path", "string"),
+              P("output_path", "string"),
+              P("emissivity", "number", False)),
+             inv.modis_day_night_lst, like="day_path"),
+        Tool("ttm_lst",
+             "Land surface temperature and emissivity from three "
+             "thermal bands, solved per pixel under physical bounds; "
+             "non-convergent pixels become nodata.",
+             (P("band_paths", "array", items="string", desc="three thermal band raster paths"),
+              P("output_path", "string")),
+             handler=ttm),
+        *(Tool(name,
+               f"{stat.capitalize()} land surface temperature over "
+               "pixels whose paired NDVI is above or below a "
+               "threshold, pooled across all image pairs.",
+               (P("lst_paths", "array", items="string"),
+                P("ndvi_paths", "array", items="string"),
+                P("threshold", "number"),
+                P("direction", "string", False, enum=DIRECTION_ENUM)),
+               partial(inv.lst_stat_by_ndvi, stat))
+          for stat, name in (("mean", "calculate_mean_lst_by_ndvi"),
+                             ("max", "calculate_max_lst_by_ndvi"))),
+        Tool("ATI",
+             "Apparent thermal inertia (1 - albedo) / (day - night "
+             "temperature); non-positive diurnal range becomes nodata.",
+             (P("albedo_path", "string"),
+              P("day_temp_path", "string"),
+              P("night_temp_path", "string"),
+              P("output_path", "string")),
+             inv.ati, like="albedo_path"),
+        Tool("dual_polarization_differential",
+             "Linear dual-polarization differential inversion: "
+             "alpha * (V - H) + beta over brightness temperatures.",
+             (P("v_path", "string", desc="vertical polarization raster"),
+              P("h_path", "string", desc="horizontal polarization raster"),
+              P("output_path", "string"),
+              P("alpha", "number", False),
+              P("beta", "number", False)),
+             inv.linear_difference_model, like="v_path"),
+        Tool("dual_frequency_diff",
+             "Linear dual-frequency differential inversion "
+             "alpha * (band1 - band2) + beta; the target label "
+             "(soil moisture, vegetation index, leaf area index) "
+             "only annotates the output.",
+             (P("band1_path", "string"),
+              P("band2_path", "string"),
+              P("output_path", "string"),
+              P("alpha", "number", False),
+              P("beta", "number", False),
+              P("target", "string", False, enum=("SM", "VI", "LAI"))),
+             lambda b1, b2, target=None, **kw: inv.linear_difference_model(b1, b2, **kw),
+             like="band1_path"),
+        Tool("multi_freq_bt",
+             "Weighted linear combination of multi-frequency "
+             "brightness temperatures plus an intercept.",
+             (P("band_paths", "array", items="string"),
+              P("output_path", "string"),
+              P("coefficients", "array", False, items="number"),
+              P("intercept", "number", False)),
+             inv.multi_freq_bt, like="band_paths"),
+        Tool("chang_single_param_inversion",
+             "Snow depth in centimeters from the 18H/37H brightness "
+             "temperature difference.",
+             (P("tb_18h_path", "string"),
+              P("tb_37h_path", "string"),
+              P("output_path", "string"),
+              P("coefficient", "number", False)),
+             inv.chang_snow_depth, like="tb_18h_path"),
+        Tool("nasa_team_sea_ice_concentration",
+             "Sea-ice concentration (percent) from 19V/19H/37V "
+             "passive microwave brightness temperatures via the "
+             "two-ice-type tie-point mixing model.",
+             (P("tb_19v_path", "string"),
+              P("tb_19h_path", "string"),
+              P("tb_37v_path", "string"),
+              P("output_path", "string"),
+              P("tie_points", "object", False,
+                "override tie points: open_water/first_year/multi_year, "
+                "each [19V, 19H, 37V]")),
+             nasa_team, like="tb_19v_path"),
+        Tool("dual_polarization_ratio",
+             "Polarization ratio (V - H) / (V + H) of two "
+             "brightness-temperature rasters.",
+             (P("v_path", "string"),
+              P("h_path", "string"),
+              P("output_path", "string")),
+             inv.polarization_ratio, like="v_path"),
+        Tool("calculate_water_turbidity_ntu",
+             "Water turbidity in nephelometric turbidity units from "
+             "red-band reflectance.",
+             (P("red_band_path", "string"),
+              P("output_path", "string"),
+              P("a", "number", False),
+              P("c", "number", False)),
+             inv.turbidity_ntu, like="red_band_path"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +399,8 @@ def _register_inversion_tools(reg: ToolRegistry, ctx: ToolContext) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _register_perception_tools(reg: ToolRegistry, ctx: ToolContext) -> None:
-    def expert(model: str, task: str, image_params: tuple[str, ...],
-               prompt_required: bool | None):
+def _perception_tools(ctx: ToolContext) -> list[Tool]:
+    def expert(model: str, task: str, image_params: tuple[str, ...]):
         def handler(args: dict) -> ToolResult:
             paths = [str(ctx.workspace.resolve_input(args[p])) for p in image_params]
             prompt = args.get("prompt")
@@ -628,57 +410,6 @@ def _register_perception_tools(reg: ToolRegistry, ctx: ToolContext) -> None:
 
         return handler
 
-    # (tool name, task, image params, has prompt)
-    expert_rows = (
-        ("MSCN", "classify", ("image_path",), False),
-        ("RemoteCLIP", "classify", ("image_path",), False),
-        ("SM3Det", "detect", ("image_path",), True),
-        ("Strip_R_CNN", "detect", ("image_path",), True),
-        ("RemoteSAM", "ground", ("image_path",), True),
-        ("InstructSAM", "count", ("image_path",), True),
-        ("SAM2", "segment", ("image_path",), False),
-        ("ChangeOS", "change", ("pre_image_path", "post_image_path"), False),
-    )
-    descriptions = {
-        "MSCN": "Scene and land-use classification over a broad label set.",
-        "RemoteCLIP": "Scene and land-use classification over a compact label set.",
-        "SM3Det": "Prompted object detection returning bounding boxes.",
-        "Strip_R_CNN": "Prompted detection specialized for ship and vessel classes.",
-        "RemoteSAM": "Visual grounding: a text prompt selects one bounding box.",
-        "InstructSAM": "Prompted instance counting.",
-        "SAM2": "Class-agnostic segmentation returning a mask raster path.",
-        "ChangeOS": "Change detection between two epochs returning a change mask; "
-                    "passing the same path twice yields a building segmentation.",
-    }
-    for name, task, image_params, has_prompt in expert_rows:
-        params = [P(p, "string") for p in image_params]
-        if has_prompt:
-            params.append(P("prompt", "string", True, "natural-language target"))
-        reg.register(
-            ToolSpec(name=name, description=descriptions[name], params=tuple(params)),
-            expert(name, task, image_params, has_prompt),
-        )
-
-    def threshold_seg(args: dict) -> ToolResult:
-        img = _load(ctx, args["image_path"])
-        out = perc.threshold_segmentation(img, args["threshold"])
-        return _save(ctx, out, args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="threshold_segmentation",
-            description="Binary segmentation of a single-band raster: values "
-                        "strictly greater than the threshold become 255, the "
-                        "rest become 0.",
-            params=(
-                P("image_path", "string"),
-                P("threshold", "number"),
-                P("output_path", "string"),
-            ),
-        ),
-        threshold_seg,
-    )
-
     def bbox_expansion(args: dict) -> ToolResult:
         size = None
         if "image_width" in args and "image_height" in args:
@@ -687,76 +418,75 @@ def _register_perception_tools(reg: ToolRegistry, ctx: ToolContext) -> None:
                for b in args["bboxes"]]
         return ok_result(value=out)
 
-    reg.register(
-        ToolSpec(
-            name="bbox_expansion",
-            description="Expand [x_min, y_min, x_max, y_max] boxes by a radius, "
-                        "clamped to the image bounds when given.",
-            params=(
-                P("bboxes", "array", items="array"),
-                P("radius", "number"),
-                P("image_width", "integer", False),
-                P("image_height", "integer", False),
-            ),
-        ),
-        bbox_expansion,
+    # (tool name, task, image params, has prompt, description)
+    experts = (
+        ("MSCN", "classify", ("image_path",), False,
+         "Scene and land-use classification over a broad label set."),
+        ("RemoteCLIP", "classify", ("image_path",), False,
+         "Scene and land-use classification over a compact label set."),
+        ("SM3Det", "detect", ("image_path",), True,
+         "Prompted object detection returning bounding boxes."),
+        ("Strip_R_CNN", "detect", ("image_path",), True,
+         "Prompted detection specialized for ship and vessel classes."),
+        ("RemoteSAM", "ground", ("image_path",), True,
+         "Visual grounding: a text prompt selects one bounding box."),
+        ("InstructSAM", "count", ("image_path",), True,
+         "Prompted instance counting."),
+        ("SAM2", "segment", ("image_path",), False,
+         "Class-agnostic segmentation returning a mask raster path."),
+        ("ChangeOS", "change", ("pre_image_path", "post_image_path"), False,
+         "Change detection between two epochs returning a change mask; "
+         "passing the same path twice yields a building segmentation."),
     )
-
-    reg.register(
-        ToolSpec(
-            name="count_above_threshold",
-            description="Count pixels strictly greater than a threshold in a "
-                        "single-band raster.",
-            params=(P("image_path", "string"), P("threshold", "number")),
-        ),
-        lambda args: ok_result(value=perc.count_above_threshold(
-            _load(ctx, args["image_path"]), args["threshold"])),
-    )
-
-    reg.register(
-        ToolSpec(
-            name="count_skeleton_contours",
-            description="Erode a binary image, thin it to a skeleton, and count "
-                        "the connected skeleton pieces.",
-            params=(P("image_path", "string"),),
-        ),
-        lambda args: ok_result(value=perc.count_skeleton_contours(
-            _load(ctx, args["image_path"]))),
-    )
-
-    reg.register(
-        ToolSpec(
-            name="bboxes2centroids",
-            description="Centers (x, y) of [x_min, y_min, x_max, y_max] boxes.",
-            params=(P("bboxes", "array", items="array"),),
-        ),
-        lambda args: ok_result(value=[
-            list(c) for c in perc.bboxes_to_centroids(
-                [perc.BBox.from_list(b) for b in args["bboxes"]])]),
-    )
-
-    def extremes(args: dict) -> ToolResult:
-        pts = [(float(p[0]), float(p[1])) for p in args["centroids"]]
-        return ok_result(value=perc.centroid_distance_extremes(pts))
-
-    reg.register(
-        ToolSpec(
-            name="centroid_distance_extremes",
-            description="Closest and farthest centroid pairs with their indices "
-                        "and distances.",
-            params=(P("centroids", "array", items="array"),),
-        ),
-        extremes,
-    )
-
-    reg.register(
-        ToolSpec(
-            name="calculate_bbox_area",
-            description="Total area of boxes given in [x, y, width, height] form.",
-            params=(P("bboxes", "array", items="array"),),
-        ),
-        lambda args: ok_result(value=perc.total_bbox_area(args["bboxes"])),
-    )
+    return [
+        *(Tool(name, desc,
+               tuple(P(p, "string") for p in image_params)
+               + ((P("prompt", "string", True, "natural-language target"),)
+                  if has_prompt else ()),
+               handler=expert(name, task, image_params))
+          for name, task, image_params, has_prompt, desc in experts),
+        Tool("threshold_segmentation",
+             "Binary segmentation of a single-band raster: values "
+             "strictly greater than the threshold become 255, the "
+             "rest become 0.",
+             (P("image_path", "string"),
+              P("threshold", "number"),
+              P("output_path", "string")),
+             perc.threshold_segmentation),
+        Tool("bbox_expansion",
+             "Expand [x_min, y_min, x_max, y_max] boxes by a radius, "
+             "clamped to the image bounds when given.",
+             (P("bboxes", "array", items="array"),
+              P("radius", "number"),
+              P("image_width", "integer", False),
+              P("image_height", "integer", False)),
+             handler=bbox_expansion),
+        Tool("count_above_threshold",
+             "Count pixels strictly greater than a threshold in a "
+             "single-band raster.",
+             (P("image_path", "string"), P("threshold", "number")),
+             perc.count_above_threshold),
+        Tool("count_skeleton_contours",
+             "Erode a binary image, thin it to a skeleton, and count "
+             "the connected skeleton pieces.",
+             (P("image_path", "string"),),
+             perc.count_skeleton_contours),
+        Tool("bboxes2centroids",
+             "Centers (x, y) of [x_min, y_min, x_max, y_max] boxes.",
+             (P("bboxes", "array", items="array"),),
+             lambda boxes: [list(c) for c in perc.bboxes_to_centroids(
+                 [perc.BBox.from_list(b) for b in boxes])]),
+        Tool("centroid_distance_extremes",
+             "Closest and farthest centroid pairs with their indices "
+             "and distances.",
+             (P("centroids", "array", items="array"),),
+             lambda pts: perc.centroid_distance_extremes(
+                 [(float(p[0]), float(p[1])) for p in pts])),
+        Tool("calculate_bbox_area",
+             "Total area of boxes given in [x, y, width, height] form.",
+             (P("bboxes", "array", items="array"),),
+             perc.total_bbox_area),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -764,50 +494,7 @@ def _register_perception_tools(reg: ToolRegistry, ctx: ToolContext) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _register_analysis_tools(reg: ToolRegistry, ctx: ToolContext) -> None:
-    def lin_trend(args: dict) -> ToolResult:
-        fit = an.linear_trend(args["values"], args.get("timestamps"))
-        return ok_result(value={"slope": fit.slope, "intercept": fit.intercept})
-
-    reg.register(
-        ToolSpec(
-            name="compute_linear_trend",
-            description="Least-squares line fit of a series; null entries are "
-                        "treated as missing.",
-            params=(P("values", "array", items="number", nullable_items=True), P("timestamps", "array", False, items="number")),
-        ),
-        lin_trend,
-    )
-
-    def mk(args: dict) -> ToolResult:
-        res = an.mann_kendall(args["values"], alpha=args.get("alpha", 0.05))
-        return ok_result(value={
-            "s": res.s, "var_s": res.var_s, "tau": res.tau, "z": res.z,
-            "p_value": res.p_value, "trend": res.trend,
-        })
-
-    reg.register(
-        ToolSpec(
-            name="mann_kendall_test",
-            description="Non-parametric monotonic trend test on a series: S "
-                        "statistic, tie-corrected variance, tau, z-score, "
-                        "two-sided p-value, and a trend label.",
-            params=(P("values", "array", items="number", nullable_items=True), P("alpha", "number", False)),
-        ),
-        mk,
-    )
-
-    reg.register(
-        ToolSpec(
-            name="sens_slope",
-            description="Median of all pairwise slopes of a series: a robust "
-                        "rate-of-change estimate.",
-            params=(P("values", "array", items="number", nullable_items=True), P("timestamps", "array", False, items="number")),
-        ),
-        lambda args: ok_result(value=an.sens_slope(args["values"],
-                                                   args.get("timestamps"))),
-    )
-
+def _analysis_tools() -> list[Tool]:
     def stl(args: dict) -> ToolResult:
         dec = an.stl_decompose(args["values"], period=args["period"])
         return ok_result(value={
@@ -816,92 +503,62 @@ def _register_analysis_tools(reg: ToolRegistry, ctx: ToolContext) -> None:
             "residual": dec.residual.tolist(),
         }, text=f"decomposed {len(dec.trend)} samples at period {args['period']}")
 
-    reg.register(
-        ToolSpec(
-            name="stl_decompose",
-            description="Additive seasonal-trend decomposition of a series by "
-                        "repeated local regression smoothing.",
-            params=(P("values", "array", items="number", nullable_items=True), P("period", "integer")),
-        ),
-        stl,
-    )
-
-    reg.register(
-        ToolSpec(
-            name="detect_change_points",
-            description="Penalized optimal segmentation of a series under a "
-                        "piecewise-constant-mean cost; returns interior "
-                        "breakpoint indices.",
-            params=(P("values", "array", items="number", nullable_items=True), P("penalty", "number")),
-        ),
-        lambda args: ok_result(value=an.detect_change_points(
-            args["values"], args["penalty"])),
-    )
-
-    reg.register(
-        ToolSpec(
-            name="autocorrelation_function",
-            description="Autocorrelation of a series at lags 0..max_lag.",
-            params=(P("values", "array", items="number", nullable_items=True), P("max_lag", "integer")),
-        ),
-        lambda args: ok_result(value=an.acf(args["values"], args["max_lag"])),
-    )
-
-    reg.register(
-        ToolSpec(
-            name="detect_seasonality_acf",
-            description="Dominant period detected as the first significant "
-                        "autocorrelation peak past lag 1, if any.",
-            params=(P("values", "array", items="number", nullable_items=True), P("max_lag", "integer", False)),
-        ),
-        lambda args: ok_result(
-            value={"period": an.detect_seasonality_acf(args["values"],
-                                                       args.get("max_lag"))}),
-    )
-
-    def gi_star(args: dict) -> ToolResult:
-        img = _load(ctx, args["image_path"])
-        out = an.getis_ord_gi_star(img, kernel_radius=args.get("kernel_radius", 1))
-        return _save(ctx, out, args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="getis_ord_gi_star",
-            description="Local hot/cold-spot z-scores over a raster using a "
-                        "binary square neighborhood including the center.",
-            params=(
-                P("image_path", "string"),
-                P("output_path", "string"),
-                P("kernel_radius", "integer", False),
-            ),
-        ),
-        gi_star,
-    )
-
-    def hotspot_dir(args: dict) -> ToolResult:
-        direction, counts = an.hotspot_direction(_load(ctx, args["image_path"]))
-        return ok_result(value={"direction": direction, "counts": counts})
-
-    reg.register(
-        ToolSpec(
-            name="analyze_hotspot_direction",
-            description="Dominant cardinal sector of 1-pixels in a binary map "
-                        "relative to the map center, with per-direction counts.",
-            params=(P("image_path", "string"),),
-        ),
-        hotspot_dir,
-    )
-
-    reg.register(
-        ToolSpec(
-            name="count_spikes_from_values",
-            description="Count increases between consecutive valid values that "
-                        "exceed a threshold.",
-            params=(P("values", "array", items="number", nullable_items=True), P("threshold", "number")),
-        ),
-        lambda args: ok_result(value=an.count_spikes(args["values"],
-                                                     args["threshold"])),
-    )
+    series = P("values", "array", items="number", nullable_items=True)
+    return [
+        Tool("compute_linear_trend",
+             "Least-squares line fit of a series; null entries are "
+             "treated as missing.",
+             (series, P("timestamps", "array", False, items="number")),
+             _record(an.linear_trend)),
+        Tool("mann_kendall_test",
+             "Non-parametric monotonic trend test on a series: S "
+             "statistic, tie-corrected variance, tau, z-score, "
+             "two-sided p-value, and a trend label.",
+             (series, P("alpha", "number", False)),
+             _record(an.mann_kendall)),
+        Tool("sens_slope",
+             "Median of all pairwise slopes of a series: a robust "
+             "rate-of-change estimate.",
+             (series, P("timestamps", "array", False, items="number")),
+             an.sens_slope),
+        Tool("stl_decompose",
+             "Additive seasonal-trend decomposition of a series by "
+             "repeated local regression smoothing.",
+             (series, P("period", "integer")),
+             handler=stl),
+        Tool("detect_change_points",
+             "Penalized optimal segmentation of a series under a "
+             "piecewise-constant-mean cost; returns interior "
+             "breakpoint indices.",
+             (series, P("penalty", "number")),
+             an.detect_change_points),
+        Tool("autocorrelation_function",
+             "Autocorrelation of a series at lags 0..max_lag.",
+             (series, P("max_lag", "integer")),
+             an.acf),
+        Tool("detect_seasonality_acf",
+             "Dominant period detected as the first significant "
+             "autocorrelation peak past lag 1, if any.",
+             (series, P("max_lag", "integer", False)),
+             lambda values, **kw: {"period": an.detect_seasonality_acf(values, **kw)}),
+        Tool("getis_ord_gi_star",
+             "Local hot/cold-spot z-scores over a raster using a "
+             "binary square neighborhood including the center.",
+             (P("image_path", "string"),
+              P("output_path", "string"),
+              P("kernel_radius", "integer", False)),
+             an.getis_ord_gi_star),
+        Tool("analyze_hotspot_direction",
+             "Dominant cardinal sector of 1-pixels in a binary map "
+             "relative to the map center, with per-direction counts.",
+             (P("image_path", "string"),),
+             _record(an.hotspot_direction, ("direction", "counts"))),
+        Tool("count_spikes_from_values",
+             "Count increases between consecutive valid values that "
+             "exceed a threshold.",
+             (series, P("threshold", "number")),
+             an.count_spikes),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -909,589 +566,213 @@ def _register_analysis_tools(reg: ToolRegistry, ctx: ToolContext) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _register_statistics_tools(reg: ToolRegistry, ctx: ToolContext) -> None:
-    for name, stat, blurb in (
-        ("coefficient_of_variation", "cv",
-         "Standard deviation over mean of a dataset."),
-        ("skewness", "skewness", "Asymmetry of a dataset's distribution."),
-        ("kurtosis", "kurtosis",
-         "Excess tailedness of a dataset relative to a normal distribution."),
-        ("mean", "mean", "Arithmetic mean of a dataset."),
-    ):
-        reg.register(
-            ToolSpec(name=name, description=blurb, params=(P("data", "array", items="number"),)),
-            (lambda s: lambda args: ok_result(value=st.scalar_stat(args["data"], s)))(stat),
-        )
-
-    for stat in ("mean", "std", "median", "min", "max", "skewness", "kurtosis", "sum"):
-        def make(statname):
-            def handler(args: dict) -> ToolResult:
-                rasters = _load_many(ctx, args["image_paths"])
-                return ok_result(value=st.batch_image_stat(
-                    rasters, statname, band=args.get("band", 1)))
-
-            return handler
-
-        reg.register(
-            ToolSpec(
-                name=f"calc_batch_image_{stat}",
-                description=f"Per-image {stat} of valid pixel values over a "
-                            "batch of rasters, order preserving.",
-                params=(P("image_paths", "array", items="string"), P("band", "integer", False)),
-            ),
-            make(stat),
-        )
-
-    def hotspot_pct(args: dict) -> ToolResult:
-        rasters = _load_many(ctx, args["image_paths"])
-        return ok_result(value=st.hotspot_percentages(
-            rasters, args["threshold"], band=args.get("band", 1)))
-
-    reg.register(
-        ToolSpec(
-            name="calc_batch_image_hotspot_percentage",
-            description="Per-image percentage of pixels strictly above a "
-                        "threshold.",
-            params=(
-                P("image_paths", "array", items="string"),
-                P("threshold", "number"),
-                P("band", "integer", False),
-            ),
-        ),
-        hotspot_pct,
-    )
-
-    def hotspot_tif(args: dict) -> ToolResult:
-        paths = args["image_paths"]
-        if not paths:
-            raise InvalidInputError("empty batch")
-        rasters, names = [], []
-        for p in paths:
-            rasters.append(st.hotspot_map(_load(ctx, p), args["threshold"],
-                                          band=args.get("band", 1)))
-            names.append(f"{args['output_dir']}/hotspot_{_stem(p)}.tif")
-        return _save_many(ctx, rasters, names)
-
-    reg.register(
-        ToolSpec(
-            name="calc_batch_image_hotspot_tif",
-            description="Binary hotspot maps where pixels BELOW the threshold "
-                        "become 1, preserving georeference metadata.",
-            params=(
-                P("image_paths", "array", items="string"),
-                P("threshold", "number"),
-                P("output_dir", "string"),
-                P("band", "integer", False),
-            ),
-        ),
-        hotspot_tif,
-    )
-
-    scalar_rows = (
-        ("difference", ("a", "b"), st.difference,
-         "Absolute difference of two numbers."),
-        ("division", ("a", "b"), st.division, "Quotient of two numbers."),
-        ("percentage_change", ("old", "new"), st.percentage_change,
-         "Relative change from old to new, in percent."),
-        ("multiply", ("a", "b"), st.multiply, "Product of two numbers."),
-    )
-    for name, argnames, fn, blurb in scalar_rows:
-        def make_scalar(f, names):
-            return lambda args: ok_result(value=f(*(args[n] for n in names)))
-
-        reg.register(
-            ToolSpec(name=name, description=blurb,
-                     params=tuple(P(n, "number") for n in argnames)),
-            make_scalar(fn, argnames),
-        )
-
-    reg.register(
-        ToolSpec(name="kelvin_to_celsius", description="Convert Kelvin to Celsius.",
-                 params=(P("kelvin", "number"),)),
-        lambda args: ok_result(value=st.kelvin_to_celsius(args["kelvin"])),
-    )
-    reg.register(
-        ToolSpec(name="celsius_to_kelvin", description="Convert Celsius to Kelvin.",
-                 params=(P("celsius", "number"),)),
-        lambda args: ok_result(value=st.celsius_to_kelvin(args["celsius"])),
-    )
-    reg.register(
-        ToolSpec(name="ceil_number", description="Round a number up to an integer.",
-                 params=(P("value", "number"),)),
-        lambda args: ok_result(value=st.ceil_number(args["value"])),
-    )
-
-    def max_idx(args: dict) -> ToolResult:
-        value, idx = st.max_with_index(args["values"])
-        return ok_result(value={"value": value, "index": idx})
-
-    def min_idx(args: dict) -> ToolResult:
-        value, idx = st.min_with_index(args["values"])
-        return ok_result(value={"value": value, "index": idx})
-
-    reg.register(
-        ToolSpec(name="max_value_and_index",
-                 description="Maximum of a list together with its index.",
-                 params=(P("values", "array", items="number"),)),
-        max_idx,
-    )
-    reg.register(
-        ToolSpec(name="min_value_and_index",
-                 description="Minimum of a list together with its index.",
-                 params=(P("values", "array", items="number"),)),
-        min_idx,
-    )
-    reg.register(
-        ToolSpec(name="get_list_object_via_indexes",
-                 description="Select elements of a list by index.",
-                 params=(P("items", "array"), P("indexes", "array", items="integer"))),
-        lambda args: ok_result(value=st.list_select(args["items"], args["indexes"])),
-    )
-
-    def threshold_ratio(args: dict) -> ToolResult:
-        rasters = _load_many(ctx, args["image_paths"])
-        return ok_result(value=st.threshold_ratio(
-            rasters, args["threshold"], band=args.get("band", 1),
-            comparator=args.get("comparator", ">")))
-
-    reg.register(
-        ToolSpec(
-            name="calculate_threshold_ratio",
-            description="Average percentage of pixels beyond a threshold across "
-                        "one or more images, for a chosen band.",
-            params=(
-                P("image_paths", "array", items="string"),
-                P("threshold", "number"),
-                P("band", "integer", False),
-                P("comparator", "string", False, enum=COMPARATOR_ENUM),
-            ),
-        ),
-        threshold_ratio,
-    )
-
-    reg.register(
-        ToolSpec(
-            name="calc_batch_fire_pixels",
-            description="Per-image count of pixels strictly above a radiative "
-                        "power threshold.",
-            params=(
-                P("image_paths", "array", items="string"),
-                P("threshold", "number"),
-                P("band", "integer", False),
-            ),
-        ),
-        lambda args: ok_result(value=st.fire_pixel_counts(
-            _load_many(ctx, args["image_paths"]), args["threshold"],
-            band=args.get("band", 1))),
-    )
-
-    def fire_increase(args: dict) -> ToolResult:
-        before = _load(ctx, args["before_path"])
-        after = _load(ctx, args["after_path"])
-        return _save(ctx, st.fire_increase_map(before, after, args["threshold"]),
-                     args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="create_fire_increase_map",
-            description="Binary map of pixels where the after-minus-before "
-                        "difference exceeds a threshold.",
-            params=(
-                P("before_path", "string"),
-                P("after_path", "string"),
-                P("threshold", "number"),
-                P("output_path", "string"),
-            ),
-        ),
-        fire_increase,
-    )
-
-    def fire_prone(args: dict) -> ToolResult:
-        hot = _load(ctx, args["hotspot_map_path"])
-        return _save(ctx, st.fire_prone_areas(hot, args["percentile"]),
-                     args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="identify_fire_prone_areas",
-            description="Binary map of pixels at or above the N-th percentile "
-                        "of a hotspot-frequency map.",
-            params=(
-                P("hotspot_map_path", "string"),
-                P("percentile", "number"),
-                P("output_path", "string"),
-            ),
-        ),
-        fire_prone,
-    )
-
-    reg.register(
-        ToolSpec(
-            name="get_percentile_value_from_image",
-            description="N-th percentile of valid pixel values, with linear "
-                        "interpolation between order statistics.",
-            params=(
-                P("image_path", "string"),
-                P("percentile", "number"),
-                P("band", "integer", False),
-            ),
-        ),
-        lambda args: ok_result(value=st.percentile_value(
-            _load(ctx, args["image_path"]), args["percentile"],
-            band=args.get("band", 1))),
-    )
-
-    def div_mean(args: dict) -> ToolResult:
-        num = _load(ctx, args["numerator_path"])
-        den = _load(ctx, args["denominator_path"])
-        return ok_result(value=st.image_division_mean(
-            num, den, num_band=args.get("numerator_band", 1),
-            den_band=args.get("denominator_band", 1)))
-
-    reg.register(
-        ToolSpec(
-            name="image_division_mean",
-            description="Mean of the pixelwise quotient of two images or two "
-                        "bands, excluding zero denominators.",
-            params=(
-                P("numerator_path", "string"),
-                P("denominator_path", "string"),
-                P("numerator_band", "integer", False),
-                P("denominator_band", "integer", False),
-            ),
-        ),
-        div_mean,
-    )
-
-    def intersection(args: dict) -> ToolResult:
-        a = _load(ctx, args["image_a_path"])
-        b = _load(ctx, args["image_b_path"])
-        return ok_result(value=st.intersection_percentage(
-            a, b, args.get("comparator_a", ">"), args["threshold_a"],
-            args.get("comparator_b", ">"), args["threshold_b"]))
-
-    reg.register(
-        ToolSpec(
-            name="calculate_intersection_percentage",
-            description="Percentage of pixels simultaneously satisfying a "
-                        "threshold condition in each of two rasters.",
-            params=(
-                P("image_a_path", "string"),
-                P("image_b_path", "string"),
-                P("threshold_a", "number"),
-                P("threshold_b", "number"),
-                P("comparator_a", "string", False, enum=COMPARATOR_ENUM),
-                P("comparator_b", "string", False, enum=COMPARATOR_ENUM),
-            ),
-        ),
-        intersection,
-    )
-
-    reg.register(
-        ToolSpec(
-            name="calc_batch_image_mean_mean",
-            description="Mean of the per-image mean pixel values.",
-            params=(P("image_paths", "array", items="string"), P("band", "integer", False)),
-        ),
-        lambda args: ok_result(value=st.batch_aggregate(
-            _load_many(ctx, args["image_paths"]), "mean_of_means",
-            band=args.get("band", 1))),
-    )
-    reg.register(
-        ToolSpec(
-            name="calc_batch_image_mean_max",
-            description="Maximum of the per-image mean pixel values.",
-            params=(P("image_paths", "array", items="string"), P("band", "integer", False)),
-        ),
-        lambda args: ok_result(value=st.batch_aggregate(
-            _load_many(ctx, args["image_paths"]), "max_of_means",
-            band=args.get("band", 1))),
-    )
-
-    def triple(args: dict) -> ToolResult:
-        mean_means, max_max, min_min = st.batch_aggregate(
-            _load_many(ctx, args["image_paths"]), "mean_max_min_triple",
-            band=args.get("band", 1))
-        return ok_result(value={
-            "mean_of_means": mean_means,
-            "max_of_maxes": max_max,
-            "min_of_mins": min_min,
-        })
-
-    reg.register(
-        ToolSpec(
-            name="calc_batch_image_mean_max_min",
-            description="Batch summary: mean of means, maximum of maxima, and "
-                        "minimum of minima across images.",
-            params=(P("image_paths", "array", items="string"), P("band", "integer", False)),
-        ),
-        triple,
-    )
-
-    def mean_threshold(args: dict) -> ToolResult:
-        return ok_result(value=st.images_mean_vs_threshold(
-            _load_many(ctx, args["image_paths"]), args["threshold"],
-            direction=args.get("direction", "above"),
-            mode=args.get("mode", "count"), band=args.get("band", 1)))
-
-    reg.register(
-        ToolSpec(
-            name="calc_batch_image_mean_threshold",
-            description="Count or percentage of images whose band mean is above "
-                        "or below a threshold.",
-            params=(
-                P("image_paths", "array", items="string"),
-                P("threshold", "number"),
-                P("direction", "string", False, enum=DIRECTION_ENUM),
-                P("mode", "string", False, enum=("count", "percentage")),
-                P("band", "integer", False),
-            ),
-        ),
-        mean_threshold,
-    )
-
-    def multi_band_ratio(args: dict) -> ToolResult:
-        img = _load(ctx, args["image_path"])
-        return ok_result(value=st.multi_band_threshold_ratio(img, args["conditions"]))
-
-    reg.register(
-        ToolSpec(
-            name="calculate_multi_band_threshold_ratio",
-            description="Percentage of pixels jointly satisfying per-band "
-                        "threshold conditions of one raster.",
-            params=(
-                P("image_path", "string"),
-                P("conditions", "array", items="object",
-                  desc="objects {band, comparator, value} combined with AND"),
-            ),
-        ),
-        multi_band_ratio,
-    )
-
-    reg.register(
-        ToolSpec(
-            name="count_pixels_satisfying_conditions",
-            description="Count of pixels jointly satisfying per-band threshold "
-                        "conditions of one raster.",
-            params=(
-                P("image_path", "string"),
-                P("conditions", "array", items="object"),
-            ),
-        ),
-        lambda args: ok_result(value=st.count_pixels_satisfying(
-            _load(ctx, args["image_path"]), args["conditions"])),
-    )
-
-    def exceeding_ratio(args: dict) -> ToolResult:
-        return ok_result(value=st.count_images_exceeding_ratio(
-            _load_many(ctx, args["image_paths"]), args["threshold"], args["ratio"],
-            band=args.get("band", 1), comparator=args.get("comparator", ">")))
-
-    reg.register(
-        ToolSpec(
-            name="count_images_exceeding_threshold_ratio",
-            description="Count of images whose percentage of pixels beyond a "
-                        "threshold exceeds a given ratio.",
-            params=(
-                P("image_paths", "array", items="string"),
-                P("threshold", "number"),
-                P("ratio", "number", desc="percentage bar the per-image ratio must beat"),
-                P("band", "integer", False),
-                P("comparator", "string", False, enum=COMPARATOR_ENUM),
-            ),
-        ),
-        exceeding_ratio,
-    )
-
-    def avg_exceeding(args: dict) -> ToolResult:
-        return ok_result(value=st.average_ratio_exceeding(
-            _load_many(ctx, args["image_paths"]), args["threshold"],
-            args["ratio_threshold"], band=args.get("band", 1)))
-
-    reg.register(
-        ToolSpec(
-            name="average_ratio_exceeding_threshold",
-            description="Average per-image exceedance percentage, restricted to "
-                        "images whose percentage beats a ratio threshold.",
-            params=(
-                P("image_paths", "array", items="string"),
-                P("threshold", "number"),
-                P("ratio_threshold", "number"),
-                P("band", "integer", False),
-            ),
-        ),
-        avg_exceeding,
-    )
-
-    def mean_multiplier(args: dict) -> ToolResult:
-        return ok_result(value=st.count_images_vs_mean_multiplier(
-            _load_many(ctx, args["image_paths"]), args["multiplier"],
-            direction=args.get("direction", "above"), band=args.get("band", 1)))
-
-    reg.register(
-        ToolSpec(
-            name="count_images_exceeding_mean_multiplier",
-            description="Count of images whose mean is above or below a "
-                        "multiple of the overall mean of image means.",
-            params=(
-                P("image_paths", "array", items="string"),
-                P("multiplier", "number"),
-                P("direction", "string", False, enum=DIRECTION_ENUM),
-                P("band", "integer", False),
-            ),
-        ),
-        mean_multiplier,
-    )
-
-    def band_mean_cond(args: dict) -> ToolResult:
-        return ok_result(value=st.band_mean_by_condition(
-            _load(ctx, args["target_path"]), _load(ctx, args["condition_path"]),
-            args["comparator"], args["threshold"],
-            target_band=args.get("target_band", 1),
-            condition_band=args.get("condition_band", 1)))
-
-    reg.register(
-        ToolSpec(
-            name="calculate_band_mean_by_condition",
-            description="Mean of a target raster over pixels where a condition "
-                        "raster satisfies a threshold.",
-            params=(
-                P("target_path", "string"),
-                P("condition_path", "string"),
-                P("comparator", "string", enum=COMPARATOR_ENUM),
-                P("threshold", "number"),
-                P("target_band", "integer", False),
-                P("condition_band", "integer", False),
-            ),
-        ),
-        band_mean_cond,
-    )
-
-    reg.register(
-        ToolSpec(
-            name="calc_threshold_value_mean",
-            description="Mean of the second raster over pixels where the first "
-                        "raster exceeds a threshold.",
-            params=(
-                P("path1", "string"),
-                P("path2", "string"),
-                P("threshold", "number"),
-            ),
-        ),
-        lambda args: ok_result(value=st.threshold_value_mean(
-            _load(ctx, args["path1"]), _load(ctx, args["path2"]), args["threshold"])),
-    )
-
-    def tif_difference(args: dict) -> ToolResult:
-        a = _load(ctx, args["image_a_path"])
-        b = _load(ctx, args["image_b_path"])
-        return _save(ctx, pixelwise(b, a, "sub"), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="calculate_tif_difference",
-            description="Pixelwise difference image_b - image_a, saved as a "
-                        "raster.",
-            params=(
-                P("image_a_path", "string"),
-                P("image_b_path", "string"),
-                P("output_path", "string"),
-            ),
-        ),
-        tif_difference,
-    )
-
-    def subtract(args: dict) -> ToolResult:
-        a = _load(ctx, args["image_a_path"])
-        b = _load(ctx, args["image_b_path"])
-        return _save(ctx, pixelwise(a, b, "sub"), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="subtract",
-            description="Pixelwise difference image_a - image_b, saved as a "
-                        "raster.",
-            params=(
-                P("image_a_path", "string"),
-                P("image_b_path", "string"),
-                P("output_path", "string"),
-            ),
-        ),
-        subtract,
-    )
-
-    reg.register(
-        ToolSpec(
-            name="calculate_area",
-            description="Count of nonzero valid pixels in an image.",
-            params=(P("image_path", "string"), P("band", "integer", False)),
-        ),
-        lambda args: ok_result(value=st.area_nonzero(
-            _load(ctx, args["image_path"]), band=args.get("band", 1))),
-    )
-
-    def colormap(args: dict) -> ToolResult:
-        img = _load(ctx, args["image_path"])
-        return _save(ctx, st.grayscale_to_colormap(img, band=args.get("band", 1)),
-                     args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="grayscale_to_colormap",
-            description="Render a grayscale band through a fixed 256-entry "
-                        "color table as a 3-band image.",
-            params=(
-                P("image_path", "string"),
-                P("output_path", "string"),
-                P("band", "integer", False),
-            ),
-        ),
-        colormap,
-    )
-
-    def filelist(args: dict) -> ToolResult:
-        directory = ctx.workspace.resolve_input(args["directory"])
-        return ok_result(value=st.get_filelist(directory, args.get("pattern")))
-
-    reg.register(
-        ToolSpec(
-            name="get_filelist",
-            description="Sorted list of file names in a directory, optionally "
-                        "filtered by a glob pattern.",
-            params=(P("directory", "string"), P("pattern", "string", False)),
-        ),
-        filelist,
-    )
-
-    def radiometric(args: dict) -> ToolResult:
-        img = _load(ctx, args["band_path"])
-        return _save(ctx, st.radiometric_correction_sr(img), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="radiometric_correction_sr",
-            description="Scale surface-reflectance digital numbers to "
-                        "reflectance in [0, 1].",
-            params=(P("band_path", "string"), P("output_path", "string")),
-        ),
-        radiometric,
-    )
-
-    def cloud_mask(args: dict) -> ToolResult:
-        band = _load(ctx, args["band_path"])
-        qa = _load(ctx, args["qa_pixel_path"])
-        return _save(ctx, st.apply_cloud_mask(band, qa), args["output_path"])
-
-    reg.register(
-        ToolSpec(
-            name="apply_cloud_mask",
-            description="Mask cloud, cirrus, dilated-cloud and shadow pixels of "
-                        "a band to nodata using the quality band's bit flags.",
-            params=(
-                P("band_path", "string"),
-                P("qa_pixel_path", "string"),
-                P("output_path", "string"),
-            ),
-        ),
-        cloud_mask,
-    )
+def _statistics_tools(ctx: ToolContext) -> list[Tool]:
+    images = P("image_paths", "array", items="string")
+    band = P("band", "integer", False)
+    a_b_out = (P("image_a_path", "string"), P("image_b_path", "string"),
+               P("output_path", "string"))
+    return [
+        *(Tool(name, blurb, (P("data", "array", items="number"),),
+               partial(st.scalar_stat, stat=stat))
+          for name, stat, blurb in (
+              ("coefficient_of_variation", "cv",
+               "Standard deviation over mean of a dataset."),
+              ("skewness", "skewness", "Asymmetry of a dataset's distribution."),
+              ("kurtosis", "kurtosis",
+               "Excess tailedness of a dataset relative to a normal distribution."),
+              ("mean", "mean", "Arithmetic mean of a dataset."))),
+        *(Tool(f"calc_batch_image_{stat}",
+               f"Per-image {stat} of valid pixel values over a "
+               "batch of rasters, order preserving.",
+               (images, band),
+               partial(st.batch_image_stat, stat=stat))
+          for stat in ("mean", "std", "median", "min", "max", "skewness", "kurtosis",
+                       "sum")),
+        Tool("calc_batch_image_hotspot_percentage",
+             "Per-image percentage of pixels strictly above a "
+             "threshold.",
+             (images, P("threshold", "number"), band),
+             st.hotspot_percentages),
+        Tool("calc_batch_image_hotspot_tif",
+             "Binary hotspot maps where pixels BELOW the threshold "
+             "become 1, preserving georeference metadata.",
+             (images, P("threshold", "number"), P("output_dir", "string"), band),
+             st.hotspot_map, prefix="hotspot"),
+        *(Tool(name, blurb, tuple(P(n, "number") for n in argnames), fn)
+          for name, argnames, fn, blurb in (
+              ("difference", ("a", "b"), st.difference,
+               "Absolute difference of two numbers."),
+              ("division", ("a", "b"), st.division, "Quotient of two numbers."),
+              ("percentage_change", ("old", "new"), st.percentage_change,
+               "Relative change from old to new, in percent."),
+              ("multiply", ("a", "b"), st.multiply, "Product of two numbers."),
+              ("kelvin_to_celsius", ("kelvin",), st.kelvin_to_celsius,
+               "Convert Kelvin to Celsius."),
+              ("celsius_to_kelvin", ("celsius",), st.celsius_to_kelvin,
+               "Convert Celsius to Kelvin."),
+              ("ceil_number", ("value",), st.ceil_number,
+               "Round a number up to an integer."))),
+        Tool("max_value_and_index",
+             "Maximum of a list together with its index.",
+             (P("values", "array", items="number"),),
+             _record(st.max_with_index, ("value", "index"))),
+        Tool("min_value_and_index",
+             "Minimum of a list together with its index.",
+             (P("values", "array", items="number"),),
+             _record(st.min_with_index, ("value", "index"))),
+        Tool("get_list_object_via_indexes",
+             "Select elements of a list by index.",
+             (P("items", "array"), P("indexes", "array", items="integer")),
+             st.list_select),
+        Tool("calculate_threshold_ratio",
+             "Average percentage of pixels beyond a threshold across "
+             "one or more images, for a chosen band.",
+             (images, P("threshold", "number"), band,
+              P("comparator", "string", False, enum=COMPARATOR_ENUM)),
+             st.threshold_ratio),
+        Tool("calc_batch_fire_pixels",
+             "Per-image count of pixels strictly above a radiative "
+             "power threshold.",
+             (images, P("threshold", "number"), band),
+             st.fire_pixel_counts),
+        Tool("create_fire_increase_map",
+             "Binary map of pixels where the after-minus-before "
+             "difference exceeds a threshold.",
+             (P("before_path", "string"),
+              P("after_path", "string"),
+              P("threshold", "number"),
+              P("output_path", "string")),
+             st.fire_increase_map),
+        Tool("identify_fire_prone_areas",
+             "Binary map of pixels at or above the N-th percentile "
+             "of a hotspot-frequency map.",
+             (P("hotspot_map_path", "string"),
+              P("percentile", "number"),
+              P("output_path", "string")),
+             st.fire_prone_areas),
+        Tool("get_percentile_value_from_image",
+             "N-th percentile of valid pixel values, with linear "
+             "interpolation between order statistics.",
+             (P("image_path", "string"), P("percentile", "number"), band),
+             st.percentile_value),
+        Tool("image_division_mean",
+             "Mean of the pixelwise quotient of two images or two "
+             "bands, excluding zero denominators.",
+             (P("numerator_path", "string"),
+              P("denominator_path", "string"),
+              P("numerator_band", "integer", False),
+              P("denominator_band", "integer", False)),
+             st.image_division_mean),
+        Tool("calculate_intersection_percentage",
+             "Percentage of pixels simultaneously satisfying a "
+             "threshold condition in each of two rasters.",
+             (P("image_a_path", "string"),
+              P("image_b_path", "string"),
+              P("threshold_a", "number"),
+              P("threshold_b", "number"),
+              P("comparator_a", "string", False, enum=COMPARATOR_ENUM),
+              P("comparator_b", "string", False, enum=COMPARATOR_ENUM)),
+             st.intersection_percentage),
+        Tool("calc_batch_image_mean_mean",
+             "Mean of the per-image mean pixel values.",
+             (images, band),
+             partial(st.batch_aggregate, agg="mean_of_means")),
+        Tool("calc_batch_image_mean_max",
+             "Maximum of the per-image mean pixel values.",
+             (images, band),
+             partial(st.batch_aggregate, agg="max_of_means")),
+        Tool("calc_batch_image_mean_max_min",
+             "Batch summary: mean of means, maximum of maxima, and "
+             "minimum of minima across images.",
+             (images, band),
+             _record(partial(st.batch_aggregate, agg="mean_max_min_triple"),
+                     ("mean_of_means", "max_of_maxes", "min_of_mins"))),
+        Tool("calc_batch_image_mean_threshold",
+             "Count or percentage of images whose band mean is above "
+             "or below a threshold.",
+             (images, P("threshold", "number"),
+              P("direction", "string", False, enum=DIRECTION_ENUM),
+              P("mode", "string", False, enum=("count", "percentage")),
+              band),
+             st.images_mean_vs_threshold),
+        Tool("calculate_multi_band_threshold_ratio",
+             "Percentage of pixels jointly satisfying per-band "
+             "threshold conditions of one raster.",
+             (P("image_path", "string"),
+              P("conditions", "array", items="object",
+                desc="objects {band, comparator, value} combined with AND")),
+             st.multi_band_threshold_ratio),
+        Tool("count_pixels_satisfying_conditions",
+             "Count of pixels jointly satisfying per-band threshold "
+             "conditions of one raster.",
+             (P("image_path", "string"), P("conditions", "array", items="object")),
+             st.count_pixels_satisfying),
+        Tool("count_images_exceeding_threshold_ratio",
+             "Count of images whose percentage of pixels beyond a "
+             "threshold exceeds a given ratio.",
+             (images, P("threshold", "number"),
+              P("ratio", "number", desc="percentage bar the per-image ratio must beat"),
+              band, P("comparator", "string", False, enum=COMPARATOR_ENUM)),
+             st.count_images_exceeding_ratio),
+        Tool("average_ratio_exceeding_threshold",
+             "Average per-image exceedance percentage, restricted to "
+             "images whose percentage beats a ratio threshold.",
+             (images, P("threshold", "number"), P("ratio_threshold", "number"), band),
+             st.average_ratio_exceeding),
+        Tool("count_images_exceeding_mean_multiplier",
+             "Count of images whose mean is above or below a "
+             "multiple of the overall mean of image means.",
+             (images, P("multiplier", "number"),
+              P("direction", "string", False, enum=DIRECTION_ENUM), band),
+             st.count_images_vs_mean_multiplier),
+        Tool("calculate_band_mean_by_condition",
+             "Mean of a target raster over pixels where a condition "
+             "raster satisfies a threshold.",
+             (P("target_path", "string"),
+              P("condition_path", "string"),
+              P("comparator", "string", enum=COMPARATOR_ENUM),
+              P("threshold", "number"),
+              P("target_band", "integer", False),
+              P("condition_band", "integer", False)),
+             st.band_mean_by_condition),
+        Tool("calc_threshold_value_mean",
+             "Mean of the second raster over pixels where the first "
+             "raster exceeds a threshold.",
+             (P("path1", "string"), P("path2", "string"), P("threshold", "number")),
+             st.threshold_value_mean),
+        Tool("calculate_tif_difference",
+             "Pixelwise difference image_b - image_a, saved as a "
+             "raster.",
+             a_b_out, lambda a, b: pixelwise(b, a, "sub")),
+        Tool("subtract",
+             "Pixelwise difference image_a - image_b, saved as a "
+             "raster.",
+             a_b_out, lambda a, b: pixelwise(a, b, "sub")),
+        Tool("calculate_area",
+             "Count of nonzero valid pixels in an image.",
+             (P("image_path", "string"), band),
+             st.area_nonzero),
+        Tool("grayscale_to_colormap",
+             "Render a grayscale band through a fixed 256-entry "
+             "color table as a 3-band image.",
+             (P("image_path", "string"), P("output_path", "string"), band),
+             st.grayscale_to_colormap),
+        Tool("get_filelist",
+             "Sorted list of file names in a directory, optionally "
+             "filtered by a glob pattern.",
+             (P("directory", "string"), P("pattern", "string", False)),
+             lambda directory, **kw: st.get_filelist(
+                 ctx.workspace.resolve_input(directory), **kw)),
+        Tool("radiometric_correction_sr",
+             "Scale surface-reflectance digital numbers to "
+             "reflectance in [0, 1].",
+             (P("band_path", "string"), P("output_path", "string")),
+             st.radiometric_correction_sr),
+        Tool("apply_cloud_mask",
+             "Mask cloud, cirrus, dilated-cloud and shadow pixels of "
+             "a band to nodata using the quality band's bit flags.",
+             (P("band_path", "string"),
+              P("qa_pixel_path", "string"),
+              P("output_path", "string")),
+             st.apply_cloud_mask),
+    ]

@@ -13,13 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..errors import (
-    ExternalServiceError,
-    GeoAgentError,
-    InvalidInputError,
-    MissingFileError,
-    WorkspaceEscapeError,
-)
+from ..errors import InvalidInputError, MissingFileError, WorkspaceEscapeError
 
 TOOL_HALLUCINATION = "ToolHallucination"
 FILE_HALLUCINATION = "FileHallucination"
@@ -159,10 +153,6 @@ def classify_exception(exc: BaseException) -> str:
         return FILE_HALLUCINATION
     if isinstance(exc, (InvalidInputError, WorkspaceEscapeError)):
         return INVALID_PARAMETERS
-    if isinstance(exc, ExternalServiceError):
-        return SYSTEM_ERROR
-    if isinstance(exc, GeoAgentError):
-        return SYSTEM_ERROR
     return SYSTEM_ERROR
 
 

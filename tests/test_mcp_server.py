@@ -28,27 +28,13 @@ def server(tmp_path):
     return McpServer(registry)
 
 
-def goldens():
-    return sorted(p for p in GOLDEN_DIR.glob("*.json")
-                  if "tools_list" not in p.name)
-
-
 class TestGoldenWire:
-    @pytest.mark.parametrize("golden_path", goldens(), ids=lambda p: p.stem)
+    @pytest.mark.parametrize("golden_path", sorted(GOLDEN_DIR.glob("*.json")),
+                             ids=lambda p: p.stem)
     def test_golden_response(self, server, golden_path):
         doc = json.loads(golden_path.read_text())
         response = server.handle_line(json.dumps(doc["request"]))
         assert response == doc["expected_response"]
-
-    def test_tools_list_golden_entry(self, server):
-        doc = json.loads((GOLDEN_DIR / "tools_list_entry.json").read_text())
-        response = server.handle_line(json.dumps(doc["request"]))
-        tools = response["result"]["tools"]
-        assert len(tools) >= doc["expected_min_count"]
-        names = [t["name"] for t in tools]
-        assert names == sorted(names)
-        entry = next(t for t in tools if t["name"] == doc["expected_entry"]["name"])
-        assert entry == doc["expected_entry"]
 
     def test_parse_error(self, server):
         response = server.handle_line("{not json")

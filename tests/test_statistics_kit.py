@@ -155,7 +155,7 @@ class TestConditionalStats:
     def test_intersection_disjoint_zero(self):
         a = from_array([[1.0, 0.0]])
         b = from_array([[0.0, 1.0]])
-        got = stats.intersection_percentage(a, b, ">", 0.5, ">", 0.5)
+        got = stats.intersection_percentage(a, b, 0.5, 0.5, ">", ">")
         assert got == 0.0
 
     def test_threshold_value_mean_oracle(self):
