@@ -44,7 +44,9 @@ FVC_NDVI_MAX = 0.86
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den == 0.0, np.nan, num / den)
+        out = num / den
+    out[den == 0.0] = np.nan
+    return out
 
 
 def normalized_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -278,6 +278,8 @@ def fire_increase_map(before: Raster, after: Raster, threshold: float) -> Raster
 
 def fire_prone_areas(hotspot: Raster, percentile: float) -> Raster:
     """Binary map of pixels at or above the N-th percentile of the map."""
+    if not 0.0 <= percentile <= 100.0:
+        raise InvalidInputError(f"percentile must be in [0, 100], got {percentile}")
     vals = nonempty(hotspot.values(), "hotspot map")
     cut = float(np.percentile(vals, percentile))
     b = hotspot.band()

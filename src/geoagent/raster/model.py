@@ -94,7 +94,12 @@ class Raster:
     def values(self, band: int = 1) -> np.ndarray:
         """Valid pixel values of one band as a 1-D float64 vector."""
         b = self.band(band)
-        return b[~np.isnan(b)]
+        nan_possible = self.data.dtype.kind == "f" or (
+            self.nodata is not None and not np.isnan(self.nodata))
+        # a sum is NaN when one of its terms is
+        if nan_possible and np.isnan(b.sum()):
+            return b[~np.isnan(b)]
+        return b.ravel()
 
     def same_shape(self, other: "Raster") -> bool:
         return (self.height, self.width) == (other.height, other.width)
@@ -121,11 +126,10 @@ def like(reference: Raster, band_f64: np.ndarray) -> Raster:
 
 
 def require_same_grid(*rasters: Raster) -> None:
-    first = rasters[0]
-    for r in rasters[1:]:
-        if not first.same_shape(r):
+    for prev, r in zip(rasters, rasters[1:]):
+        if not prev.same_shape(r):
             raise ShapeMismatchError(
-                f"grids differ: {first.width}x{first.height} vs {r.width}x{r.height}"
+                f"grids differ: {prev.width}x{prev.height} vs {r.width}x{r.height}"
             )
 
 

@@ -30,6 +30,8 @@ def read_png(path: str | Path) -> Raster:
         if len(body) != length:
             raise CorruptFileError("truncated PNG chunk")
         if ctype == b"IHDR":
+            if length != 13:
+                raise CorruptFileError(f"PNG IHDR is {length} bytes, not 13")
             width, height, depth, color, comp, filt, interlace = struct.unpack(
                 ">IIBBBBB", body)
             if depth != 8:

@@ -44,6 +44,10 @@ GEO_TAGS = (33550, 33922, 34735, 34736, 34737)
 _FORMATS = {(8, 1): "u8", (16, 1): "u16", (32, 3): "f32"}
 _FORMATS_INV = {"u8": (8, 1), "u16": (16, 1), "f32": (32, 3)}
 
+# Deflate codes at most 258 bytes in 2 bits, so a stream inflates to at most
+# 1032 times its size.
+_DEFLATE_MAX_RATIO = 1032
+
 
 def _read_entries(buf: bytes, order: str) -> dict[int, tuple[int, int, bytes]]:
     """Parse IFD0 into tag -> (field type, count, raw value bytes)."""
@@ -77,12 +81,19 @@ def _ints(entry: tuple[int, int, bytes], order: str) -> list[int]:
     return list(struct.unpack(order + fmt * count, raw))
 
 
-def _scalar(entries, tag: int, order: str, default: int | None = None) -> int:
+def _required(entries, tag: int, order: str) -> list[int]:
     if tag not in entries:
-        if default is None:
-            raise CorruptFileError(f"required TIFF tag {tag} missing")
+        raise CorruptFileError(f"required TIFF tag {tag} missing")
+    return _ints(entries[tag], order)
+
+
+def _scalar(entries, tag: int, order: str, default: int | None = None) -> int:
+    if tag not in entries and default is not None:
         return default
-    return _ints(entries[tag], order)[0]
+    values = _required(entries, tag, order)
+    if not values:
+        raise CorruptFileError(f"TIFF tag {tag} has no value")
+    return values[0]
 
 
 def read_tiff(path: str | Path) -> Raster:
@@ -125,43 +136,28 @@ def read_tiff(path: str | Path) -> Raster:
     if key not in _FORMATS:
         raise UnsupportedLayoutError(f"sample layout bits={bits[0]} format={fmts[0]} not supported")
     dtype_name = _FORMATS[key]
-    itemsize = bits[0] // 8
 
-    offsets = _ints(entries[_TAG_STRIP_OFFSETS], order)
-    counts = _ints(entries[_TAG_STRIP_COUNTS], order)
+    offsets = _required(entries, _TAG_STRIP_OFFSETS, order)
+    counts = _required(entries, _TAG_STRIP_COUNTS, order)
     if len(offsets) != len(counts):
         raise CorruptFileError("strip offset/count mismatch")
+    if not offsets:
+        raise CorruptFileError("TIFF has no strips")
+    if any(off + cnt > len(buf) for off, cnt in zip(offsets, counts)):
+        raise CorruptFileError("strip beyond end of file")
+    if planar == 2 and (rows_per_strip < 1 or len(offsets)
+                        != max(1, -(-height // rows_per_strip)) * samples):
+        raise CorruptFileError("strip count does not match planar layout")
 
-    chunks = []
-    for off, cnt in zip(offsets, counts):
-        if off + cnt > len(buf):
-            raise CorruptFileError("strip beyond end of file")
-        raw = buf[off:off + cnt]
-        if compression in (8, 32946):
-            try:
-                raw = zlib.decompress(raw)
-            except zlib.error as exc:
-                raise CorruptFileError(f"bad deflate strip: {exc}") from exc
-        chunks.append(raw)
-    payload = b"".join(chunks)
-
+    flat = _decode_strips(buf, offsets, counts, compression != 1,
+                          DTYPES[dtype_name].newbyteorder(order),
+                          width * height * samples)
+    if not flat.dtype.isnative:
+        flat = flat.astype(DTYPES[dtype_name])
     if planar == 1:
-        expected = width * height * samples * itemsize
-        if len(payload) < expected:
-            raise CorruptFileError("pixel data shorter than image dimensions require")
-        flat = np.frombuffer(payload[:expected], dtype=order + DTYPES[dtype_name].str[1:])
-        data = flat.reshape(height, width, samples).transpose(2, 0, 1)
+        data = np.ascontiguousarray(flat.reshape(height, width, samples).transpose(2, 0, 1))
     else:
-        strips_per_plane = max(1, -(-height // rows_per_strip))
-        if len(offsets) != strips_per_plane * samples:
-            raise CorruptFileError("strip count does not match planar layout")
-        expected = width * height * samples * itemsize
-        if len(payload) < expected:
-            raise CorruptFileError("pixel data shorter than image dimensions require")
-        flat = np.frombuffer(payload[:expected], dtype=order + DTYPES[dtype_name].str[1:])
         data = flat.reshape(samples, height, width)
-
-    data = np.ascontiguousarray(data.astype(DTYPES[dtype_name]))
 
     nodata = None
     if _TAG_NODATA in entries:
@@ -181,6 +177,47 @@ def read_tiff(path: str | Path) -> Raster:
     return Raster(data, nodata=nodata, geo=GeoRef(tags=tuple(geo_tags)))
 
 
+def _decode_strips(buf: bytes, offsets: list[int], counts: list[int], deflate: bool,
+                   dtype: np.dtype, size: int) -> np.ndarray:
+    """The first `size` samples of the strips concatenated in tag order.
+
+    Uncompressed strips that lie back to back in the file give a read-only
+    view of `buf`. Otherwise each strip is copied or inflated into one new
+    array, and nothing past the first `size` samples is inflated.
+    """
+    nbytes = size * dtype.itemsize
+    if sum(counts) * (_DEFLATE_MAX_RATIO if deflate else 1) < nbytes:
+        raise CorruptFileError("pixel data shorter than image dimensions require")
+    if not deflate and all(off + cnt == nxt
+                           for off, cnt, nxt in zip(offsets, counts, offsets[1:])):
+        return np.frombuffer(buf, dtype, size, offsets[0])
+    out = np.empty(nbytes, np.uint8)
+    dest, src = memoryview(out), memoryview(buf)
+    pos = 0
+    for off, cnt in zip(offsets, counts):
+        want = nbytes - pos
+        if want == 0:
+            break
+        if deflate:
+            inflater = zlib.decompressobj()
+            try:
+                strip = inflater.decompress(src[off:off + cnt], want)
+                # inflating one byte more shows whether the stream ends here,
+                # and checks its checksum if it does
+                more = inflater.eof or inflater.decompress(inflater.unconsumed_tail, 1)
+            except zlib.error as exc:
+                raise CorruptFileError(f"bad deflate strip: {exc}") from exc
+            if not more and not inflater.eof:
+                raise CorruptFileError("bad deflate strip: stream ends early")
+        else:
+            strip = src[off:off + min(cnt, want)]
+        dest[pos:pos + len(strip)] = strip
+        pos += len(strip)
+    if pos < nbytes:
+        raise CorruptFileError("pixel data shorter than image dimensions require")
+    return out.view(dtype)
+
+
 def _swap_to_le(raw: bytes, ftype: int) -> bytes:
     size = _TYPE_SIZE[ftype]
     if size == 1:
@@ -194,8 +231,8 @@ def write_tiff(raster: Raster, path: str | Path, compress: bool = False) -> None
     bits, fmt = _FORMATS_INV[raster.dtype_name]
     planar = 1 if bands == 1 else 2
 
-    le = raster.data.astype("<" + DTYPES[raster.dtype_name].str[1:])
-    planes = [le[b].tobytes() for b in range(bands)]
+    le = raster.data.astype(raster.data.dtype.newbyteorder("<"), copy=False)
+    planes = [memoryview(np.ascontiguousarray(plane)).cast("B") for plane in le]
     if compress:
         planes = [zlib.compress(p) for p in planes]
 
@@ -245,12 +282,8 @@ def write_tiff(raster: Raster, path: str | Path, compress: bool = False) -> None
                 overflow += b"\x00"
         entry_bytes += entry
 
-    out = bytearray()
-    out += struct.pack("<2sHI", b"II", 42, ifd_offset)
-    for p in planes:
-        out += p
-    out += struct.pack("<H", n_entries)
-    out += entry_bytes
-    out += struct.pack("<I", 0)
-    out += overflow
-    Path(path).write_bytes(bytes(out))
+    with Path(path).open("wb") as fh:
+        fh.write(struct.pack("<2sHI", b"II", 42, ifd_offset))
+        for p in planes:
+            fh.write(p)
+        fh.write(struct.pack("<H", n_entries) + entry_bytes + struct.pack("<I", 0) + overflow)

@@ -21,7 +21,7 @@ from ..kits import index as ix
 from ..kits import inversion as inv
 from ..kits import perception as perc
 from ..kits import statistics as st
-from ..raster import Raster, like, load_raster, pixelwise, save_raster
+from ..raster import Raster, like, load_raster, pixelwise, require_same_grid, save_raster
 from ..workspace import Workspace
 from ..errors import GeoAgentError, InvalidInputError
 from .registry import ParamSpec, ToolRegistry, ToolResult, ToolSpec, ok_result
@@ -87,13 +87,17 @@ def _save_many(ctx: ToolContext, rasters: list[Raster], relpaths: list[str]) -> 
     return ok_result(value=outs, text=text, files=outs)
 
 
+def _as_list(value: Raster | list[Raster]) -> list[Raster]:
+    return value if isinstance(value, list) else [value]
+
+
 def _bands(value: Raster | list[Raster]):
     return [r.band() for r in value] if isinstance(value, list) else value.band()
 
 
 def _call(ctx: ToolContext, tool: Tool, args: dict):
     """Load the input paths in parameter order and call `tool.fn`."""
-    inputs, given = {}, {}
+    inputs, given, loaded = {}, {}, []
     for p in tool.params:
         if not p.required:
             if p.name in args:
@@ -103,16 +107,17 @@ def _call(ctx: ToolContext, tool: Tool, args: dict):
             if "path" in p.name:
                 value = ([_load(ctx, v) for v in value] if isinstance(value, list)
                          else _load(ctx, value))
-                # the template stays a raster until the call: `like` needs its georeference
-                if tool.like not in (None, p.name):
-                    value = _bands(value)
+                loaded.append(p.name)
             inputs[p.name] = value
     if tool.like is None:
         return tool.fn(*inputs.values(), **given)
-    template = inputs[tool.like]
-    inputs[tool.like] = _bands(template)
+    # the kit gets bare arrays, so the grids are checked here
+    require_same_grid(*(r for name in loaded for r in _as_list(inputs[name])))
+    template = _as_list(inputs[tool.like])
+    for name in loaded:
+        inputs[name] = _bands(inputs[name])
     out = tool.fn(*inputs.values(), **given)
-    return like(template[0] if isinstance(template, list) else template, out)
+    return like(template[0], out)
 
 
 def _raster_handler(ctx: ToolContext, tool: Tool) -> Callable[[dict], object]:
@@ -147,12 +152,17 @@ def _batch_handler(ctx: ToolContext, tool: Tool) -> Callable[[dict], ToolResult]
     return handler
 
 
+def catalog_rows(ctx: ToolContext) -> list[Tool]:
+    """Every catalog row, in registration order."""
+    return (_index_tools() + _inversion_tools(ctx) + _perception_tools(ctx)
+            + _analysis_tools() + _statistics_tools(ctx))
+
+
 def build_registry(ctx: ToolContext) -> ToolRegistry:
     # the rows look kit functions up now, so replacements made before this
     # call (tracing, tests) take effect
     reg = ToolRegistry()
-    for tool in (_index_tools() + _inversion_tools(ctx) + _perception_tools(ctx)
-                 + _analysis_tools() + _statistics_tools(ctx)):
+    for tool in catalog_rows(ctx):
         if tool.handler is not None:
             handler = tool.handler
         elif tool.prefix is not None:

@@ -16,6 +16,7 @@ import pytest
 
 from geoagent.kits.perception import MockExpertBackend
 from geoagent.tools import ToolContext, build_registry
+from geoagent.tools.catalog import catalog_rows
 from geoagent.workspace import Workspace
 
 from conftest import make_georef, write_raster
@@ -166,6 +167,7 @@ def sweep_registry(tmp_path_factory):
     write_raster(d / "refl.tif", rng.uniform(0.01, 0.15, (6, 6)), geo=geo)
     write_raster(d / "mask.tif", rng.integers(0, 2, (8, 8)), dtype="u8", geo=geo)
     write_raster(d / "scene.tif", rng.uniform(0.0, 1.0, (6, 6)), geo=geo)
+    write_raster(d / "odd.tif", rng.uniform(0.1, 0.9, (3, 5)), geo=geo)
     (tmp / "manifest.json").write_text(json.dumps(MANIFEST))
     registry = build_registry(ToolContext(
         workspace=ws, perception=MockExpertBackend(tmp / "manifest.json", ws)))
@@ -210,3 +212,27 @@ def test_every_tool_executes_cleanly(sweep_registry):
     outcomes = sweep(sweep_registry, optional=True)
     bad = {n: c for n, c in outcomes.items() if c not in ("ok", "InvalidParameters")}
     assert bad == {}, f"tools failing with optional arguments: {bad}"
+
+
+def _raster_inputs(tool) -> list[str]:
+    return [p.name for p in tool.params
+            if p.required and "path" in p.name and p.name != "output_path"]
+
+
+# `like=` rows hand the kit bare arrays; those reading two or more rasters
+# (several path parameters, or a list of paths) can meet mismatched grids
+LIKE_ROWS = [t for t in catalog_rows(ToolContext(workspace=None, perception=None))
+             if t.like is not None
+             and (len(_raster_inputs(t)) > 1
+                  or any(n.endswith("_paths") for n in _raster_inputs(t)))]
+
+
+@pytest.mark.parametrize("tool", LIKE_ROWS, ids=lambda t: t.name)
+def test_like_rows_reject_mismatched_grids(sweep_registry, tool):
+    args = build_args(sweep_registry, tool.name)
+    last = _raster_inputs(tool)[-1]
+    args[last] = (args[last][:-1] + ["src/odd.tif"] if isinstance(args[last], list)
+                  else "src/odd.tif")
+    result = sweep_registry.call_tool(tool.name, args)
+    assert result.error_class == "InvalidParameters", result.text
+    assert "grids differ" in result.text

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +19,8 @@ from geoagent.errors import (
     WorkspaceEscapeError,
 )
 from geoagent.raster import from_array, load_raster, pixelwise, save_raster
-from geoagent.raster.tiff import read_tiff, write_tiff
+from geoagent.raster.png import SIGNATURE as PNG_SIGNATURE
+from geoagent.raster.tiff import write_tiff
 
 from conftest import make_georef
 
@@ -30,11 +36,18 @@ def rasters_equal(a, b) -> bool:
     )
 
 
+def decoded(path):
+    """Load a raster file; decoded samples are never writeable."""
+    r = load_raster(path)
+    assert r.data.flags.writeable is False
+    return r
+
+
 class TestRoundTrip:
     def test_identity_2x2_f32(self, tmp_path):
         r = from_array([[1.0, 2.0], [3.0, 4.0]])
         save_raster(r, tmp_path / "a.tif")
-        loaded = load_raster(tmp_path / "a.tif")
+        loaded = decoded(tmp_path / "a.tif")
         assert loaded.width == 2 and loaded.height == 2 and loaded.bands == 1
         assert loaded.data.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
 
@@ -47,31 +60,31 @@ class TestRoundTrip:
             else rng.normal(size=(bands, 4, 5))
         r = from_array(data, dtype=dtype, geo=make_georef())
         write_tiff(r, tmp_path / "x.tif", compress=compress)
-        assert rasters_equal(read_tiff(tmp_path / "x.tif"), r)
+        assert rasters_equal(decoded(tmp_path / "x.tif"), r)
 
     def test_f32_bitwise_samples(self, tmp_path):
         rng = np.random.default_rng(3)
         r = from_array(rng.normal(size=(1, 8, 8)) * 1e6)
         save_raster(r, tmp_path / "b.tif")
-        loaded = load_raster(tmp_path / "b.tif")
+        loaded = decoded(tmp_path / "b.tif")
         assert loaded.data.tobytes() == r.data.tobytes()
 
     def test_georef_bytes_preserved(self, tmp_path):
         r = from_array(np.ones((2, 2)), geo=make_georef())
         save_raster(r, tmp_path / "g.tif")
-        assert load_raster(tmp_path / "g.tif").geo == r.geo
+        assert decoded(tmp_path / "g.tif").geo == r.geo
 
     def test_nodata_round_trip(self, tmp_path):
         r = from_array([[1.0, -9999.0]], nodata=-9999.0)
         save_raster(r, tmp_path / "n.tif")
-        loaded = load_raster(tmp_path / "n.tif")
+        loaded = decoded(tmp_path / "n.tif")
         assert loaded.nodata == -9999.0
         assert loaded.values().tolist() == [1.0]
 
     def test_nan_nodata_round_trip(self, tmp_path):
         r = from_array([[1.0, np.nan]], nodata=float("nan"))
         save_raster(r, tmp_path / "nn.tif")
-        loaded = load_raster(tmp_path / "nn.tif")
+        loaded = decoded(tmp_path / "nn.tif")
         assert np.isnan(loaded.nodata)
         assert loaded.values().tolist() == [1.0]
 
@@ -91,7 +104,7 @@ class TestRoundTrip:
             else rng.normal(size=(bands, h, w)) * 50
         r = from_array(data, dtype=dtype, geo=make_georef())
         write_tiff(r, tmp / "p.tif", compress=compress)
-        assert rasters_equal(read_tiff(tmp / "p.tif"), r)
+        assert rasters_equal(decoded(tmp / "p.tif"), r)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -113,39 +126,45 @@ class TestRoundTrip:
                            (34737, 2, text)))
         r = from_array(rng.normal(size=(2, 3)), geo=geo)
         write_tiff(r, tmp / "g.tif")
-        assert read_tiff(tmp / "g.tif").geo == geo
+        assert decoded(tmp / "g.tif").geo == geo
 
 
-def build_tiff(width, height, samples, dtype_bits_fmt, payload_chunks,
-               planar, rows_per_strip=None, order="<"):
+def build_tiff(width, height, samples, dtype_bits_fmt, strips, planar,
+               rows_per_strip=None, order="<", compression=1, file_order=None,
+               gap=b"", drop=()):
     """Hand-assemble a classic TIFF to exercise reader paths the writer
-    never produces (chunky interleave, multiple strips, big-endian)."""
-    import struct
+    never produces (chunky interleave, multiple strips, big-endian, strips
+    out of order or apart, missing tags).
 
+    `strips` are the strip bytes as stored, listed in tag order; `compression`
+    is the Compression tag. The strips lie in the file in `file_order`
+    (default: tag order), each followed by `gap`. Tags in `drop` are left out.
+    """
     bits, fmt = dtype_bits_fmt
-    fields = []
-    offsets, counts, pos = [], [], 8
-    for chunk in payload_chunks:
-        offsets.append(pos)
-        counts.append(len(chunk))
-        pos += len(chunk)
-    n = len(payload_chunks)
+    offsets, counts = [0] * len(strips), [len(s) for s in strips]
+    body, pos = b"", 8
+    for i in file_order or range(len(strips)):
+        offsets[i] = pos
+        body += strips[i] + gap
+        pos += len(strips[i]) + len(gap)
 
     def pack(fmtchar, *vals):
         return struct.pack(order + fmtchar * len(vals), *vals)
 
-    fields.append((256, 4, pack("I", width)))
-    fields.append((257, 4, pack("I", height)))
-    fields.append((258, 3, pack("H", *([bits] * samples))))
-    fields.append((259, 3, pack("H", 1)))
-    fields.append((262, 3, pack("H", 1)))
-    fields.append((273, 4, pack("I", *offsets)))
-    fields.append((277, 3, pack("H", samples)))
-    fields.append((278, 4, pack("I", rows_per_strip or height)))
-    fields.append((279, 4, pack("I", *counts)))
-    fields.append((284, 3, pack("H", planar)))
-    fields.append((339, 3, pack("H", *([fmt] * samples))))
-    fields.sort(key=lambda f: f[0])
+    fields = [
+        (256, 4, pack("I", width)),
+        (257, 4, pack("I", height)),
+        (258, 3, pack("H", *([bits] * samples))),
+        (259, 3, pack("H", compression)),
+        (262, 3, pack("H", 1)),
+        (273, 4, pack("I", *offsets)),
+        (277, 3, pack("H", samples)),
+        (278, 4, pack("I", rows_per_strip or height)),
+        (279, 4, pack("I", *counts)),
+        (284, 3, pack("H", planar)),
+        (339, 3, pack("H", *([fmt] * samples))),
+    ]
+    fields = [f for f in fields if f[0] not in drop]
 
     ifd_offset = pos
     n_entries = len(fields)
@@ -163,10 +182,14 @@ def build_tiff(width, height, samples, dtype_bits_fmt, payload_chunks,
         entries += entry
     out = struct.pack(order + "2sHI", b"II" if order == "<" else b"MM", 42,
                       ifd_offset)
-    out += b"".join(payload_chunks)
+    out += body
     out += struct.pack(order + "H", n_entries) + entries
     out += struct.pack(order + "I", 0) + overflow
     return out
+
+
+def deflated(strips):
+    return [zlib.compress(s) for s in strips]
 
 
 class TestForeignLayouts:
@@ -175,7 +198,7 @@ class TestForeignLayouts:
         pixels = np.arange(12, dtype="<u1").reshape(2, 2, 3)
         buf = build_tiff(2, 2, 3, (8, 1), [pixels.tobytes()], planar=1)
         (tmp_path / "chunky.tif").write_bytes(buf)
-        r = load_raster(tmp_path / "chunky.tif")
+        r = decoded(tmp_path / "chunky.tif")
         assert r.bands == 3
         assert np.array_equal(r.data, pixels.transpose(2, 0, 1))
 
@@ -184,15 +207,43 @@ class TestForeignLayouts:
         strips = [rows[0:2].tobytes(), rows[2:4].tobytes()]
         buf = build_tiff(4, 4, 1, (32, 3), strips, planar=1, rows_per_strip=2)
         (tmp_path / "strips.tif").write_bytes(buf)
-        r = load_raster(tmp_path / "strips.tif")
+        r = decoded(tmp_path / "strips.tif")
         assert np.array_equal(r.data[0], rows)
+
+    @pytest.mark.parametrize("file_order,gap", [((1, 0, 3, 2), b""),
+                                                ((0, 1, 2, 3), b"\xff\x7f\x00"),
+                                                ((3, 2, 1, 0), b"\x01")])
+    def test_raw_strips_out_of_order_or_apart(self, tmp_path, file_order, gap):
+        rows = np.arange(32, dtype="<u2").reshape(4, 8)
+        strips = [rows[i:i + 1].tobytes() for i in range(4)]
+        buf = build_tiff(8, 4, 1, (16, 1), strips, planar=1, rows_per_strip=1,
+                         file_order=file_order, gap=gap)
+        (tmp_path / "apart.tif").write_bytes(buf)
+        assert np.array_equal(decoded(tmp_path / "apart.tif").data[0], rows)
 
     def test_big_endian_file(self, tmp_path):
         rows = np.arange(6, dtype=">u2").reshape(2, 3)
         buf = build_tiff(3, 2, 1, (16, 1), [rows.tobytes()], planar=1, order=">")
         (tmp_path / "be.tif").write_bytes(buf)
-        r = load_raster(tmp_path / "be.tif")
+        r = decoded(tmp_path / "be.tif")
         assert r.data[0].tolist() == [[0, 1, 2], [3, 4, 5]]
+
+    def test_deflate_chunky_three_band(self, tmp_path):
+        pixels = (np.arange(5 * 4 * 3, dtype="<u2") * 1000).reshape(5, 4, 3)
+        buf = build_tiff(4, 5, 3, (16, 1), deflated([pixels.tobytes()]), planar=1,
+                         compression=8)
+        (tmp_path / "chunky.tif").write_bytes(buf)
+        assert np.array_equal(decoded(tmp_path / "chunky.tif").data,
+                              pixels.transpose(2, 0, 1))
+
+    def test_deflate_big_endian_multi_strip(self, tmp_path):
+        rows = (np.arange(20) - 7.5).astype(">f4").reshape(5, 4)
+        strips = deflated([rows[0:2].tobytes(), rows[2:4].tobytes(), rows[4:].tobytes()])
+        buf = build_tiff(4, 5, 1, (32, 3), strips, planar=1, rows_per_strip=2,
+                         order=">", compression=8)
+        (tmp_path / "be.tif").write_bytes(buf)
+        r = decoded(tmp_path / "be.tif")
+        assert r.data.dtype == np.float32 and np.array_equal(r.data[0], rows)
 
     def test_planar_multi_strip_per_plane(self, tmp_path):
         data = np.arange(16, dtype="<u1").reshape(2, 2, 4)  # 2 bands, 2x4
@@ -200,8 +251,55 @@ class TestForeignLayouts:
                   data[1, 0:1].tobytes(), data[1, 1:2].tobytes()]
         buf = build_tiff(4, 2, 2, (8, 1), chunks, planar=2, rows_per_strip=1)
         (tmp_path / "planar.tif").write_bytes(buf)
-        r = load_raster(tmp_path / "planar.tif")
+        r = decoded(tmp_path / "planar.tif")
         assert np.array_equal(r.data, data)
+
+    def test_raw_read_copies_no_pixels(self, tmp_path):
+        # back-to-back raw strips are viewed in place: the read allocates
+        # about the file once, not once more per copy of the pixels
+        r = from_array(np.arange(4 * 256 * 256).reshape(4, 256, 256), dtype="u16")
+        save_raster(r, tmp_path / "raw.tif")
+        size = (tmp_path / "raw.tif").stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = decoded(tmp_path / "raw.tif")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rasters_equal(loaded, r)
+        assert peak < 1.25 * size
+
+
+class TestWriterGolden:
+    """write_tiff output pinned byte for byte. The Deflate cases also pin
+    the zlib build's output at its default level."""
+
+    NODATA = {"u8": 0.0, "u16": 65535.0, "f32": -9999.0}
+    SHA256 = {
+        ("u8", 1, False): "74000ebb8ef2f1e19a3dc4175e8912e5593a72845d06ba73df5a247ff9a332e9",
+        ("u8", 1, True): "edb5c02f7bee9d68013e67fcd166d870dd211a6a1ca75bb148bd37d12506091e",
+        ("u8", 4, False): "1712577b70314c1e1c1498aa0710a1cdc919f11ac228aca113192bdabd2a9360",
+        ("u8", 4, True): "8ee8dd64576ef05bbc1e2dbeb76735cfe83dc9b31b531a4726b7deb403efef27",
+        ("u16", 1, False): "7422736b5ce0a44e51855ce30e612ff34fac189c0bb9fb32f5323de0f1fffd82",
+        ("u16", 1, True): "e95da06a59763f27fedf37642f9206faacaa278d2bc83568800caeda8c96f16b",
+        ("u16", 4, False): "bfee2b782417d8c1be60e942ba7b7f4ce7574214b4e23ed815a3eec015c33517",
+        ("u16", 4, True): "9d60500d6609843ba1834a0525a04ca55f95405cfa660965468eb803aa712078",
+        ("f32", 1, False): "a87cf0926afc67716a38d0d972e9e218a7bf1dc41cb9a0edc819e8a0269b7ffa",
+        ("f32", 1, True): "9a741de528d269bd0473511ce257924abf17f47faf472ca059c2e1a0c1e6d5af",
+        ("f32", 4, False): "c1ff8927ae81b2bfd879b380dcf2df2d3c7cbd0a34e5432f946df1432adc436c",
+        ("f32", 4, True): "e1633f30fefc60117ab9a4eb3136b48b34e6fec69e56368f55c55fe163d78bbc",
+    }
+
+    @pytest.mark.parametrize("dtype,bands,compress", sorted(SHA256))
+    def test_bytes(self, tmp_path, dtype, bands, compress):
+        n = np.arange(bands * 7 * 5)
+        values = ((n * 37 % 1001 - 500) / 8.0 if dtype == "f32"
+                  else n * 2654435761 % {"u8": 256, "u16": 65536}[dtype])
+        r = from_array(values.reshape(bands, 7, 5), dtype=dtype,
+                       nodata=self.NODATA[dtype], geo=make_georef())
+        write_tiff(r, tmp_path / "g.tif", compress=compress)
+        digest = hashlib.sha256((tmp_path / "g.tif").read_bytes()).hexdigest()
+        assert digest == self.SHA256[dtype, bands, compress]
 
 
 class TestErrors:
@@ -232,6 +330,76 @@ class TestErrors:
         (tmp_path / "u.tif").write_bytes(bytes(buf))
         with pytest.raises(UnsupportedLayoutError):
             load_raster(tmp_path / "u.tif")
+
+
+    @pytest.mark.parametrize("tag", [273, 279])
+    def test_missing_strip_tag(self, tmp_path, tag):
+        buf = build_tiff(2, 2, 1, (8, 1), [bytes(4)], planar=1, drop=(tag,))
+        (tmp_path / "m.tif").write_bytes(buf)
+        with pytest.raises(CorruptFileError, match=str(tag)):
+            load_raster(tmp_path / "m.tif")
+
+    @pytest.mark.parametrize("compression", [1, 8])
+    def test_strip_bytes_shorter_than_declared(self, tmp_path, compression):
+        strips = [bytes(4 * 4 * 4 - 4)]  # a 4x4 f32 image needs 64 bytes
+        if compression == 8:
+            strips = deflated(strips)
+        buf = build_tiff(4, 4, 1, (32, 3), strips, planar=1, compression=compression)
+        (tmp_path / "s.tif").write_bytes(buf)
+        with pytest.raises(CorruptFileError, match="shorter"):
+            load_raster(tmp_path / "s.tif")
+
+    @pytest.mark.parametrize("stream", [
+        zlib.compress(bytes(64))[:-8],  # ends inside the data
+        zlib.compress(bytes(64))[:-4],  # ends after the data, before the checksum
+        zlib.compress(bytes(64))[:-4] + bytes(4),  # wrong checksum
+        b"\x78\x9c\xff" + bytes(20),  # not Deflate
+    ])
+    def test_bad_deflate_strip(self, tmp_path, stream):
+        buf = build_tiff(4, 4, 1, (32, 3), [stream], planar=1, compression=8)
+        (tmp_path / "d.tif").write_bytes(buf)
+        with pytest.raises(CorruptFileError, match="deflate"):
+            load_raster(tmp_path / "d.tif")
+
+    def test_deflate_bomb_inflates_only_declared_bytes(self, tmp_path):
+        # one strip of a 4x4 f32 image that inflates to 256 MiB of zeros
+        deflater = zlib.compressobj(1)
+        zeros = bytes(1 << 20)
+        bomb = b"".join(deflater.compress(zeros) for _ in range(256)) + deflater.flush()
+        buf = build_tiff(4, 4, 1, (32, 3), [bomb], planar=1, compression=8)
+        (tmp_path / "bomb.tif").write_bytes(buf)
+        del bomb, buf
+        tracemalloc.start()
+        try:
+            r = decoded(tmp_path / "bomb.tif")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.data.shape == (1, 4, 4) and not r.data.any()
+        assert peak < 4 * 2**20
+
+    def test_image_larger_than_its_strips_can_inflate_to(self, tmp_path):
+        # 65535^2 f32 samples from a few dozen Deflate bytes: rejected before
+        # the 16 GiB output array is allocated
+        buf = build_tiff(65535, 65535, 1, (32, 3), deflated([bytes(64)]), planar=1,
+                         compression=8)
+        (tmp_path / "huge.tif").write_bytes(buf)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptFileError, match="shorter"):
+                load_raster(tmp_path / "huge.tif")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_png_ihdr_not_13_bytes(self, tmp_path):
+        ihdr = struct.pack(">IIBBBB", 2, 2, 8, 0, 0, 0)  # 12 bytes: no interlace byte
+        chunks = (struct.pack(">I", len(ihdr)) + b"IHDR" + ihdr + bytes(4)
+                  + struct.pack(">I", 0) + b"IEND" + bytes(4))
+        (tmp_path / "h.png").write_bytes(PNG_SIGNATURE + chunks)
+        with pytest.raises(CorruptFileError, match="IHDR"):
+            load_raster(tmp_path / "h.png")
 
 
 class TestPixelwise:
@@ -286,6 +454,21 @@ class TestStatsWithNodata:
         dense = [v for v in [1.0, 2.0, 3.0, -1.0] if v != -1.0]
         assert sorted(vals.tolist()) == sorted(dense)
         assert float(np.mean(vals)) == float(np.mean(dense))
+
+    @pytest.mark.parametrize("dtype", ["u16", "f32"])
+    @pytest.mark.parametrize("nodata", [None, 7.0, float("nan")])
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_values_match_nan_filter(self, dtype, nodata, with_nan):
+        data = np.arange(24, dtype=np.float64).reshape(2, 3, 4) + 3.0
+        if with_nan:
+            data[0, 1, 2] = data[1, 2, 0] = 7.0  # nodata when numeric
+            if dtype == "f32":
+                data[0, 0, 1] = np.nan
+        r = from_array(data, dtype=dtype, nodata=nodata)
+        for band in (1, 2):
+            b = r.band(band)
+            assert np.array_equal(r.values(band), b[~np.isnan(b)])
+            assert r.values(band).dtype == np.float64
 
     def test_band_out_of_range(self):
         r = from_array(np.ones((2, 2)))

@@ -144,6 +144,11 @@ class TestThresholdQueries:
         # 75th percentile of [1,2,3,4] = 3.25 -> only 4 selected
         assert out.data.ravel().tolist() == [0, 0, 0, 1]
 
+    @pytest.mark.parametrize("percentile", [-0.5, 100.5, float("nan")])
+    def test_fire_prone_areas_percentile_out_of_range(self, percentile):
+        with pytest.raises(InvalidInputError, match="percentile"):
+            stats.fire_prone_areas(from_array([[1.0, 2.0]]), percentile)
+
 
 class TestConditionalStats:
     def test_condition_selects_all(self):
