@@ -475,7 +475,7 @@ def apply_cloud_mask(band_raster: Raster, qa: Raster, band: int = 1) -> Raster:
     require_same_grid(band_raster, qa)
     if qa.dtype_name != "u16":
         raise InvalidInputError(f"QA band must be u16, got {qa.dtype_name}")
-    qa_vals = qa.data[0].astype(np.uint16)
+    qa_vals = qa.plane(1)
     flagged = np.zeros(qa_vals.shape, dtype=bool)
     for bit in QA_MASK_BITS:
         flagged |= (qa_vals >> bit) & 1 == 1

@@ -8,7 +8,9 @@ sample type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,54 +49,106 @@ class GeoRef:
                 float(scale[0]), float(-scale[1]))
 
 
-@dataclass(frozen=True)
 class Raster:
-    """Band-sequential raster: data has shape (bands, height, width)."""
+    """Band-sequential raster: data has shape (bands, height, width).
 
-    data: np.ndarray
-    nodata: float | None = None
-    geo: GeoRef = field(default_factory=GeoRef)
+    Immutable. A raster may be built with planes still to decode: `fill(k)`
+    then writes plane k's samples into the array given as `data`, and runs
+    once per plane, the first time a band of it or `data` is read.
+    """
 
-    def __post_init__(self) -> None:
-        if self.data.ndim == 2:
-            object.__setattr__(self, "data", self.data[np.newaxis, :, :])
-        if self.data.ndim != 3:
-            raise InvalidInputError(f"raster data must be 2-D or 3-D, got {self.data.ndim}-D")
-        if self.data.dtype not in _DTYPE_NAMES:
-            raise InvalidInputError(f"unsupported raster dtype {self.data.dtype}")
-        self.data.setflags(write=False)
+    __slots__ = ("_data", "nodata", "geo", "_fill", "_pending", "_lock")
+
+    def __init__(self, data: np.ndarray, nodata: float | None = None,
+                 geo: GeoRef | None = None,
+                 fill: Callable[[int], None] | None = None) -> None:
+        if data.ndim == 2:
+            data = data[np.newaxis, :, :]
+        if data.ndim != 3:
+            raise InvalidInputError(f"raster data must be 2-D or 3-D, got {data.ndim}-D")
+        if data.dtype not in _DTYPE_NAMES:
+            raise InvalidInputError(f"unsupported raster dtype {data.dtype}")
+        if fill is not None:
+            data = data.view()  # read-only below; `fill` writes through the base
+        data.setflags(write=False)
+        init = object.__setattr__
+        init(self, "_data", data)
+        init(self, "nodata", nodata)
+        init(self, "geo", geo if geo is not None else GeoRef())
+        init(self, "_fill", fill)
+        init(self, "_pending", set(range(data.shape[0])) if fill is not None else set())
+        init(self, "_lock", threading.Lock() if fill is not None else None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Raster is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Raster is immutable; cannot delete {name!r}")
 
     @property
-    def bands(self) -> int:
-        return self.data.shape[0]
+    def data(self) -> np.ndarray:
+        """All samples, read-only; decodes the planes still pending."""
+        if self._pending:
+            for k in range(self.bands):
+                self._decode(k)
+        return self._data
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def dtype_name(self) -> str:
-        return _DTYPE_NAMES[self.data.dtype]
-
-    def band(self, index: int = 1) -> np.ndarray:
-        """One band (1-based) as float64 with NaN at nodata pixels."""
+    def plane(self, index: int = 1) -> np.ndarray:
+        """One band (1-based) as stored: a read-only (height, width) array."""
         if not 1 <= index <= self.bands:
             raise InvalidInputError(
                 f"band {index} out of range for raster with {self.bands} band(s)"
             )
-        out = self.data[index - 1].astype(np.float64)
-        if self.nodata is not None and not np.isnan(self.nodata):
-            out[self.data[index - 1] == self.data.dtype.type(self.nodata)] = np.nan
+        self._decode(index - 1)
+        return self._data[index - 1]
+
+    def _decode(self, k: int) -> None:
+        if k not in self._pending:
+            return
+        with self._lock:
+            if k in self._pending:
+                self._fill(k)
+                self._pending.discard(k)
+                if not self._pending:
+                    object.__setattr__(self, "_fill", None)  # drops the file's bytes
+
+    @property
+    def bands(self) -> int:
+        return self._data.shape[0]
+
+    @property
+    def height(self) -> int:
+        return self._data.shape[1]
+
+    @property
+    def width(self) -> int:
+        return self._data.shape[2]
+
+    @property
+    def dtype_name(self) -> str:
+        return _DTYPE_NAMES[self._data.dtype]
+
+    def band(self, index: int = 1) -> np.ndarray:
+        """One band (1-based) as float64 with NaN at nodata pixels.
+
+        An integer band masks only the samples equal in value to the nodata,
+        so a nodata outside the sample type's range, or fractional, masks
+        nothing. A float band compares in float32.
+        """
+        plane = self.plane(index)
+        out = plane.astype(np.float64)
+        if self.nodata is None or np.isnan(self.nodata):
+            return out
+        if plane.dtype.kind == "f":
+            out[plane == plane.dtype.type(self.nodata)] = np.nan
+        else:  # integer samples are exact in float64
+            out[out == self.nodata] = np.nan
         return out
 
     def values(self, band: int = 1) -> np.ndarray:
         """Valid pixel values of one band as a 1-D float64 vector."""
         b = self.band(band)
-        nan_possible = self.data.dtype.kind == "f" or (
+        nan_possible = self._data.dtype.kind == "f" or (
             self.nodata is not None and not np.isnan(self.nodata))
         # a sum is NaN when one of its terms is
         if nan_possible and np.isnan(b.sum()):

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import struct
-import zlib
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import CorruptFileError, UnsupportedLayoutError
 from .model import GeoRef, Raster
+from .tiff import DEFLATE_MAX_RATIO, inflate
 
 SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -22,11 +22,12 @@ def read_png(path: str | Path) -> Raster:
         raise CorruptFileError("not a PNG file")
     pos = len(SIGNATURE)
     width = height = channels = None
-    idat = b""
+    idat_chunks = []
+    view = memoryview(buf)
     while pos + 8 <= len(buf):
         (length,) = struct.unpack(">I", buf[pos:pos + 4])
         ctype = buf[pos + 4:pos + 8]
-        body = buf[pos + 8:pos + 8 + length]
+        body = view[pos + 8:pos + 8 + length]
         if len(body) != length:
             raise CorruptFileError("truncated PNG chunk")
         if ctype == b"IHDR":
@@ -42,19 +43,20 @@ def read_png(path: str | Path) -> Raster:
                 raise UnsupportedLayoutError("interlaced PNG not supported")
             channels = _CHANNELS[color]
         elif ctype == b"IDAT":
-            idat += body
+            idat_chunks.append(body)
         elif ctype == b"IEND":
             break
         pos += 12 + length
     if width is None or channels is None:
         raise CorruptFileError("PNG missing IHDR")
-    try:
-        raw = zlib.decompress(idat)
-    except zlib.error as exc:
-        raise CorruptFileError(f"bad PNG stream: {exc}") from exc
-
     stride = width * channels
-    if len(raw) < height * (stride + 1):
+    # the filtered rows the header declares; nothing past them is inflated
+    need = height * (stride + 1)
+    idat = b"".join(idat_chunks)
+    if need > len(idat) * DEFLATE_MAX_RATIO:
+        raise CorruptFileError("PNG pixel data too short")
+    raw = inflate(idat, need)
+    if len(raw) < need:
         raise CorruptFileError("PNG pixel data too short")
     img = np.zeros((height, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.uint8)

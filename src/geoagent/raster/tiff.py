@@ -2,9 +2,10 @@
 
 Deliberately small subset: classic (non-Big) TIFF, baseline strips,
 uncompressed or Deflate, u8/u16/f32 samples, band-sequential or
-pixel-interleaved planes. Georeference tags (ModelPixelScale, ModelTiepoint
-and the three GeoKey tags) plus the nodata tag are carried through; anything
-fancier raises UnsupportedLayoutError.
+pixel-interleaved planes. The planes of a band-sequential Deflate file are
+inflated one at a time, the first time each is read. Georeference tags
+(ModelPixelScale, ModelTiepoint and the three GeoKey tags) plus the nodata
+tag are carried through; anything fancier raises UnsupportedLayoutError.
 
 The writer always emits little-endian files with one strip per plane, which
 keeps round-trips byte-stable for testing.
@@ -46,7 +47,7 @@ _FORMATS_INV = {"u8": (8, 1), "u16": (16, 1), "f32": (32, 3)}
 
 # Deflate codes at most 258 bytes in 2 bits, so a stream inflates to at most
 # 1032 times its size.
-_DEFLATE_MAX_RATIO = 1032
+DEFLATE_MAX_RATIO = 1032
 
 
 def _read_entries(buf: bytes, order: str) -> dict[int, tuple[int, int, bytes]]:
@@ -149,15 +150,8 @@ def read_tiff(path: str | Path) -> Raster:
                         != max(1, -(-height // rows_per_strip)) * samples):
         raise CorruptFileError("strip count does not match planar layout")
 
-    flat = _decode_strips(buf, offsets, counts, compression != 1,
-                          DTYPES[dtype_name].newbyteorder(order),
-                          width * height * samples)
-    if not flat.dtype.isnative:
-        flat = flat.astype(DTYPES[dtype_name])
-    if planar == 1:
-        data = np.ascontiguousarray(flat.reshape(height, width, samples).transpose(2, 0, 1))
-    else:
-        data = flat.reshape(samples, height, width)
+    data, fill = _decode(buf, offsets, counts, compression != 1, order,
+                         DTYPES[dtype_name], (samples, height, width), planar)
 
     nodata = None
     if _TAG_NODATA in entries:
@@ -174,48 +168,92 @@ def read_tiff(path: str | Path) -> Raster:
             if order == ">":
                 raw = _swap_to_le(raw, ftype)
             geo_tags.append((tag, ftype, raw))
-    return Raster(data, nodata=nodata, geo=GeoRef(tags=tuple(geo_tags)))
+    return Raster(data, nodata=nodata, geo=GeoRef(tags=tuple(geo_tags)), fill=fill)
 
 
-def _decode_strips(buf: bytes, offsets: list[int], counts: list[int], deflate: bool,
-                   dtype: np.dtype, size: int) -> np.ndarray:
-    """The first `size` samples of the strips concatenated in tag order.
+def _decode(buf: bytes, offsets: list[int], counts: list[int], deflate: bool,
+            order: str, dtype: np.dtype, shape: tuple[int, int, int], planar: int):
+    """The samples of the strips concatenated in tag order, as a native
+    (bands, height, width) array, and the `fill(k)` that decodes plane k into
+    it, or None when the array is already whole.
 
     Uncompressed strips that lie back to back in the file give a read-only
-    view of `buf`. Otherwise each strip is copied or inflated into one new
-    array, and nothing past the first `size` samples is inflated.
+    view of `buf`. Otherwise the strips are copied or inflated into one new
+    array, and nothing past the samples the image needs is inflated. The
+    planes of a band-sequential Deflate file are left to `fill`, so a plane
+    never read is never inflated; every check but the inflate itself runs
+    here.
     """
-    nbytes = size * dtype.itemsize
-    if sum(counts) * (_DEFLATE_MAX_RATIO if deflate else 1) < nbytes:
+    samples, height, width = shape
+    size = samples * height * width
+    lazy = deflate and planar == 2 and samples > 1
+    planes = samples if lazy else 1
+    per_plane = len(offsets) // planes
+    strips = [(offsets[k * per_plane:(k + 1) * per_plane],
+               counts[k * per_plane:(k + 1) * per_plane]) for k in range(planes)]
+    plane_size = size // planes
+    nbytes = plane_size * dtype.itemsize
+    if any(sum(c) * (DEFLATE_MAX_RATIO if deflate else 1) < nbytes for _, c in strips):
         raise CorruptFileError("pixel data shorter than image dimensions require")
+
     if not deflate and all(off + cnt == nxt
                            for off, cnt, nxt in zip(offsets, counts, offsets[1:])):
-        return np.frombuffer(buf, dtype, size, offsets[0])
-    out = np.empty(nbytes, np.uint8)
-    dest, src = memoryview(out), memoryview(buf)
-    pos = 0
+        flat = np.frombuffer(buf, dtype.newbyteorder(order), size, offsets[0])
+        return _arrange(flat.astype(dtype, copy=False), shape, planar), None
+
+    raw = np.empty(nbytes * planes, np.uint8)
+    flat = raw.view(dtype)
+    src, dest = memoryview(buf), memoryview(raw)
+
+    def fill(k: int) -> None:
+        _read_strips(src, *strips[k], deflate, dest[k * nbytes:(k + 1) * nbytes])
+        if order == ">":
+            flat[k * plane_size:(k + 1) * plane_size].byteswap(inplace=True)
+
+    if lazy:
+        return flat.reshape(shape), fill
+    fill(0)
+    return _arrange(flat, shape, planar), None
+
+
+def _arrange(flat: np.ndarray, shape: tuple[int, int, int], planar: int) -> np.ndarray:
+    samples, height, width = shape
+    if planar == 1:
+        return np.ascontiguousarray(flat.reshape(height, width, samples).transpose(2, 0, 1))
+    return flat.reshape(shape)
+
+
+def _read_strips(src: memoryview, offsets: list[int], counts: list[int],
+                 deflate: bool, dest: memoryview) -> None:
+    """Fill `dest` with the strips concatenated in order; nothing past its
+    end is inflated."""
+    nbytes, pos = len(dest), 0
     for off, cnt in zip(offsets, counts):
         want = nbytes - pos
         if want == 0:
             break
         if deflate:
-            inflater = zlib.decompressobj()
-            try:
-                strip = inflater.decompress(src[off:off + cnt], want)
-                # inflating one byte more shows whether the stream ends here,
-                # and checks its checksum if it does
-                more = inflater.eof or inflater.decompress(inflater.unconsumed_tail, 1)
-            except zlib.error as exc:
-                raise CorruptFileError(f"bad deflate strip: {exc}") from exc
-            if not more and not inflater.eof:
-                raise CorruptFileError("bad deflate strip: stream ends early")
+            strip = inflate(src[off:off + cnt], want)
         else:
             strip = src[off:off + min(cnt, want)]
         dest[pos:pos + len(strip)] = strip
         pos += len(strip)
     if pos < nbytes:
         raise CorruptFileError("pixel data shorter than image dimensions require")
-    return out.view(dtype)
+
+
+def inflate(stream, limit: int) -> memoryview:
+    """The first `limit` bytes a zlib stream inflates to, or all of them if
+    fewer. Nothing past one byte more is inflated: that byte, or the end of
+    the stream with its checksum, shows that the stream is not cut short."""
+    inflater = zlib.decompressobj()
+    try:
+        out = inflater.decompress(stream, limit + 1)
+    except zlib.error as exc:
+        raise CorruptFileError(f"bad deflate stream: {exc}") from exc
+    if len(out) <= limit and not inflater.eof:
+        raise CorruptFileError("bad deflate stream: stream ends early")
+    return memoryview(out)[:limit]
 
 
 def _swap_to_le(raw: bytes, ftype: int) -> bytes:

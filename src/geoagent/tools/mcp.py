@@ -13,6 +13,7 @@ import json
 import socket
 import socketserver
 import sys
+import traceback
 from typing import Any, BinaryIO
 
 from .registry import ToolRegistry
@@ -25,6 +26,7 @@ PARSE_ERROR = -32700
 INVALID_REQUEST = -32600
 METHOD_NOT_FOUND = -32601
 INVALID_PARAMS = -32602
+INTERNAL_ERROR = -32603
 
 
 def _rpc_error(request_id: Any, code: int, message: str) -> dict:
@@ -45,14 +47,17 @@ class McpServer:
     def handle_line(self, line: str) -> dict | None:
         try:
             request = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # nesting too deep, integer too long
             return _rpc_error(None, PARSE_ERROR, f"parse error: {exc}")
-        if not isinstance(request, dict) or "method" not in request:
+        if not isinstance(request, dict) or not isinstance(request.get("method"), str):
             return _rpc_error(None, INVALID_REQUEST, "not a JSON-RPC request object")
         request_id = request.get("id")
         method = request["method"]
         params = request.get("params") or {}
         if method == "initialize":
+            if not isinstance(params, dict):
+                return _rpc_error(request_id, INVALID_PARAMS,
+                                  "initialize params must be an object")
             return _rpc_result(request_id, self._initialize(params))
         if method == "tools/list":
             return _rpc_result(request_id, self._tools_list())
@@ -106,15 +111,26 @@ class McpServer:
 
 
 def serve_stream(server: McpServer, rfile: BinaryIO, wfile: BinaryIO) -> None:
-    """Serve newline-delimited JSON-RPC until the input stream closes."""
+    """Serve newline-delimited JSON-RPC until the input stream closes.
+
+    A request that fails in a way `handle_line` did not foresee is answered
+    with an internal error, its traceback goes to stderr, and serving goes on.
+    """
     for raw in rfile:
         line = raw.decode("utf-8", "replace").strip()
         if not line:
             continue
-        response = server.handle_line(line)
-        if response is not None:
-            wfile.write((json.dumps(response, sort_keys=True) + "\n").encode("utf-8"))
-            wfile.flush()
+        try:
+            response = server.handle_line(line)
+            if response is None:
+                continue
+            text = json.dumps(response, sort_keys=True)
+        except Exception as exc:  # one request must not end the session
+            traceback.print_exc()
+            text = json.dumps(_rpc_error(None, INTERNAL_ERROR,
+                                         f"internal error: {type(exc).__name__}"))
+        wfile.write((text + "\n").encode("utf-8"))
+        wfile.flush()
 
 
 def serve_stdio(registry: ToolRegistry) -> None:

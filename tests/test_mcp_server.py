@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import io
 import json
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoagent.kits.perception import MockExpertBackend
 from geoagent.tools import ToolContext, build_registry
-from geoagent.tools.mcp import McpClient, McpServer, serve_tcp
+from geoagent.tools.mcp import McpClient, McpServer, serve_stream, serve_tcp
 from geoagent.workspace import Workspace
 
 from conftest import write_raster
@@ -17,15 +20,24 @@ from conftest import write_raster
 GOLDEN_DIR = Path(__file__).parent / "data" / "mcp"
 
 
+def make_server(root):
+    ws = Workspace(root)
+    (root / "manifest.json").write_text("[]")
+    write_raster(root / "img.tif", [[1.0, 2.0], [3.0, 4.0]])
+    write_raster(root / "bt.tif", [[300.0, 301.0]])
+    registry = build_registry(ToolContext(
+        workspace=ws, perception=MockExpertBackend(root / "manifest.json", ws)))
+    return McpServer(registry)
+
+
 @pytest.fixture
 def server(tmp_path):
-    ws = Workspace(tmp_path)
-    (tmp_path / "manifest.json").write_text("[]")
-    write_raster(tmp_path / "img.tif", [[1.0, 2.0], [3.0, 4.0]])
-    write_raster(tmp_path / "bt.tif", [[300.0, 301.0]])
-    registry = build_registry(ToolContext(
-        workspace=ws, perception=MockExpertBackend(tmp_path / "manifest.json", ws)))
-    return McpServer(registry)
+    return make_server(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def shared_server(tmp_path_factory):
+    return make_server(tmp_path_factory.mktemp("shared"))
 
 
 class TestGoldenWire:
@@ -128,3 +140,65 @@ class TestWireEqualsInProcess:
         finally:
             tcp.shutdown()
             tcp.server_close()
+
+
+def request(method, params=None, **extra):
+    body = {"jsonrpc": "2.0", "id": 7, "method": method, **extra}
+    if params is not None:
+        body["params"] = params
+    return json.dumps(body)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+
+
+class TestHostileLines:
+    """No line makes `handle_line` raise; each gets a JSON-RPC answer."""
+
+    @pytest.mark.parametrize("line,code", [
+        ("[" * 100_000, -32700),  # nesting deeper than the parser's recursion limit
+        ("1" * 5000, -32700),  # an integer longer than int() converts
+        (json.dumps({"jsonrpc": "2.0", "id": 3, "method": 5}), -32600),
+        (request("initialize", [1, 2]), -32602),
+        (request("initialize", "2025-06-18"), -32602),
+    ], ids=["deep_nesting", "long_integer", "method_not_str", "initialize_list_params",
+            "initialize_str_params"])
+    def test_rejected_with_rpc_error(self, shared_server, line, code):
+        assert shared_server.handle_line(line)["error"]["code"] == code
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=st.one_of(
+        st.text(),
+        JSON.map(json.dumps),
+        st.builds(request,
+                  st.sampled_from(["initialize", "tools/list", "tools/call",
+                                   "notifications/x", "nope"]) | st.text(max_size=8),
+                  JSON,
+                  id=JSON),
+    ))
+    def test_any_line_gets_json_or_nothing(self, shared_server, line):
+        response = shared_server.handle_line(line)
+        assert response is None or isinstance(response, dict)
+        json.dumps(response)
+
+    def test_stream_survives_unforeseen_failure(self, shared_server, monkeypatch):
+        handle = shared_server.handle_line
+
+        def flaky(line):
+            if "boom" in line:
+                raise RuntimeError("boom")
+            return handle(line)
+
+        monkeypatch.setattr(shared_server, "handle_line", flaky)
+        lines = [request("tools/list"), request("boom"), request("initialize", {})]
+        out = io.BytesIO()
+        serve_stream(shared_server, io.BytesIO("\n".join(lines).encode() + b"\n"), out)
+        replies = [json.loads(r) for r in out.getvalue().splitlines()]
+        assert len(replies) == 3
+        assert replies[1]["error"]["code"] == -32603
+        assert "tools" in replies[0]["result"]
+        assert replies[2]["result"]["serverInfo"]["name"] == "geoagent"

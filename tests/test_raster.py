@@ -2,23 +2,33 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
+import threading
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geoagent.errors import (
     CorruptFileError,
+    GeoAgentError,
     InvalidInputError,
     MissingFileError,
     ShapeMismatchError,
     UnsupportedLayoutError,
     WorkspaceEscapeError,
 )
-from geoagent.raster import from_array, load_raster, pixelwise, save_raster
+from geoagent.raster import (
+    Raster,
+    from_array,
+    load_raster,
+    pixelwise,
+    require_same_grid,
+    save_raster,
+)
 from geoagent.raster.png import SIGNATURE as PNG_SIGNATURE
 from geoagent.raster.tiff import write_tiff
 
@@ -192,6 +202,42 @@ def deflated(strips):
     return [zlib.compress(s) for s in strips]
 
 
+def build_png(width, height, color, idat):
+    """An 8-bit PNG with the given IHDR fields and IDAT bytes as stored."""
+    def chunk(ctype, body):
+        return struct.pack(">I", len(body)) + ctype + body + bytes(4)
+
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, color, 0, 0, 0)
+    return (PNG_SIGNATURE + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat)
+            + chunk(b"IEND", b""))
+
+
+def planar_deflate(data, rows_per_strip, order="<"):
+    """A band-sequential Deflate TIFF of `data` (bands, height, width)."""
+    bands, height, width = data.shape
+    fmt = {"u": 1, "f": 3}[data.dtype.kind]
+    stored = data.astype(data.dtype.newbyteorder(order))
+    strips = [stored[k, r:r + rows_per_strip].tobytes()
+              for k in range(bands) for r in range(0, height, rows_per_strip)]
+    return build_tiff(width, height, bands, (data.dtype.itemsize * 8, fmt),
+                      deflated(strips), planar=2, rows_per_strip=rows_per_strip,
+                      order=order, compression=8)
+
+
+@pytest.fixture
+def inflations(monkeypatch):
+    """Counts the zlib streams the readers start to inflate."""
+    calls = []
+    real = zlib.decompressobj
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(zlib, "decompressobj", counting)
+    return calls
+
+
 class TestForeignLayouts:
     def test_chunky_interleaved_multiband(self, tmp_path):
         # 2x2, 3 bands, pixel-interleaved u8 in one strip
@@ -268,6 +314,116 @@ class TestForeignLayouts:
             tracemalloc.stop()
         assert rasters_equal(loaded, r)
         assert peak < 1.25 * size
+
+
+class TestLazyPlanes:
+    """Band-sequential Deflate planes are inflated one at a time, on first use."""
+
+    @pytest.mark.parametrize("dtype", ["u16", "f32"])
+    @pytest.mark.parametrize("order", ["<", ">"])
+    @pytest.mark.parametrize("bands", [1, 4])
+    @pytest.mark.parametrize("rows_per_strip", [5, 2])
+    def test_matches_eager_decode(self, tmp_path, dtype, order, bands, rows_per_strip):
+        data = (np.arange(bands * 5 * 3) * 997 % 65536).reshape(bands, 5, 3)
+        eager = from_array(data - 1000.5 if dtype == "f32" else data, dtype=dtype)
+        (tmp_path / "p.tif").write_bytes(planar_deflate(eager.data, rows_per_strip, order))
+        for k in range(1, bands + 1):
+            r = load_raster(tmp_path / "p.tif")
+            assert np.array_equal(r.band(k), eager.band(k))
+            assert np.array_equal(r.values(k), eager.values(k))
+            assert r.plane(k).flags.writeable is False
+        assert rasters_equal(decoded(tmp_path / "p.tif"), eager)
+
+    def test_band_inflates_only_its_strips(self, tmp_path, inflations):
+        data = np.arange(4 * 6 * 2, dtype=np.float32).reshape(4, 6, 2)
+        (tmp_path / "p.tif").write_bytes(planar_deflate(data, rows_per_strip=2))
+        r = load_raster(tmp_path / "p.tif")
+        assert len(inflations) == 0
+        assert np.array_equal(r.band(3), data[2])
+        assert len(inflations) == 3  # plane 3's three strips
+        r.band(3), r.values(3), r.plane(3)
+        assert len(inflations) == 3
+        assert np.array_equal(r.data, data)
+        assert len(inflations) == 12
+        r.data, r.band(1)
+        assert len(inflations) == 12
+
+    def test_grid_checks_decode_nothing(self, tmp_path, inflations):
+        data = np.ones((4, 3, 2), dtype=np.uint16)
+        (tmp_path / "p.tif").write_bytes(planar_deflate(data, rows_per_strip=1))
+        a, b = load_raster(tmp_path / "p.tif"), load_raster(tmp_path / "p.tif")
+        assert (a.bands, a.height, a.width, a.dtype_name) == (4, 3, 2, "u16")
+        assert a.same_shape(b)
+        require_same_grid(a, b)
+        with pytest.raises(ShapeMismatchError):
+            require_same_grid(a, from_array(np.ones((2, 3))))
+        assert len(inflations) == 0
+
+    def test_corrupt_plane_fails_when_read(self, tmp_path):
+        data = np.arange(4 * 4 * 4, dtype=np.float32).reshape(4, 4, 4)
+        strips = deflated([plane.tobytes() for plane in data])
+        strips[2] = strips[2][:-6] + bytes(6)  # plane 3's stream damaged at its end
+        buf = build_tiff(4, 4, 4, (32, 3), strips, planar=2, compression=8)
+        (tmp_path / "c.tif").write_bytes(buf)
+        r = load_raster(tmp_path / "c.tif")
+        assert np.array_equal(r.band(1), data[0])
+        for read in (lambda: r.band(3), lambda: r.data, lambda: r.band(3)):
+            with pytest.raises(CorruptFileError, match="deflate"):
+                read()
+        assert np.array_equal(r.band(4), data[3])
+
+    def test_short_plane_fails_when_read(self, tmp_path):
+        # plane 2's stream holds half its rows; plane 3's are not borrowed
+        data = np.arange(3 * 4 * 4, dtype=np.uint16).reshape(3, 4, 4)
+        strips = deflated([data[0].tobytes(), data[1, :2].tobytes(), data[2].tobytes()])
+        buf = build_tiff(4, 4, 3, (16, 1), strips, planar=2, compression=8)
+        (tmp_path / "s.tif").write_bytes(buf)
+        r = load_raster(tmp_path / "s.tif")
+        assert np.array_equal(r.band(3), data[2])
+        with pytest.raises(CorruptFileError, match="shorter"):
+            r.band(2)
+
+    def test_raster_stays_immutable(self, tmp_path):
+        (tmp_path / "p.tif").write_bytes(planar_deflate(np.ones((2, 2, 2), np.uint16), 2))
+        r = load_raster(tmp_path / "p.tif")
+        with pytest.raises(AttributeError):
+            r.nodata = 1.0
+        with pytest.raises(ValueError):
+            r.data[0, 0, 0] = 5
+
+    def test_threads_decode_each_plane_once(self, tmp_path, inflations):
+        data = (np.arange(4 * 64 * 64) % 65536).astype(np.uint16).reshape(4, 64, 64)
+        (tmp_path / "p.tif").write_bytes(planar_deflate(data, rows_per_strip=8))
+        rounds, threads_per_round = 10, 8
+        results, errors = [], []
+
+        def read(r, k, start):
+            try:
+                start.wait(timeout=30)
+                results.append((k, r.band(k)))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(rounds):
+                r = load_raster(tmp_path / "p.tif")
+                start = threading.Barrier(threads_per_round)
+                threads = [threading.Thread(target=read, args=(r, 1 + i % 4, start))
+                           for i in range(threads_per_round)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and len(results) == rounds * threads_per_round
+        for k, band in results:
+            assert np.array_equal(band, data[k - 1])
+        # every strip inflated once per raster, however many threads read it
+        assert len(inflations) == rounds * 4 * 8
 
 
 class TestWriterGolden:
@@ -378,6 +534,34 @@ class TestErrors:
         assert r.data.shape == (1, 4, 4) and not r.data.any()
         assert peak < 4 * 2**20
 
+    def test_png_deflate_bomb_inflates_only_declared_bytes(self, tmp_path):
+        # a 4x4 grey PNG whose IDAT inflates to 256 MiB of zeros
+        deflater = zlib.compressobj(1)
+        zeros = bytes(1 << 20)
+        bomb = b"".join(deflater.compress(zeros) for _ in range(256)) + deflater.flush()
+        (tmp_path / "bomb.png").write_bytes(build_png(4, 4, 0, bomb))
+        del bomb
+        tracemalloc.start()
+        try:
+            r = decoded(tmp_path / "bomb.png")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.data.shape == (1, 4, 4) and not r.data.any()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("width,height,idat", [
+        (4, 4, zlib.compress(bytes(20))[:-4]),  # cut off before its checksum
+        (4, 4, b"\x78\x9c\xff" + bytes(20)),  # not Deflate
+        (4, 4, zlib.compress(bytes(19))),  # one byte short
+        (0, 4, zlib.compress(b"")),  # no pixels, but still four filter bytes
+        (2**31 - 1, 2**31 - 1, zlib.compress(bytes(20))),  # needs more than it can inflate to
+    ])
+    def test_bad_png_stream(self, tmp_path, width, height, idat):
+        (tmp_path / "b.png").write_bytes(build_png(width, height, 0, idat))
+        with pytest.raises(CorruptFileError):
+            load_raster(tmp_path / "b.png")
+
     def test_image_larger_than_its_strips_can_inflate_to(self, tmp_path):
         # 65535^2 f32 samples from a few dozen Deflate bytes: rejected before
         # the 16 GiB output array is allocated
@@ -474,3 +658,65 @@ class TestStatsWithNodata:
         r = from_array(np.ones((2, 2)))
         with pytest.raises(InvalidInputError):
             r.band(2)
+
+    @pytest.mark.parametrize("dtype,nodata,masked", [
+        ("u16", -9999.0, []),  # outside the sample type: masks nothing
+        ("u8", 300.0, []),
+        ("u8", 2.5, []),  # fractional: masks nothing, not the 2s
+        ("u16", 0.0, [0]),
+        ("u8", 255.0, [3]),
+        ("f32", 2.5, [1]),
+    ])
+    def test_nodata_masks_only_equal_samples(self, dtype, nodata, masked):
+        values = [[0, 2.5 if dtype == "f32" else 2], [3, 255]]
+        r = from_array(values, dtype=dtype, nodata=nodata)
+        assert np.flatnonzero(np.isnan(r.band())).tolist() == masked
+        assert r.values().size == 4 - len(masked)
+
+
+def _fuzz_seeds() -> list[bytes]:
+    stack = (np.arange(3 * 4 * 5) * 2741 % 65536).reshape(3, 4, 5)
+    rows = (np.arange(20) - 7.5).astype(">f4").reshape(5, 4)
+    grey = np.arange(3 * 4, dtype=np.uint8).reshape(3, 4)
+    filtered = b"".join(bytes([f]) + row.tobytes() for f, row in zip((0, 1, 4), grey))
+    return [
+        planar_deflate(stack.astype(np.uint16), rows_per_strip=2),
+        planar_deflate(stack.astype(np.float32), rows_per_strip=4, order=">"),
+        build_tiff(4, 5, 1, (32, 3), deflated([rows[:2].tobytes(), rows[2:].tobytes()]),
+                   planar=1, rows_per_strip=2, order=">", compression=8),
+        build_tiff(5, 4, 3, (16, 1), [stack.astype("<u2").transpose(1, 2, 0).tobytes()],
+                   planar=1),
+        build_png(4, 3, 0, zlib.compress(filtered)),
+    ]
+
+
+FUZZ_SEEDS = _fuzz_seeds()
+
+
+@st.composite
+def mutated_seed(draw):
+    buf = bytearray(draw(st.sampled_from(FUZZ_SEEDS)))
+    for _ in range(draw(st.integers(1, 6))):
+        buf[draw(st.integers(0, len(buf) - 1))] = draw(st.integers(0, 255))
+    return bytes(buf[:draw(st.integers(0, len(buf)))]) if draw(st.booleans()) else bytes(buf)
+
+
+class TestByteFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(blob=st.one_of(mutated_seed(), st.binary(max_size=64)))
+    @example(blob=FUZZ_SEEDS[0])
+    @example(blob=FUZZ_SEEDS[1])
+    @example(blob=FUZZ_SEEDS[4])
+    def test_any_bytes_load_or_raise_taxonomy_error(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("fuzz") / "f.tif"
+        path.write_bytes(blob)
+        try:
+            r = load_raster(path)
+        except GeoAgentError:
+            return
+        assert isinstance(r, Raster)
+        try:
+            data = r.data
+        except GeoAgentError:
+            return
+        assert data.shape == (r.bands, r.height, r.width)
