@@ -19,10 +19,8 @@ from .types import (
     STOP_MAX_STEPS,
     STOP_POLICY_FAILURE,
     Action,
-    EpisodeConfig,
     FinalAnswerDecision,
     Goal,
-    Memory,
     ToolCallDecision,
     Trajectory,
 )
@@ -30,13 +28,11 @@ from .types import (
 __all__ = [
     "AUTO_PLANNING",
     "Action",
-    "EpisodeConfig",
     "FinalAnswerDecision",
     "Goal",
     "INSTRUCTION_FOLLOWING",
     "LLMPolicy",
     "MalformedModelOutput",
-    "Memory",
     "PolicyError",
     "PolicyUnreachable",
     "REGIMES",

@@ -9,31 +9,28 @@ from __future__ import annotations
 import time
 
 from ..tools.registry import ToolRegistry
-from .policies import Policy, PolicyError, render_goal
+from .policies import Policy, PolicyError
 from .types import (
     STOP_FINAL_ANSWER,
     STOP_MAX_STEPS,
     STOP_POLICY_FAILURE,
     Action,
-    EpisodeConfig,
     FinalAnswerDecision,
     Goal,
-    Memory,
     ToolCallDecision,
     Trajectory,
 )
 
 
 def run_episode(goal: Goal, policy: Policy, registry: ToolRegistry,
-                config: EpisodeConfig | None = None,
-                model_tag: str = "scripted") -> Trajectory:
-    config = config or EpisodeConfig()
-    memory = Memory(goal_context=render_goal(goal))
-    trajectory = Trajectory(goal=goal, model_tag=model_tag)
+                max_steps: int = 25, model_tag: str = "scripted") -> Trajectory:
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
+    trajectory = Trajectory(regime=goal.regime, model_tag=model_tag)
 
-    for _ in range(config.max_steps):
+    for _ in range(max_steps):
         try:
-            decision = policy.next(goal, memory)
+            decision = policy.next(goal, trajectory.actions)
         except PolicyError as exc:
             trajectory.stop_reason = STOP_POLICY_FAILURE
             trajectory.answer_text = f"policy failure: {exc}"
@@ -45,9 +42,8 @@ def run_episode(goal: Goal, policy: Policy, registry: ToolRegistry,
             break
         assert isinstance(decision, ToolCallDecision)
         result = registry.call_tool(decision.name, decision.args)
-        action = Action(tool=decision.name, input=decision.args, output=result)
-        memory.append(action)
-        trajectory.actions.append(action)
+        trajectory.actions.append(Action(tool=decision.name, input=decision.args,
+                                         output=result))
     else:
         trajectory.stop_reason = STOP_MAX_STEPS
 

@@ -1,9 +1,9 @@
 """Decision policies: scripted replay and an HTTP chat-with-tools backend.
 
-A policy maps (goal, memory) to either a tool call or a final answer. The
-scripted backend is a pure function of its plan; the LLM backend renders the
-memory as a chat transcript, sends the registered tool schemas, and maps the
-model's reply back to a decision.
+A policy maps a goal and the actions taken so far to either a tool call or
+a final answer. The scripted backend is a pure function of its plan; the LLM
+backend renders the goal and actions as a chat transcript, sends the
+registered tool schemas, and maps the model's reply back to a decision.
 """
 
 from __future__ import annotations
@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Protocol, Sequence
 
 from ..errors import GeoAgentError
 from ..tools.registry import ToolRegistry
-from .types import Decision, FinalAnswerDecision, Goal, Memory, ToolCallDecision
+from .types import Action, Decision, FinalAnswerDecision, Goal, ToolCallDecision
 
 SYSTEM_PREAMBLE = (
     "You are a geoscience analysis agent. Solve the task by calling the "
@@ -41,7 +41,7 @@ class MalformedModelOutput(PolicyError):
 
 
 class Policy(Protocol):
-    def next(self, goal: Goal, memory: Memory) -> Decision: ...
+    def next(self, goal: Goal, actions: Sequence[Action]) -> Decision: ...
 
 
 def render_goal(goal: Goal) -> str:
@@ -59,15 +59,15 @@ def _truncate(text: str, budget: int) -> str:
     return keep + TRUNCATION_MARKER.format(omitted=len(raw) - budget)
 
 
-def render_memory(goal: Goal, memory: Memory, observation_budget: int = 8192
-                  ) -> list[dict]:
+def render_memory(goal: Goal, actions: Sequence[Action],
+                  observation_budget: int = 8192) -> list[dict]:
     """Deterministic chat transcript: system, goal, then one assistant
     tool-call + tool-result message pair per executed action."""
     messages: list[dict] = [
         {"role": "system", "content": SYSTEM_PREAMBLE},
-        {"role": "user", "content": memory.goal_context or render_goal(goal)},
+        {"role": "user", "content": render_goal(goal)},
     ]
-    for i, action in enumerate(memory.actions):
+    for i, action in enumerate(actions):
         call_id = f"call_{i}"
         messages.append({
             "role": "assistant",
@@ -102,7 +102,7 @@ class ScriptedPolicy:
         self.plan = list(plan)
         self._cursor = 0
 
-    def next(self, goal: Goal, memory: Memory) -> Decision:
+    def next(self, goal: Goal, actions: Sequence[Action]) -> Decision:
         if self._cursor < len(self.plan):
             decision = self.plan[self._cursor]
             self._cursor += 1
@@ -167,8 +167,8 @@ class LLMPolicy:
             for spec in self.registry.list_specs()
         ]
 
-    def next(self, goal: Goal, memory: Memory) -> Decision:
-        messages = render_memory(goal, memory, self.observation_budget)
+    def next(self, goal: Goal, actions: Sequence[Action]) -> Decision:
+        messages = render_memory(goal, actions, self.observation_budget)
         try:
             return self._decide(messages)
         except MalformedModelOutput as exc:

@@ -1,4 +1,4 @@
-"""Episode data model: goals, actions, memory, trajectories."""
+"""Episode data model: goals, actions, decisions, trajectories."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..errors import SchemaError
 from ..tools.registry import ToolResult
 
 AUTO_PLANNING = "AutoPlanning"
@@ -38,25 +39,6 @@ class Action:
     output: ToolResult
 
 
-class Memory:
-    """Append-only interleaving of the goal context and (action, observation)
-    pairs; each appended action carries the observation it produced."""
-
-    def __init__(self, goal_context: str):
-        self.goal_context = goal_context
-        self._actions: list[Action] = []
-
-    def append(self, action: Action) -> None:
-        self._actions.append(action)
-
-    @property
-    def actions(self) -> tuple[Action, ...]:
-        return tuple(self._actions)
-
-    def __len__(self) -> int:
-        return len(self._actions)
-
-
 @dataclass(frozen=True)
 class ToolCallDecision:
     name: str
@@ -74,24 +56,72 @@ Decision = ToolCallDecision | FinalAnswerDecision
 
 @dataclass
 class Trajectory:
-    goal: Goal
+    """One episode, from the engine through its file to its score.
+
+    `as_json` is the trajectory file: `task_id`, `metadata` (model tag,
+    regime, timestamps), `steps` and `final` (answer and stop reason).
+    `bench.runner.run_task` masks the workspace root out of the step
+    outputs, so its trajectory equals the one its file loads back.
+    """
+
+    task_id: str = ""
+    regime: str = AUTO_PLANNING
+    model_tag: str = "scripted"
     actions: list[Action] = field(default_factory=list)
     answer_text: str | None = None
     answer_value: Any = None
     stop_reason: str = STOP_MAX_STEPS
-    model_tag: str = "scripted"
-    started_at: float = field(default_factory=time.time)
+    started_at: float | None = field(default_factory=time.time)
     finished_at: float | None = None
 
     @property
     def tool_names(self) -> list[str]:
         return [a.tool for a in self.actions]
 
+    def step_pairs(self) -> list[tuple[str, dict]]:
+        return [(a.tool, a.input) for a in self.actions]
 
-@dataclass(frozen=True)
-class EpisodeConfig:
-    max_steps: int = 25
+    @property
+    def steps(self) -> list[dict]:
+        """The steps as stored: `{"tool", "input", "output"}` dicts."""
+        return [{"tool": a.tool, "input": a.input, "output": a.output.to_json()}
+                for a in self.actions]
 
-    def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+    def as_json(self) -> dict:
+        return {
+            "task_id": self.task_id,
+            "metadata": {
+                "model_tag": self.model_tag,
+                "regime": self.regime,
+                "started_at": self.started_at,
+                "finished_at": self.finished_at,
+            },
+            "steps": self.steps,
+            "final": {
+                "answer_text": self.answer_text,
+                "answer_value": self.answer_value,
+                "stop_reason": self.stop_reason,
+            },
+        }
+
+    @staticmethod
+    def from_json(doc: Any) -> "Trajectory":
+        """Parse a trajectory file; a malformed document raises SchemaError."""
+        try:
+            meta = doc.get("metadata", {})
+            final = doc["final"]
+            return Trajectory(
+                task_id=str(doc["task_id"]),
+                regime=str(meta.get("regime", AUTO_PLANNING)),
+                model_tag=str(meta.get("model_tag", "unknown")),
+                actions=[Action(tool=s["tool"], input=dict(s["input"]),
+                                output=ToolResult.from_json(s["output"]))
+                         for s in doc["steps"]],
+                answer_text=final.get("answer_text"),
+                answer_value=final.get("answer_value"),
+                stop_reason=str(final["stop_reason"]),
+                started_at=meta.get("started_at"),
+                finished_at=meta.get("finished_at"),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"bad trajectory document: {exc}") from exc

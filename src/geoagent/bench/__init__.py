@@ -15,8 +15,8 @@ from .schema import (
     GtStep,
     SchemaError,
     TaskSpec,
-    TrajectoryRecord,
     canonical_json,
+    load_plan,
     load_record,
     load_task,
     mask_workspace,
@@ -31,11 +31,11 @@ __all__ = [
     "GtStep",
     "SchemaError",
     "TaskSpec",
-    "TrajectoryRecord",
     "annotate_from_plan",
     "canonical_json",
     "extract_answer",
     "generate_fixture_suite",
+    "load_plan",
     "load_record",
     "load_suite",
     "load_task",

@@ -8,13 +8,12 @@ parallel episodes touch disjoint files, and aggregation sorts by id.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from ..agent import EpisodeConfig, Goal, Trajectory, replay_policy, run_episode
+from ..agent import Goal, Trajectory, replay_policy, run_episode
 from ..evaluation import (
     TaskScore,
     aggregate,
@@ -28,8 +27,8 @@ from ..workspace import Workspace
 from .schema import (
     WORKSPACE_TOKEN,
     TaskSpec,
-    TrajectoryRecord,
     canonical_json,
+    mask_workspace,
     save_record,
 )
 
@@ -39,7 +38,7 @@ PolicyFactory = Callable[[TaskSpec, str], object]
 @dataclass
 class BenchResult:
     scores: list[TaskScore]
-    records: dict[str, TrajectoryRecord]
+    records: dict[str, Trajectory]
     failures: dict[str, str]
 
     def report_json(self, group_by=("regime", "modality")) -> dict:
@@ -60,62 +59,61 @@ def replay_factory(task: TaskSpec, regime: str):
                          answer_value=gt.answer_value)
 
 
-def score_record(task: TaskSpec, record: TrajectoryRecord,
+def score_record(task: TaskSpec, trajectory: Trajectory,
                  workspace_root: str | Path | None = None,
                  model_tag: str | None = None) -> TaskScore:
-    """Score a persisted trajectory against a task's ground truth."""
+    """Score a trajectory against a task's ground truth."""
     roots = [WORKSPACE_TOKEN]
     if workspace_root is not None:
         roots.append(str(Path(workspace_root).resolve()))
-    error_counts = count_errors(
-        (ToolResult.from_json(step["output"]) for step in record.steps),
-        record.stop_reason)
     return score_trajectory(
         task_id=task.id,
-        regime=record.regime,
+        regime=trajectory.regime,
         modality=task.modality,
-        model_tag=model_tag or record.model_tag,
-        pred_steps=record.step_pairs(),
+        model_tag=model_tag or trajectory.model_tag,
+        pred_steps=trajectory.step_pairs(),
         gt_steps=task.ground_truth.step_pairs(),
-        answer_text=record.answer_text,
-        answer_value=record.answer_value,
+        answer_text=trajectory.answer_text,
+        answer_value=trajectory.answer_value,
         expected_answer=task.ground_truth.answer_value,
         answer_rule=task.answer_rule,
-        error_counts=error_counts,
-        stop_reason=record.stop_reason,
+        error_counts=count_errors(trajectory),
+        stop_reason=trajectory.stop_reason,
         roots=roots,
     )
 
 
 def run_task(task: TaskSpec, registry: ToolRegistry, workspace: Workspace,
-             policy_factory: PolicyFactory, regime: str,
-             config: EpisodeConfig | None = None,
-             model_tag: str = "replay") -> tuple[TrajectoryRecord, TaskScore]:
+             policy_factory: PolicyFactory, regime: str, max_steps: int = 25,
+             model_tag: str = "replay") -> tuple[Trajectory, TaskScore]:
+    """Run one episode and score it. The returned trajectory is the one its
+    file holds: the workspace root is masked out of every step output."""
     goal = Goal(query=task.query(regime), regime=regime, data_dir=task.data_dir)
-    policy = policy_factory(task, regime)
-    trajectory: Trajectory = run_episode(goal, policy, registry, config,
-                                         model_tag=model_tag)
-    record = TrajectoryRecord.from_trajectory(task.id, trajectory,
-                                              workspace_root=workspace.root)
-    score = score_record(task, record, workspace_root=workspace.root,
+    trajectory = run_episode(goal, policy_factory(task, regime), registry,
+                             max_steps, model_tag=model_tag)
+    trajectory = replace(trajectory, task_id=task.id, actions=[
+        replace(a, output=ToolResult.from_json(
+            mask_workspace(a.output.to_json(), workspace.root)))
+        for a in trajectory.actions])
+    score = score_record(task, trajectory, workspace_root=workspace.root,
                          model_tag=model_tag)
-    return record, score
+    return trajectory, score
 
 
 def run_benchmark(tasks: list[TaskSpec], registry: ToolRegistry,
                   workspace: Workspace, regime: str = "AutoPlanning",
                   policy_factory: PolicyFactory = replay_factory,
-                  parallelism: int = 1, config: EpisodeConfig | None = None,
+                  parallelism: int = 1, max_steps: int = 25,
                   model_tag: str = "replay",
                   out_dir: str | Path | None = None) -> BenchResult:
-    records: dict[str, TrajectoryRecord] = {}
+    records: dict[str, Trajectory] = {}
     scores: dict[str, TaskScore] = {}
     failures: dict[str, str] = {}
 
     def one(task: TaskSpec):
         try:
             record, score = run_task(task, registry, workspace, policy_factory,
-                                     regime, config, model_tag)
+                                     regime, max_steps, model_tag)
             return task.id, record, score, None
         except Exception as exc:  # never abort the suite
             return task.id, None, None, f"{type(exc).__name__}: {exc}"

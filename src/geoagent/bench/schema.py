@@ -1,7 +1,8 @@
-"""Task and trajectory file formats.
+"""Task, trajectory and plan file formats.
 
 One JSON document per task (queries for both regimes, data folder, expert
-trajectory, answer rule) and one per recorded episode. Documents are
+trajectory, answer rule), one per recorded episode (`Trajectory.as_json`),
+and plan files that script a policy or an annotation. Documents are
 validated on read and write; serialization is canonical (sorted keys) so
 re-serialization is byte-stable.
 """
@@ -9,23 +10,27 @@ re-serialization is byte-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from ..agent.types import REGIMES, Trajectory
+from ..errors import SchemaError
 
 MODALITIES = ("Spectrum", "Products", "RGB")
 
 WORKSPACE_TOKEN = "$WS"
 
 
-class SchemaError(ValueError):
-    """A task or trajectory document violates its schema."""
-
-
 def canonical_json(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def _read_json(path: str | Path) -> Any:
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +139,7 @@ def load_task(path: str | Path, workspace_root: str | Path | None = None,
     When a workspace root is given the data folder must exist beneath it;
     when a registry is given every ground-truth tool name must be known.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    task = TaskSpec.from_json(doc)
+    task = TaskSpec.from_json(_read_json(path))
     if workspace_root is not None:
         data = Path(workspace_root) / task.data_dir
         if not data.is_dir():
@@ -153,95 +154,40 @@ def load_task(path: str | Path, workspace_root: str | Path | None = None,
 
 
 # ---------------------------------------------------------------------------
-# trajectory records
+# trajectories and plans
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrajectoryRecord:
-    task_id: str
-    model_tag: str
-    regime: str
-    steps: list[dict] = field(default_factory=list)
-    answer_text: str | None = None
-    answer_value: Any = None
-    stop_reason: str = "max_steps"
-    started_at: float | None = None
-    finished_at: float | None = None
-
-    def as_json(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "metadata": {
-                "model_tag": self.model_tag,
-                "regime": self.regime,
-                "started_at": self.started_at,
-                "finished_at": self.finished_at,
-            },
-            "steps": self.steps,
-            "final": {
-                "answer_text": self.answer_text,
-                "answer_value": self.answer_value,
-                "stop_reason": self.stop_reason,
-            },
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "TrajectoryRecord":
-        try:
-            meta = doc.get("metadata", {})
-            record = TrajectoryRecord(
-                task_id=str(doc["task_id"]),
-                model_tag=str(meta.get("model_tag", "unknown")),
-                regime=str(meta.get("regime", "AutoPlanning")),
-                steps=[{"tool": s["tool"], "input": dict(s["input"]),
-                        "output": dict(s["output"])} for s in doc["steps"]],
-                answer_text=doc["final"].get("answer_text"),
-                answer_value=doc["final"].get("answer_value"),
-                stop_reason=str(doc["final"]["stop_reason"]),
-                started_at=meta.get("started_at"),
-                finished_at=meta.get("finished_at"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad trajectory document: {exc}") from exc
-        return record
-
-    def step_pairs(self) -> list[tuple[str, dict]]:
-        return [(s["tool"], s["input"]) for s in self.steps]
-
-    @staticmethod
-    def from_trajectory(task_id: str, trajectory: Trajectory,
-                        workspace_root: str | Path | None = None
-                        ) -> "TrajectoryRecord":
-        steps = []
-        for action in trajectory.actions:
-            out = action.output.to_json()
-            if workspace_root is not None:
-                out = mask_workspace(out, workspace_root)
-            steps.append({"tool": action.tool, "input": action.input, "output": out})
-        return TrajectoryRecord(
-            task_id=task_id,
-            model_tag=trajectory.model_tag,
-            regime=trajectory.goal.regime,
-            steps=steps,
-            answer_text=trajectory.answer_text,
-            answer_value=trajectory.answer_value,
-            stop_reason=trajectory.stop_reason,
-            started_at=trajectory.started_at,
-            finished_at=trajectory.finished_at,
-        )
+def save_record(trajectory: Trajectory, path: str | Path) -> None:
+    Path(path).write_text(canonical_json(trajectory.as_json()), encoding="utf-8")
 
 
-def save_record(record: TrajectoryRecord, path: str | Path) -> None:
-    Path(path).write_text(canonical_json(record.as_json()), encoding="utf-8")
+def load_record(path: str | Path) -> Trajectory:
+    return Trajectory.from_json(_read_json(path))
 
 
-def load_record(path: str | Path) -> TrajectoryRecord:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return TrajectoryRecord.from_json(doc)
+def load_plan(path: str | Path) -> tuple[list[tuple[str, dict]], dict]:
+    """Read a plan file, `{"steps": [{"tool": name, "input": {...}}, ...]}`.
+
+    Returns the (tool, input) pairs and the whole document, whose answer
+    keys (`answer` for a scripted policy, `answer_path` and `answer_text`
+    for annotation) belong to the command that reads the plan.
+    """
+    doc = _read_json(path)
+    steps = doc.get("steps") if isinstance(doc, dict) else None
+    if not isinstance(steps, list):
+        raise SchemaError(f"{path}: a plan is an object with a list of steps")
+    for i, step in enumerate(steps):
+        if not (isinstance(step, dict) and isinstance(step.get("tool"), str)
+                and isinstance(step.get("input"), dict)):
+            raise SchemaError(f"{path}: plan step {i} needs a tool name and an "
+                              "input object")
+    for key, kind, name in (("answer", dict, "an object"),
+                            ("answer_path", list, "a list"),
+                            ("answer_text", str, "a string")):
+        if key in doc and not isinstance(doc[key], kind):
+            raise SchemaError(f"{path}: plan {key!r} must be {name}")
+    return [(s["tool"], s["input"]) for s in steps], doc
 
 
 def mask_workspace(doc: Any, root: str | Path) -> Any:

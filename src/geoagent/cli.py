@@ -14,11 +14,12 @@ import os
 import sys
 from pathlib import Path
 
-from .agent import EpisodeConfig, LLMPolicy, replay_policy
+from .agent import LLMPolicy, replay_policy
 from .bench import (
     annotate_from_plan,
     canonical_json,
     generate_fixture_suite,
+    load_plan,
     load_record,
     load_suite,
     load_task,
@@ -99,8 +100,7 @@ def _policy_factory(args, registry):
 
         return factory
     if kind.startswith("script:"):
-        plan_doc = json.loads(Path(kind.split(":", 1)[1]).read_text())
-        steps = [(s["tool"], s["input"]) for s in plan_doc["steps"]]
+        steps, plan_doc = load_plan(kind.split(":", 1)[1])
         answer = plan_doc.get("answer", {})
 
         def factory(task, regime):
@@ -145,16 +145,15 @@ def cmd_run(args) -> int:
     task = load_task(args.task, workspace_root=ctx.workspace.root,
                      registry=registry)
     factory = _policy_factory(args, registry)
-    config = EpisodeConfig(max_steps=args.max_steps)
-    record, score = run_task(task, registry, ctx.workspace, factory,
-                             REGIME_FLAGS[args.regime], config,
-                             model_tag=args.model_tag)
+    trajectory, score = run_task(task, registry, ctx.workspace, factory,
+                                 REGIME_FLAGS[args.regime], args.max_steps,
+                                 model_tag=args.model_tag)
     if args.out:
-        save_record(record, args.out)
+        save_record(trajectory, args.out)
     else:
-        print(canonical_json(record.as_json()), end="")
-    print(json.dumps({"task": task.id, "stop_reason": record.stop_reason,
-                      "answer": record.answer_text,
+        print(canonical_json(trajectory.as_json()), end="")
+    print(json.dumps({"task": task.id, "stop_reason": trajectory.stop_reason,
+                      "answer": trajectory.answer_text,
                       "accuracy": score.acc}, sort_keys=True), file=sys.stderr)
     return 0
 
@@ -165,7 +164,6 @@ def cmd_bench(args) -> int:
     tasks = load_suite(args.tasks_dir, workspace_root=ctx.workspace.root,
                        registry=registry)
     factory = _policy_factory(args, registry)
-    config = EpisodeConfig(max_steps=args.max_steps)
     regimes = [REGIME_FLAGS[args.regime]] if args.regime != "both" \
         else list(REGIME_FLAGS.values())
     all_scores = []
@@ -173,7 +171,8 @@ def cmd_bench(args) -> int:
         out_dir = Path(args.out_dir) / regime.lower() if args.out_dir else None
         result = run_benchmark(tasks, registry, ctx.workspace, regime=regime,
                                policy_factory=factory,
-                               parallelism=args.parallelism, config=config,
+                               parallelism=args.parallelism,
+                               max_steps=args.max_steps,
                                model_tag=args.model_tag, out_dir=out_dir)
         all_scores.extend(result.scores)
         if result.failures:
@@ -185,9 +184,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    record = load_record(args.pred)
+    trajectory = load_record(args.pred)
     task = load_task(args.gt)
-    score = score_record(task, record,
+    score = score_record(task, trajectory,
                          workspace_root=args.workspace if args.workspace else None)
     print(canonical_json(score.as_json()), end="")
     return 0
@@ -196,8 +195,7 @@ def cmd_eval(args) -> int:
 def cmd_annotate(args) -> int:
     ctx = make_context(args.workspace, args.expert_endpoint, args.mock_manifest)
     registry = build_registry(ctx)
-    plan_doc = json.loads(Path(args.plan).read_text())
-    plan = [(s["tool"], s["input"]) for s in plan_doc["steps"]]
+    plan, plan_doc = load_plan(args.plan)
     gt = annotate_from_plan(plan, registry, ctx.workspace,
                             answer_path=plan_doc.get("answer_path"),
                             answer_text=plan_doc.get("answer_text"))

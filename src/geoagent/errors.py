@@ -40,6 +40,10 @@ class CorruptFileError(InvalidInputError):
     """A raster file is truncated or not a raster at all."""
 
 
+class SchemaError(ValueError):
+    """A task, trajectory or plan document violates its schema."""
+
+
 class ExternalServiceError(GeoAgentError):
     """A call that depends on the runtime environment failed.
 

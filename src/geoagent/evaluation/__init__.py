@@ -16,7 +16,6 @@ from .metrics import (
 from .taxonomy import (
     TAXONOMY,
     UNAWARE_OF_TERMINATION,
-    classify_errors,
     count_errors,
     merge_counts,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "UNAWARE_OF_TERMINATION",
     "accuracy",
     "aggregate",
-    "classify_errors",
     "count_errors",
     "efficiency",
     "merge_counts",

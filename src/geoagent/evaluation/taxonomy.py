@@ -11,24 +11,21 @@ from collections import Counter
 from typing import Iterable
 
 from ..agent.types import STOP_MAX_STEPS, Trajectory
-from ..tools.registry import ERROR_CLASSES, ToolResult
+from ..tools.registry import ERROR_CLASSES
 
 UNAWARE_OF_TERMINATION = "UnawareOfTermination"
 
 TAXONOMY = (UNAWARE_OF_TERMINATION, *ERROR_CLASSES)
 
 
-def count_errors(results: Iterable[ToolResult], stop_reason: str) -> dict[str, int]:
+def count_errors(trajectory: Trajectory) -> dict[str, int]:
     """Histogram of the failed steps' classes, plus one UnawareOfTermination
     for a max-steps stop; classes that did not occur are left out."""
-    counts = Counter(r.error_class for r in results if r.is_error and r.error_class)
-    if stop_reason == STOP_MAX_STEPS:
+    counts = Counter(a.output.error_class for a in trajectory.actions
+                     if a.output.is_error)
+    if trajectory.stop_reason == STOP_MAX_STEPS:
         counts[UNAWARE_OF_TERMINATION] += 1
     return dict(counts)
-
-
-def classify_errors(trajectory: Trajectory) -> dict[str, int]:
-    return count_errors((a.output for a in trajectory.actions), trajectory.stop_reason)
 
 
 def merge_counts(many: Iterable[dict[str, int]]) -> dict[str, int]:

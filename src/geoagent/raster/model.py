@@ -34,20 +34,6 @@ class GeoRef:
 
     tags: tuple[tuple[int, int, bytes], ...] = ()
 
-    @property
-    def affine(self) -> tuple[float, float, float, float] | None:
-        """(origin_x, origin_y, pixel_w, pixel_h) when scale+tiepoint exist."""
-        raw = dict((t, (ft, b)) for t, ft, b in self.tags)
-        if 33550 not in raw or 33922 not in raw:
-            return None
-        scale = np.frombuffer(raw[33550][1], dtype="<f8")
-        tie = np.frombuffer(raw[33922][1], dtype="<f8")
-        if scale.size < 2 or tie.size < 6:
-            return None
-        i, j, _, x, y, _ = tie[:6]
-        return (float(x - i * scale[0]), float(y + j * scale[1]),
-                float(scale[0]), float(-scale[1]))
-
 
 class Raster:
     """Band-sequential raster: data has shape (bands, height, width).

@@ -1,9 +1,9 @@
 """Minimal GeoTIFF reader/writer.
 
 Deliberately small subset: classic (non-Big) TIFF, baseline strips,
-uncompressed or Deflate, u8/u16/f32 samples, band-sequential or
-pixel-interleaved planes. The planes of a band-sequential Deflate file are
-inflated one at a time, the first time each is read. Georeference tags
+uncompressed or Deflate without a predictor, u8/u16/f32 samples,
+band-sequential or pixel-interleaved planes. The planes of a band-sequential
+Deflate file are inflated one at a time, the first time each is read. Georeference tags
 (ModelPixelScale, ModelTiepoint and the three GeoKey tags) plus the nodata
 tag are carried through; anything fancier raises UnsupportedLayoutError.
 
@@ -35,6 +35,7 @@ _TAG_SAMPLES = 277
 _TAG_ROWS_PER_STRIP = 278
 _TAG_STRIP_COUNTS = 279
 _TAG_PLANAR = 284
+_TAG_PREDICTOR = 317
 _TAG_SAMPLE_FORMAT = 339
 _TAG_TILE_MARKERS = (322, 323, 324, 325)
 _TAG_NODATA = 42113
@@ -122,11 +123,14 @@ def read_tiff(path: str | Path) -> Raster:
     compression = _scalar(entries, _TAG_COMPRESSION, order, default=1)
     planar = _scalar(entries, _TAG_PLANAR, order, default=1)
     rows_per_strip = _scalar(entries, _TAG_ROWS_PER_STRIP, order, default=height)
+    predictor = _scalar(entries, _TAG_PREDICTOR, order, default=1)
 
     if compression not in (1, 8, 32946):
         raise UnsupportedLayoutError(f"compression {compression} not supported")
     if planar not in (1, 2):
         raise UnsupportedLayoutError(f"planar configuration {planar} not supported")
+    if predictor != 1:
+        raise UnsupportedLayoutError(f"predictor {predictor} not supported")
 
     bits = _ints(entries[_TAG_BITS], order) if _TAG_BITS in entries else [1] * samples
     fmts = (_ints(entries[_TAG_SAMPLE_FORMAT], order)

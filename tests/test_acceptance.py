@@ -15,20 +15,22 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from geoagent.agent import EpisodeConfig, Goal, LLMPolicy, ScriptedPolicy, \
-    ToolCallDecision, run_episode
+from geoagent.agent import Goal, LLMPolicy, ScriptedPolicy, ToolCallDecision, \
+    Trajectory, run_episode
 from geoagent.bench import (
     GroundTruth,
     GtStep,
     TaskSpec,
-    TrajectoryRecord,
     generate_fixture_suite,
+    load_record,
     load_suite,
     run_benchmark,
+    run_task,
+    save_record,
     score_record,
 )
 from geoagent.evaluation import (
-    classify_errors,
+    count_errors,
     parameter_accuracy,
     tool_exact_match,
     tools_any_order,
@@ -376,19 +378,19 @@ def test_criterion_6_error_taxonomy(tmp_path):
             ToolCallDecision("SAM2", {"image_path": "ok.tif"}),        # SystemError (no fixture)
         ])
         goal = Goal(query="break things", regime="AutoPlanning")
-        trajectory = run_episode(goal, adversarial, registry,
-                                 EpisodeConfig(max_steps=4))
+        trajectory = run_episode(goal, adversarial, registry, max_steps=4)
         assert trajectory.stop_reason == "max_steps"
         # the same histogram from the live trajectory and, through scoring,
-        # from its persisted record
+        # from its persisted file
         task = TaskSpec(id="adversarial", modality="RGB", query_ap="break things",
                         query_if="break things", data_dir=".", answer_rule={},
                         ground_truth=GroundTruth(
                             steps=(GtStep("calculate_area", {"image_path": "ok.tif"}, {}),),
                             answer_text="", answer_value=None))
-        record = TrajectoryRecord.from_trajectory(task.id, trajectory, workspace_root=ws.root)
-        for histogram in (classify_errors(trajectory),
-                          score_record(task, record, workspace_root=ws.root).error_counts):
+        save_record(trajectory, tmp_path / "adversarial.json")
+        stored = load_record(tmp_path / "adversarial.json")
+        for histogram in (count_errors(trajectory),
+                          score_record(task, stored, workspace_root=ws.root).error_counts):
             assert histogram == {
                 "UnawareOfTermination": 1,
                 "ToolHallucination": 1,
@@ -571,12 +573,8 @@ def test_criterion_8_live_llm_smoke(suite):
                            os.environ.get("LLM_MODEL", "default"),
                            api_key=os.environ.get("LLM_API_KEY", ""),
                            registry=registry)
-        goal = Goal(query=task.query("AutoPlanning"), regime="AutoPlanning",
-                    data_dir=task.data_dir)
-        trajectory = run_episode(goal, policy, registry,
-                                 EpisodeConfig(max_steps=10), model_tag="live")
+        trajectory, _ = run_task(task, registry, ws, lambda t, r: policy,
+                                 "AutoPlanning", max_steps=10, model_tag="live")
         assert trajectory.stop_reason == "final_answer"
-        record = TrajectoryRecord.from_trajectory(task.id, trajectory,
-                                                  workspace_root=ws.root)
-        doc = json.loads(json.dumps(record.as_json()))
-        assert TrajectoryRecord.from_json(doc).as_json() == record.as_json()
+        doc = json.loads(json.dumps(trajectory.as_json()))
+        assert Trajectory.from_json(doc).as_json() == trajectory.as_json()

@@ -5,15 +5,12 @@ import json
 import pytest
 
 from geoagent.agent import (
-    EpisodeConfig,
     FinalAnswerDecision,
     Goal,
     LLMPolicy,
-    Memory,
     PolicyUnreachable,
     ScriptedPolicy,
     ToolCallDecision,
-    render_goal,
     render_memory,
     replay_policy,
     run_episode,
@@ -59,9 +56,14 @@ class TestScriptedEpisodes:
     def test_never_answers_hits_max_steps(self, registry):
         policy = ScriptedPolicy([ToolCallDecision("kelvin_to_celsius",
                                                   {"kelvin": 300.0})])
-        traj = run_episode(GOAL, policy, registry, EpisodeConfig(max_steps=5))
+        traj = run_episode(GOAL, policy, registry, max_steps=5)
         assert traj.stop_reason == "max_steps"
         assert len(traj.actions) == 5
+
+    def test_step_ceiling_below_one_rejected(self, registry):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_episode(GOAL, replay_policy([], answer_text="x"), registry,
+                        max_steps=0)
 
     def test_unknown_tool_then_recovery(self, registry):
         policy = replay_policy(
@@ -90,9 +92,9 @@ class TestScriptedEpisodes:
                     [("kelvin_to_celsius", {"kelvin": 280.0})] * 3,
                     answer_text="done")
 
-            def next(self, goal, memory):
-                seen.append(tuple(a.tool for a in memory.actions))
-                return self.inner.next(goal, memory)
+            def next(self, goal, actions):
+                seen.append(tuple(a.tool for a in actions))
+                return self.inner.next(goal, actions)
 
         run_episode(GOAL, SpyPolicy(), registry)
         for earlier, later in zip(seen, seen[1:]):
@@ -112,25 +114,22 @@ class TestScriptedEpisodes:
 
 class TestRenderMemory:
     def test_empty_memory(self):
-        msgs = render_memory(GOAL, Memory(render_goal(GOAL)))
+        msgs = render_memory(GOAL, [])
         assert [m["role"] for m in msgs] == ["system", "user"]
         assert "mean LST please" in msgs[1]["content"]
 
     def test_two_steps_message_count(self):
-        memory = Memory(render_goal(GOAL))
-        for i in range(2):
-            memory.append(Action(tool="t", input={"i": i},
-                                 output=ok_result(value=i)))
-        msgs = render_memory(GOAL, memory)
+        actions = [Action(tool="t", input={"i": i}, output=ok_result(value=i))
+                   for i in range(2)]
+        msgs = render_memory(GOAL, actions)
         assert len(msgs) == 2 + 2 * 2
         assert [m["role"] for m in msgs] == ["system", "user", "assistant",
                                              "tool", "assistant", "tool"]
 
     def test_truncation_marker(self):
-        memory = Memory(render_goal(GOAL))
         huge = "x" * (1 << 20)
-        memory.append(Action(tool="t", input={}, output=ok_result(text=huge)))
-        msgs = render_memory(GOAL, memory, observation_budget=1024)
+        actions = [Action(tool="t", input={}, output=ok_result(text=huge))]
+        msgs = render_memory(GOAL, actions, observation_budget=1024)
         tool_msg = msgs[-1]["content"]
         assert TRUNCATION_MARKER.split("{")[0].rstrip(".") in tool_msg or \
             "truncated" in tool_msg
@@ -172,7 +171,7 @@ class TestLLMPolicy:
         transport = FakeTransport([text_reply("42")])
         policy = LLMPolicy("http://llm.test/v1", "test-model", registry=registry,
                            transport=transport)
-        decision = policy.next(GOAL, Memory(render_goal(GOAL)))
+        decision = policy.next(GOAL, [])
         assert isinstance(decision, FinalAnswerDecision)
         body = transport.requests[0]["body"]
         names = [t["function"]["name"] for t in body["tools"]]
@@ -184,7 +183,7 @@ class TestLLMPolicy:
             tool_call_reply("kelvin_to_celsius", {"kelvin": 300})])
         policy = LLMPolicy("http://llm.test/v1", "m", registry=registry,
                            transport=transport)
-        decision = policy.next(GOAL, Memory(render_goal(GOAL)))
+        decision = policy.next(GOAL, [])
         assert isinstance(decision, ToolCallDecision)
         assert decision.name == "kelvin_to_celsius"
         assert decision.args == {"kelvin": 300}
@@ -196,7 +195,7 @@ class TestLLMPolicy:
         ])
         policy = LLMPolicy("http://llm.test/v1", "m", registry=registry,
                            no_tool_mode=True, transport=transport)
-        decision = policy.next(GOAL, Memory(render_goal(GOAL)))
+        decision = policy.next(GOAL, [])
         assert isinstance(decision, FinalAnswerDecision)
         assert decision.value == 37.0
         first = transport.requests[0]["body"]
@@ -217,7 +216,7 @@ class TestLLMPolicy:
         policy = LLMPolicy("http://llm.test/v1", "m", registry=registry,
                            retries=2, transport=transport)
         with pytest.raises(PolicyUnreachable):
-            policy.next(GOAL, Memory(render_goal(GOAL)))
+            policy.next(GOAL, [])
 
     def test_episode_with_llm_loop(self, registry):
         transport = FakeTransport([

@@ -5,22 +5,25 @@ from pathlib import Path
 
 import pytest
 
+from geoagent.agent import Action, Trajectory
 from geoagent.bench import (
     AnnotationError,
     GroundTruth,
     SchemaError,
     TaskSpec,
-    TrajectoryRecord,
     annotate_from_plan,
     canonical_json,
     generate_fixture_suite,
+    load_plan,
+    load_record,
     load_suite,
     load_task,
     run_benchmark,
+    run_task,
     save_task,
 )
 from geoagent.kits.perception import MockExpertBackend
-from geoagent.tools import ToolContext, build_registry
+from geoagent.tools import ToolContext, build_registry, ok_result
 from geoagent.workspace import Workspace
 
 from conftest import write_raster
@@ -63,15 +66,55 @@ class TestSchemas:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_trajectory_round_trip(self):
-        record = TrajectoryRecord(
+        trajectory = Trajectory(
             task_id="t", model_tag="m", regime="AutoPlanning",
-            steps=[{"tool": "mean", "input": {"data": [1, 2]},
-                    "output": {"status": "ok", "text": "1.5", "value": 1.5}}],
+            actions=[Action("mean", {"data": [1, 2]},
+                            ok_result(value=1.5, text="1.5"))],
             answer_text="1.5", answer_value=1.5, stop_reason="final_answer",
             started_at=1.0, finished_at=2.0)
-        doc = record.as_json()
-        again = TrajectoryRecord.from_json(json.loads(json.dumps(doc)))
+        doc = trajectory.as_json()
+        assert doc["steps"] == [{"tool": "mean", "input": {"data": [1, 2]},
+                                 "output": {"status": "ok", "text": "1.5",
+                                            "value": 1.5}}]
+        again = Trajectory.from_json(json.loads(json.dumps(doc)))
+        assert again == trajectory
         assert again.as_json() == doc
+
+    @pytest.mark.parametrize("damage", [
+        lambda doc: doc.update(final="oops"),
+        lambda doc: doc["steps"][0].update(output={"status": "error"}),
+    ], ids=["final-not-object", "error-without-class"])
+    def test_malformed_trajectory_rejected(self, suite, tmp_path, capsys, damage):
+        root, tasks, _, _ = suite
+        doc = Trajectory(task_id=tasks[0].id, actions=[
+            Action("mean", {"data": [1]}, ok_result(value=1.0))]).as_json()
+        damage(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError):
+            load_record(path)
+        from geoagent.cli import main
+
+        assert main(["eval", "--pred", str(path),
+                     "--gt", str(root / "tasks" / f"{tasks[0].id}.json")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+    @pytest.mark.parametrize("doc", [
+        {"stepz": []},
+        [1],
+        {"steps": {"tool": "mean", "input": {}}},
+        {"steps": [{"tool": "mean"}]},
+        {"steps": [{"tool": "mean", "input": [["data", [1]]]}]},
+        {"steps": [], "answer": 5},
+        {"steps": [], "answer_path": 3},
+    ], ids=["missing-steps", "not-an-object", "steps-not-a-list",
+            "step-without-input", "input-not-an-object", "answer-not-an-object",
+            "answer-path-not-a-list"])
+    def test_malformed_plan_rejected(self, tmp_path, doc):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError):
+            load_plan(path)
 
     def test_bad_modality_rejected(self):
         gt = GroundTruth(steps=(), answer_text="x", answer_value=None)
@@ -227,21 +270,22 @@ class TestRunner:
         # replaying a recorded trajectory through the scripted backend
         # reproduces identical actions and final answer
         root, tasks, registry, ws = suite
-        from geoagent.agent import Goal, replay_policy, run_episode
-        from geoagent.bench import TrajectoryRecord
+        from geoagent.agent import replay_policy
 
         task = _task_by_id(tasks, "s3_sr_cloud_ratio")
-        first = run_benchmark([task], registry, ws).records[task.id]
+        out = tmp_path / "first"
+        run_benchmark([task], registry, ws, out_dir=out)
+        first = load_record(out / "trajectories" / f"{task.id}.json")
 
-        steps = first.step_pairs()
-        policy = replay_policy(steps, answer_text=first.answer_text,
-                               answer_value=first.answer_value)
-        goal = Goal(query=task.query("AutoPlanning"), regime="AutoPlanning",
-                    data_dir=task.data_dir)
-        second = TrajectoryRecord.from_trajectory(
-            task.id, run_episode(goal, policy, registry), workspace_root=ws.root)
+        def again(task, regime):
+            return replay_policy(first.step_pairs(), answer_text=first.answer_text,
+                                 answer_value=first.answer_value)
 
+        second, _ = run_task(task, registry, ws, again, "AutoPlanning")
+
+        assert second.actions == first.actions
         assert second.steps == first.steps
+        assert str(ws.root) not in json.dumps(second.steps)
         assert second.answer_text == first.answer_text
         assert second.answer_value == first.answer_value
         assert second.stop_reason == first.stop_reason
@@ -310,6 +354,20 @@ class TestCli:
                      "--workspace", str(tmp_path)]) == 0
         gt = json.loads(capsys.readouterr().out)
         assert gt["answer"]["value"] == [3.0]
+
+    @pytest.mark.parametrize("plan", [{"stepz": []}, [1]],
+                             ids=["missing-steps", "not-an-object"])
+    def test_malformed_plan_exit_code(self, suite, tmp_path, capsys, plan):
+        from geoagent.cli import main
+
+        root, tasks, _, _ = suite
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        for argv in (["annotate", "--plan", str(plan_path)],
+                     ["run", "--task", str(root / "tasks" / f"{tasks[0].id}.json"),
+                      "--policy", f"script:{plan_path}"]):
+            assert main(argv + ["--workspace", str(root)]) == 1
+            assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
 
     def test_error_exit_code(self, tmp_path, capsys):
         from geoagent.cli import main

@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from geoagent.agent import EpisodeConfig, Goal, LLMPolicy, run_episode
+from geoagent.agent import Goal, LLMPolicy, run_episode
 from geoagent.kits.perception import MockExpertBackend
 from geoagent.tools import ToolContext, build_registry
 from geoagent.workspace import Workspace
@@ -74,7 +74,7 @@ def test_full_episode_over_http(tmp_path, chat_server):
     policy = LLMPolicy(f"http://{host}:{port}/v1", "scripted-model",
                        api_key="secret-token", registry=registry, timeout=10)
     goal = Goal(query="how many pixels exceed 0.5?", regime="AutoPlanning")
-    trajectory = run_episode(goal, policy, registry, EpisodeConfig(max_steps=5),
+    trajectory = run_episode(goal, policy, registry, max_steps=5,
                              model_tag="loopback")
 
     assert trajectory.stop_reason == "final_answer"
@@ -101,6 +101,6 @@ def test_server_error_becomes_policy_failure(tmp_path, chat_server):
     policy = LLMPolicy(f"http://{host}:{port}/v1", "m", registry=registry,
                        retries=1, timeout=5)
     goal = Goal(query="anything", regime="AutoPlanning")
-    trajectory = run_episode(goal, policy, registry, EpisodeConfig(max_steps=3))
+    trajectory = run_episode(goal, policy, registry, max_steps=3)
     assert trajectory.stop_reason == "policy_failure"
     assert trajectory.actions == []

@@ -141,7 +141,7 @@ class TestRoundTrip:
 
 def build_tiff(width, height, samples, dtype_bits_fmt, strips, planar,
                rows_per_strip=None, order="<", compression=1, file_order=None,
-               gap=b"", drop=()):
+               gap=b"", drop=(), predictor=None):
     """Hand-assemble a classic TIFF to exercise reader paths the writer
     never produces (chunky interleave, multiple strips, big-endian, strips
     out of order or apart, missing tags).
@@ -149,6 +149,7 @@ def build_tiff(width, height, samples, dtype_bits_fmt, strips, planar,
     `strips` are the strip bytes as stored, listed in tag order; `compression`
     is the Compression tag. The strips lie in the file in `file_order`
     (default: tag order), each followed by `gap`. Tags in `drop` are left out.
+    A `predictor` adds the Predictor tag; the strips are stored as given.
     """
     bits, fmt = dtype_bits_fmt
     offsets, counts = [0] * len(strips), [len(s) for s in strips]
@@ -174,6 +175,8 @@ def build_tiff(width, height, samples, dtype_bits_fmt, strips, planar,
         (284, 3, pack("H", planar)),
         (339, 3, pack("H", *([fmt] * samples))),
     ]
+    if predictor is not None:
+        fields.insert(-1, (317, 3, pack("H", predictor)))
     fields = [f for f in fields if f[0] not in drop]
 
     ifd_offset = pos
@@ -487,6 +490,24 @@ class TestErrors:
         with pytest.raises(UnsupportedLayoutError):
             load_raster(tmp_path / "u.tif")
 
+
+    @pytest.mark.parametrize("predictor", [2, 3])
+    def test_predictor_rejected(self, tmp_path, predictor):
+        # horizontal differences of the row [1000, 1100, 1200, 1300], as a
+        # Predictor-2 writer stores them; read as samples they are wrong
+        diffs = np.array([[1000, 100, 100, 100]], dtype="<u2")
+        buf = build_tiff(4, 1, 1, (16, 1), deflated([diffs.tobytes()]),
+                         planar=1, compression=8, predictor=predictor)
+        (tmp_path / "p.tif").write_bytes(buf)
+        with pytest.raises(UnsupportedLayoutError, match="predictor"):
+            load_raster(tmp_path / "p.tif")
+
+    def test_predictor_one_reads_samples(self, tmp_path):
+        row = np.array([[1000, 1100, 1200, 1300]], dtype="<u2")
+        buf = build_tiff(4, 1, 1, (16, 1), deflated([row.tobytes()]),
+                         planar=1, compression=8, predictor=1)
+        (tmp_path / "p.tif").write_bytes(buf)
+        assert np.array_equal(decoded(tmp_path / "p.tif").data[0], row)
 
     @pytest.mark.parametrize("tag", [273, 279])
     def test_missing_strip_tag(self, tmp_path, tag):
