@@ -16,7 +16,6 @@ REGIMES = (AUTO_PLANNING, INSTRUCTION_FOLLOWING)
 STOP_FINAL_ANSWER = "final_answer"
 STOP_MAX_STEPS = "max_steps"
 STOP_POLICY_FAILURE = "policy_failure"
-STOP_REASONS = (STOP_FINAL_ANSWER, STOP_MAX_STEPS, STOP_POLICY_FAILURE)
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,7 @@ def generate_fixture_suite(root: str | Path, seed: int = SUITE_SEED) -> list[Tas
         json.dumps(b.manifest, indent=2, sort_keys=True) + "\n")
     b.registry = build_registry(ToolContext(
         workspace=b.workspace,
-        perception=MockExpertBackend(b.root / "mock_manifest.json", b.workspace)))
+        perception=MockExpertBackend(b.manifest, b.workspace)))
     _build_spectrum_tasks(b)
     _build_products_tasks(b)
     _build_rgb_tasks(b)

@@ -41,16 +41,16 @@ class BenchResult:
     records: dict[str, Trajectory]
     failures: dict[str, str]
 
-    def report_json(self, group_by=("regime", "modality")) -> dict:
+    def report_json(self) -> dict:
         return {
             "tasks": [s.as_json() for s in self.scores],
-            "groups": [g.as_json() for g in aggregate(self.scores, group_by)],
+            "groups": [g.as_json() for g in aggregate(self.scores)],
             "overall": overall(self.scores).as_json(),
             "failures": dict(self.failures),
         }
 
-    def table(self, group_by=("regime", "modality")) -> str:
-        return render_table(aggregate(self.scores, group_by))
+    def table(self) -> str:
+        return render_table(aggregate(self.scores))
 
 
 def replay_factory(task: TaskSpec, regime: str):
@@ -118,11 +118,8 @@ def run_benchmark(tasks: list[TaskSpec], registry: ToolRegistry,
         except Exception as exc:  # never abort the suite
             return task.id, None, None, f"{type(exc).__name__}: {exc}"
 
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(one, tasks))
-    else:
-        outcomes = [one(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        outcomes = list(pool.map(one, tasks))
 
     for task_id, record, score, failure in outcomes:
         if failure is not None:

@@ -71,13 +71,12 @@ def make_context(workspace_root: str, expert_endpoint: str | None = None,
     ws = Workspace(workspace_root)
     if expert_endpoint:
         backend = HttpExpertBackend(expert_endpoint)
-    else:
-        manifest = Path(mock_manifest) if mock_manifest \
-            else ws.root / "mock_manifest.json"
-        if manifest.is_file():
-            backend = MockExpertBackend(manifest, ws)
-        else:
-            backend = MockExpertBackend.from_entries([], ws)
+    elif mock_manifest:
+        backend = MockExpertBackend(json.loads(Path(mock_manifest).read_text()), ws)
+    else:  # the default manifest is optional
+        default = ws.root / "mock_manifest.json"
+        backend = MockExpertBackend(
+            json.loads(default.read_text()) if default.is_file() else [], ws)
     return ToolContext(workspace=ws, perception=backend)
 
 
@@ -306,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "model_tag", None) is None:
             args.model_tag = getattr(args, "llm_model", None) or "replay"
         return args.fn(args)
-    except (GeoAgentError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (GeoAgentError, OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

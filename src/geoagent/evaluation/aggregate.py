@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .metrics import TaskScore
 from .taxonomy import merge_counts
@@ -11,7 +11,8 @@ from .taxonomy import merge_counts
 METRIC_COLUMNS = ("tools_any_order", "tools_in_order", "tool_exact_match",
                   "parameter_accuracy", "efficiency", "accuracy")
 
-GROUPINGS = ("regime", "modality", "model_tag")
+# every task of a run shares one model tag, so only these keys split a run
+GROUP_KEYS = ("regime", "modality")
 
 
 @dataclass
@@ -46,39 +47,30 @@ def _summarize(scores: Sequence[TaskScore]) -> dict[str, float]:
     }
 
 
-def aggregate(scores: Sequence[TaskScore],
-              group_by: Iterable[str] = ("regime",)) -> list[GroupReport]:
+def _report(group: dict[str, str], scores: Sequence[TaskScore]) -> GroupReport:
+    return GroupReport(
+        group=group,
+        task_count=len(scores),
+        means=_summarize(scores),
+        error_counts=merge_counts([s.error_counts for s in scores]),
+    )
+
+
+def aggregate(scores: Sequence[TaskScore]) -> list[GroupReport]:
+    """One report per (regime, modality), in sorted order."""
     if not scores:
         raise ValueError("no task scores to aggregate")
-    keys = tuple(group_by)
-    for key in keys:
-        if key not in GROUPINGS:
-            raise ValueError(f"unknown grouping {key!r}; choose from {GROUPINGS}")
     buckets: dict[tuple, list[TaskScore]] = {}
     for s in scores:
-        bucket = tuple(getattr(s, k) for k in keys)
-        buckets.setdefault(bucket, []).append(s)
-    reports = []
-    for bucket in sorted(buckets):
-        group_scores = buckets[bucket]
-        reports.append(GroupReport(
-            group={k: v for k, v in zip(keys, bucket)},
-            task_count=len(group_scores),
-            means=_summarize(group_scores),
-            error_counts=merge_counts([s.error_counts for s in group_scores]),
-        ))
-    return reports
+        buckets.setdefault(tuple(getattr(s, k) for k in GROUP_KEYS), []).append(s)
+    return [_report(dict(zip(GROUP_KEYS, bucket)), buckets[bucket])
+            for bucket in sorted(buckets)]
 
 
 def overall(scores: Sequence[TaskScore]) -> GroupReport:
     if not scores:
         raise ValueError("no task scores to aggregate")
-    return GroupReport(
-        group={},
-        task_count=len(scores),
-        means=_summarize(scores),
-        error_counts=merge_counts([s.error_counts for s in scores]),
-    )
+    return _report({}, scores)
 
 
 def render_table(reports: Sequence[GroupReport]) -> str:

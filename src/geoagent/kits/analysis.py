@@ -177,8 +177,14 @@ class Decomposition:
     residual: np.ndarray
 
 
-def stl_decompose(values, period: int, seasonal_span: int = 7,
-                  inner_iterations: int = 2, robust_iterations: int = 1) -> Decomposition:
+# STL loop settings: cycle-subseries LOESS span, passes per robustness
+# round, and robustness reweighting rounds
+STL_SEASONAL_SPAN = 7
+STL_INNER_ITERATIONS = 2
+STL_ROBUST_ITERATIONS = 1
+
+
+def stl_decompose(values, period: int) -> Decomposition:
     """Additive seasonal-trend decomposition via the classical LOESS loop.
 
     trend + seasonal + residual reconstructs the input exactly; the seasonal
@@ -196,7 +202,7 @@ def stl_decompose(values, period: int, seasonal_span: int = 7,
             f"series of length {n} too short for period {period} (need >= {2 * period})"
         )
 
-    trend_span = _next_odd(1.5 * period / (1.0 - 1.5 / seasonal_span))
+    trend_span = _next_odd(1.5 * period / (1.0 - 1.5 / STL_SEASONAL_SPAN))
     lowpass_span = _next_odd(period)
     positions = np.arange(n, dtype=np.float64)
 
@@ -204,8 +210,8 @@ def stl_decompose(values, period: int, seasonal_span: int = 7,
     seasonal = np.zeros(n)
     weights = np.ones(n)
 
-    for outer in range(robust_iterations + 1):
-        for _ in range(inner_iterations):
+    for outer in range(STL_ROBUST_ITERATIONS + 1):
+        for _ in range(STL_INNER_ITERATIONS):
             detrended = x - trend
             # cycle-subseries smoothing, extended one cycle on each side
             extended = np.empty(n + 2 * period)
@@ -215,7 +221,7 @@ def stl_decompose(values, period: int, seasonal_span: int = 7,
                 eval_pos = np.concatenate((
                     [sub_pos[0] - period], sub_pos, [sub_pos[-1] + period]))
                 extended[phase::period] = _loess(
-                    sub_pos, sub, seasonal_span, eval_pos,
+                    sub_pos, sub, STL_SEASONAL_SPAN, eval_pos,
                     rho=weights[phase::period])
             # low-pass filter: MA(period) twice, MA(3), then LOESS
             lp = _moving_average(_moving_average(extended, period), period)
@@ -224,7 +230,7 @@ def stl_decompose(values, period: int, seasonal_span: int = 7,
             seasonal = extended[period:period + n] - lp
             deseason = x - seasonal
             trend = _loess(positions, deseason, trend_span, positions, rho=weights)
-        if outer < robust_iterations:
+        if outer < STL_ROBUST_ITERATIONS:
             resid = x - trend - seasonal
             s = np.median(np.abs(resid))
             if s <= 0:

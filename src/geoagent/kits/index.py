@@ -27,19 +27,11 @@ INDEX_BANDS: dict[str, tuple[str, ...]] = {
     "fvc": ("nir", "red"),
 }
 
-# value range of each index on valid pixels
-INDEX_RANGES: dict[str, tuple[float, float]] = {
-    "ndvi": (-1.0, 1.0),
-    "ndwi": (-1.0, 1.0),
-    "ndbi": (-1.0, 1.0),
-    "nbr": (-1.0, 1.0),
-    "ndti": (-1.0, 1.0),
-    "ndsi": (-1.0, 1.0),
-    "fvc": (0.0, 1.0),
-}
-
 FVC_NDVI_MIN = 0.05
 FVC_NDVI_MAX = 0.86
+
+# NDVI bins with fewer valid pixels are left out of the TVDI edge fit
+TVDI_MIN_BIN_PIXELS = 3
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -111,12 +103,11 @@ def extreme_snow_loss_percentage(binary_map: Raster) -> float:
     return float(100.0 * np.count_nonzero(valid == 1.0) / valid.size)
 
 
-def fit_tvdi_edges(ndvi: np.ndarray, lst: np.ndarray, bins: int = 20,
-                   min_bin_pixels: int = 3):
+def fit_tvdi_edges(ndvi: np.ndarray, lst: np.ndarray, bins: int = 20):
     """Fit dry (max-LST) and wet (min-LST) edges over NDVI bins.
 
     Returns ((dry_slope, dry_intercept), (wet_slope, wet_intercept)).
-    Bins with fewer than min_bin_pixels pixels are skipped; fewer than two
+    Bins with fewer than TVDI_MIN_BIN_PIXELS pixels are skipped; fewer than two
     usable bins is an error.
     """
     ok = ~(np.isnan(ndvi) | np.isnan(lst))
@@ -131,7 +122,7 @@ def fit_tvdi_edges(ndvi: np.ndarray, lst: np.ndarray, bins: int = 20,
     for i in range(bins):
         upper = edges[i + 1] if i < bins - 1 else hi + 1e-12
         sel = (x >= edges[i]) & (x < upper)
-        if np.count_nonzero(sel) < min_bin_pixels:
+        if np.count_nonzero(sel) < TVDI_MIN_BIN_PIXELS:
             continue
         centers.append(0.5 * (edges[i] + edges[i + 1]))
         dry.append(float(np.max(y[sel])))

@@ -56,9 +56,13 @@ NASA_TEAM_TIE_POINTS = {
 }
 
 TES_WAVELENGTHS = (8.55e-6, 11.03e-6, 12.02e-6)
+TES_MAX_ITER = 12
+TES_TOL = 1e-4  # Kelvin
 TTM_WAVELENGTHS = TES_WAVELENGTHS
 TTM_T_BOUNDS = (200.0, 400.0)
 TTM_EMIS_BOUNDS = (0.8, 1.0)
+TTM_MAX_ITER = 60
+TTM_TOL = 1e-4  # Kelvin
 
 
 def multi_channel_lst(b31: np.ndarray, b32: np.ndarray, a: float = MULTI_CHANNEL_A,
@@ -118,24 +122,23 @@ def modis_day_night_lst(day_bt: np.ndarray, night_bt: np.ndarray,
     return 0.5 * (day + night)
 
 
-def tes_lst(bands: list[np.ndarray], wavelengths: tuple[float, ...] = TES_WAVELENGTHS,
-            max_iter: int = 12, tol: float = 1e-4) -> np.ndarray:
+def tes_lst(bands: list[np.ndarray]) -> np.ndarray:
     """Temperature-emissivity separation, simplified empirical variant.
 
     Iterates the normalized-emissivity loop: estimate band emissivities as
     radiance ratios against the current LST, rescale them through the
     spectral-contrast relation e_min = 0.994 - 0.687 * MMD**0.737, and
-    re-invert the warmest band. Stops when LST moves less than `tol` Kelvin.
+    re-invert the warmest band. Stops when LST moves less than TES_TOL.
     """
-    if len(bands) != len(wavelengths):
+    if len(bands) != len(TES_WAVELENGTHS):
         raise InvalidInputError(
-            f"TES needs one wavelength per band ({len(bands)} vs {len(wavelengths)})"
+            f"TES needs one wavelength per band ({len(bands)} vs {len(TES_WAVELENGTHS)})"
         )
     stack = np.stack(bands)
     t = np.max(stack, axis=0)
-    for _ in range(max_iter):
-        rad = np.stack([planck_radiance(w, b) for w, b in zip(wavelengths, bands)])
-        black = np.stack([planck_radiance(w, t) for w in wavelengths])
+    for _ in range(TES_MAX_ITER):
+        rad = np.stack([planck_radiance(w, b) for w, b in zip(TES_WAVELENGTHS, bands)])
+        black = np.stack([planck_radiance(w, t) for w in TES_WAVELENGTHS])
         with np.errstate(divide="ignore", invalid="ignore"):
             emis = rad / black
         beta = emis / np.mean(emis, axis=0)
@@ -145,19 +148,18 @@ def tes_lst(bands: list[np.ndarray], wavelengths: tuple[float, ...] = TES_WAVELE
             scaled = beta * emis_min / np.min(beta, axis=0)
         scaled = np.clip(scaled, 1e-6, 1.0)
         candidates = np.stack([
-            emissivity_corrected_bt(b, scaled[i], wavelengths[i])
+            emissivity_corrected_bt(b, scaled[i], TES_WAVELENGTHS[i])
             for i, b in enumerate(bands)
         ])
         t_new = np.max(candidates, axis=0)
-        if np.nanmax(np.abs(t_new - t)) < tol:
+        if np.nanmax(np.abs(t_new - t)) < TES_TOL:
             t = t_new
             break
         t = t_new
     return t
 
 
-def _ttm_pixel(radiances: np.ndarray, wavelengths: tuple[float, ...],
-               t0: float, max_iter: int, tol: float) -> float:
+def _ttm_pixel(radiances: np.ndarray, t0: float) -> float:
     """Damped (Levenberg) Newton on the per-pixel system R_i = eps * B_i(T).
 
     Unknowns (T, eps) with T in the physical bounds and eps in (0.8, 1.0].
@@ -174,12 +176,12 @@ def _ttm_pixel(radiances: np.ndarray, wavelengths: tuple[float, ...],
 
     def model(tv: float) -> np.ndarray:
         return np.array([planck_radiance(w, np.float64(tv))
-                         for w in wavelengths]) / norm
+                         for w in TTM_WAVELENGTHS]) / norm
 
     b = model(t)
     resid = radiances - eps * b
     cost = float(resid @ resid)
-    for _ in range(max_iter):
+    for _ in range(TTM_MAX_ITER):
         if cost <= 1e-18 * scale:
             return t
         db = (model(t + h) - model(t - h)) / (2 * h)
@@ -199,7 +201,7 @@ def _ttm_pixel(radiances: np.ndarray, wavelengths: tuple[float, ...],
             moved = abs(t_new - t)
             t, eps, b, resid, cost = t_new, eps_new, b_new, resid_new, cost_new
             damping = max(damping / 3.0, 1e-12)
-            if moved < tol:
+            if moved < TTM_TOL:
                 return t
         else:
             damping *= 10.0
@@ -208,18 +210,16 @@ def _ttm_pixel(radiances: np.ndarray, wavelengths: tuple[float, ...],
     return float("nan")
 
 
-def ttm_lst(bands: list[np.ndarray],
-            wavelengths: tuple[float, ...] = TTM_WAVELENGTHS,
-            max_iter: int = 60, tol: float = 1e-4) -> tuple[np.ndarray, int]:
+def ttm_lst(bands: list[np.ndarray]) -> tuple[np.ndarray, int]:
     """Three-band LST solved per pixel with physical constraints.
 
     Each pixel's brightness temperatures become band radiances and the
     (T, emissivity) pair is fitted by damped Newton; non-convergent pixels
     become NaN and their count is returned alongside the LST grid.
     """
-    if len(bands) != len(wavelengths):
+    if len(bands) != len(TTM_WAVELENGTHS):
         raise InvalidInputError(
-            f"TTM needs one wavelength per band ({len(bands)} vs {len(wavelengths)})"
+            f"TTM needs one wavelength per band ({len(bands)} vs {len(TTM_WAVELENGTHS)})"
         )
     stack = np.stack([b.astype(np.float64) for b in bands])
     nan_inputs = np.isnan(stack).any(axis=0)
@@ -229,8 +229,8 @@ def ttm_lst(bands: list[np.ndarray],
         if nan_inputs[y, x]:
             continue
         bt = stack[:, y, x]
-        rad = np.array([planck_radiance(w, bt[i]) for i, w in enumerate(wavelengths)])
-        value = _ttm_pixel(rad, wavelengths, float(np.max(bt)), max_iter, tol)
+        rad = np.array([planck_radiance(w, bt[i]) for i, w in enumerate(TTM_WAVELENGTHS)])
+        value = _ttm_pixel(rad, float(np.max(bt)))
         if math.isnan(value):
             failures += 1
         out[y, x] = value

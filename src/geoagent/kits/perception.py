@@ -19,22 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ExternalServiceError, InvalidInputError
+from ..errors import ExternalServiceError, InvalidInputError, SchemaError
 from ..raster import Raster, load_raster, save_raster
 from ..workspace import Workspace
 from .common import as_binary
-
-# model name -> supported tasks
-EXPERT_MODELS: dict[str, tuple[str, ...]] = {
-    "MSCN": ("classify",),
-    "RemoteCLIP": ("classify",),
-    "SM3Det": ("detect",),
-    "Strip_R_CNN": ("detect",),
-    "RemoteSAM": ("ground",),
-    "InstructSAM": ("count",),
-    "SAM2": ("segment",),
-    "ChangeOS": ("change", "segment"),
-}
 
 
 @dataclass(frozen=True)
@@ -80,27 +68,21 @@ class MockExpertBackend(ExpertBackend):
     referentially transparent.
     """
 
-    def __init__(self, manifest_path: str | Path, workspace: Workspace):
-        try:
-            entries = json.loads(Path(manifest_path).read_text())
-        except FileNotFoundError as exc:
-            raise ExternalServiceError(f"mock manifest not found: {manifest_path}") from exc
+    def __init__(self, entries: list[dict], workspace: Workspace):
+        """`entries` is the manifest: a list of {"image": stem, "task": name,
+        "prompt": text or null (optional), "result": object}."""
+        if not isinstance(entries, list):
+            raise SchemaError("mock manifest must be a list of entries")
         self.workspace = workspace
         self._table: dict[tuple[str, str, str], dict] = {}
-        for e in entries:
-            key = (e["image"], e["task"], e.get("prompt") or "")
-            self._table[key] = e["result"]
-
-    @classmethod
-    def from_entries(cls, entries: list[dict], workspace: Workspace
-                     ) -> "MockExpertBackend":
-        backend = cls.__new__(cls)
-        backend.workspace = workspace
-        backend._table = {}
-        for e in entries:
-            key = (e["image"], e["task"], e.get("prompt") or "")
-            backend._table[key] = e["result"]
-        return backend
+        for i, e in enumerate(entries):
+            if not (isinstance(e, dict) and isinstance(e.get("image"), str)
+                    and isinstance(e.get("task"), str)
+                    and isinstance(e.get("prompt"), (str, type(None)))
+                    and isinstance(e.get("result"), dict)):
+                raise SchemaError(f"mock manifest entry {i} needs a string image and "
+                                  "task, an optional string prompt and an object result")
+            self._table[(e["image"], e["task"], e.get("prompt") or "")] = e["result"]
 
     def call(self, model, task, image_paths, prompt):
         stem = Path(image_paths[0]).stem
@@ -148,21 +130,24 @@ class HttpExpertBackend(ExpertBackend):
         )
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
+                reply = json.loads(resp.read().decode("utf-8"),
+                                   parse_constant=_finite, parse_float=_finite)
+        except (urllib.error.URLError, TimeoutError, ValueError, RecursionError) as exc:
             raise ExternalServiceError(f"expert endpoint failed: {exc}") from exc
+        if not isinstance(reply, dict):
+            raise ExternalServiceError(
+                f"expert reply must be a JSON object, got {type(reply).__name__}")
+        if not isinstance(reply.get("mask", ""), str):
+            raise ExternalServiceError("expert reply `mask` must be a path string")
+        return reply
 
 
-def expert_call(backend: ExpertBackend, model: str, task: str,
-                image_paths: list[str], prompt: str | None = None) -> dict:
-    """Invoke an expert model after checking the model/task pairing."""
-    if model not in EXPERT_MODELS:
-        raise InvalidInputError(f"unknown expert model {model!r}")
-    if task not in EXPERT_MODELS[model]:
-        raise InvalidInputError(f"model {model} does not support task {task!r}")
-    if not image_paths:
-        raise InvalidInputError("at least one image path required")
-    return backend.call(model, task, image_paths, prompt)
+def _finite(text: str) -> float:
+    """A JSON number as a float; NaN, Infinity and overflow (1e999) are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 # ---------------------------------------------------------------------------

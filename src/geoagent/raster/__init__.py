@@ -11,7 +11,6 @@ from .model import (
     Raster,
     from_array,
     like,
-    pixelwise,
     require_same_grid,
 )
 from .png import SIGNATURE as _PNG_SIGNATURE
@@ -25,7 +24,6 @@ __all__ = [
     "from_array",
     "like",
     "load_raster",
-    "pixelwise",
     "require_same_grid",
     "save_raster",
 ]
@@ -77,7 +75,7 @@ def read_meta_json(path: str | Path) -> Raster:
     return from_array(data, dtype=dtype, nodata=doc.get("nodata"))
 
 
-def save_raster(raster: Raster, path: str | Path, compress: bool = False) -> Path:
-    """Write a raster as GeoTIFF; parent directory must already exist."""
-    write_tiff(raster, path, compress=compress)
+def save_raster(raster: Raster, path: str | Path) -> Path:
+    """Write a raster as uncompressed GeoTIFF; parent directory must already exist."""
+    write_tiff(raster, path)
     return Path(path)

@@ -172,25 +172,3 @@ def require_same_grid(*rasters: Raster) -> None:
                 f"grids differ: {prev.width}x{prev.height} vs {r.width}x{r.height}"
             )
 
-
-def pixelwise(a: Raster, b: Raster, op: str, band_a: int = 1, band_b: int = 1) -> Raster:
-    """Pixelwise arithmetic between two rasters in float64, downcast to f32.
-
-    Division by zero yields nodata at the offending pixel; nodata in either
-    input propagates.
-    """
-    require_same_grid(a, b)
-    x = a.band(band_a)
-    y = b.band(band_b)
-    if op == "add":
-        out = x + y
-    elif op == "sub":
-        out = x - y
-    elif op == "div":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(y == 0.0, np.nan, x / y)
-    elif op == "abs_diff":
-        out = np.abs(x - y)
-    else:
-        raise InvalidInputError(f"unknown pixelwise op {op!r}")
-    return like(a, out)

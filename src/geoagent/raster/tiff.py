@@ -273,11 +273,6 @@ def write_tiff(raster: Raster, path: str | Path, compress: bool = False) -> None
     bits, fmt = _FORMATS_INV[raster.dtype_name]
     planar = 1 if bands == 1 else 2
 
-    le = raster.data.astype(raster.data.dtype.newbyteorder("<"), copy=False)
-    planes = [memoryview(np.ascontiguousarray(plane)).cast("B") for plane in le]
-    if compress:
-        planes = [zlib.compress(p) for p in planes]
-
     fields: list[tuple[int, int, bytes]] = [
         (_TAG_WIDTH, 4, struct.pack("<I", width)),
         (_TAG_HEIGHT, 4, struct.pack("<I", height)),
@@ -293,6 +288,22 @@ def write_tiff(raster: Raster, path: str | Path, compress: bool = False) -> None
     if raster.nodata is not None:
         text = repr(float(raster.nodata)).encode("ascii") + b"\x00"
         fields.append((_TAG_NODATA, 2, text))
+
+    # offsets and counts are 32-bit, so a file past 4 GiB is refused before
+    # any plane is copied; a Deflate plane is bounded by zlib's compressBound
+    plane_bytes = height * width * raster.data.dtype.itemsize
+    if compress:
+        plane_bytes += (plane_bytes >> 12) + (plane_bytes >> 14) + (plane_bytes >> 25) + 13
+    ifd_bytes = 6 + 12 * (len(fields) + 2) + sum(len(f[2]) + 1 for f in fields) + 8 * bands + 2
+    if 8 + bands * plane_bytes + ifd_bytes > 0xFFFFFFFF:
+        raise UnsupportedLayoutError(
+            f"{bands} plane(s) of {width}x{height} {raster.dtype_name} do not fit "
+            "the 4 GiB of a classic TIFF")
+
+    le = raster.data.astype(raster.data.dtype.newbyteorder("<"), copy=False)
+    planes = [memoryview(np.ascontiguousarray(plane)).cast("B") for plane in le]
+    if compress:
+        planes = [zlib.compress(p) for p in planes]
 
     # strip offsets/counts are filled in once the layout is known
     n_entries = len(fields) + 2

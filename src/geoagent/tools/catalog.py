@@ -21,7 +21,7 @@ from ..kits import index as ix
 from ..kits import inversion as inv
 from ..kits import perception as perc
 from ..kits import statistics as st
-from ..raster import Raster, like, load_raster, pixelwise, require_same_grid, save_raster
+from ..raster import Raster, like, load_raster, require_same_grid, save_raster
 from ..workspace import Workspace
 from ..errors import GeoAgentError, InvalidInputError
 from .registry import ParamSpec, ToolRegistry, ToolResult, ToolSpec, ok_result
@@ -413,10 +413,8 @@ def _perception_tools(ctx: ToolContext) -> list[Tool]:
     def expert(model: str, task: str, image_params: tuple[str, ...]):
         def handler(args: dict) -> ToolResult:
             paths = [str(ctx.workspace.resolve_input(args[p])) for p in image_params]
-            prompt = args.get("prompt")
-            out = perc.expert_call(ctx.perception, model, task, paths, prompt)
-            files = [out["mask"]] if "mask" in out else []
-            return ok_result(value=out, files=files)
+            out = ctx.perception.call(model, task, paths, args.get("prompt"))
+            return ok_result(value=out, files=[out["mask"]] if "mask" in out else [])
 
         return handler
 
@@ -753,11 +751,11 @@ def _statistics_tools(ctx: ToolContext) -> list[Tool]:
         Tool("calculate_tif_difference",
              "Pixelwise difference image_b - image_a, saved as a "
              "raster.",
-             a_b_out, lambda a, b: pixelwise(b, a, "sub")),
+             a_b_out, lambda a, b: b - a, like="image_b_path"),
         Tool("subtract",
              "Pixelwise difference image_a - image_b, saved as a "
              "raster.",
-             a_b_out, lambda a, b: pixelwise(a, b, "sub")),
+             a_b_out, lambda a, b: a - b, like="image_a_path"),
         Tool("calculate_area",
              "Count of nonzero valid pixels in an image.",
              (P("image_path", "string"), band),

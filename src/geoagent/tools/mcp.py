@@ -98,13 +98,8 @@ class McpServer:
             "content": [{"type": "text", "text": result.text}],
             "isError": result.is_error,
         }
-        structured: dict[str, Any] = {}
-        if result.value is not None:
-            structured["value"] = result.value
-        if result.files:
-            structured["files"] = result.files
-        if result.error_class:
-            structured["error_class"] = result.error_class
+        structured = result.to_json()
+        del structured["status"], structured["text"]
         if structured:
             out["structured"] = structured
         return out
@@ -153,7 +148,7 @@ def serve_tcp(registry: ToolRegistry, host: str = "127.0.0.1", port: int = 8765)
 
 
 class McpClient:
-    """Minimal newline-delimited JSON-RPC client for tests and the CLI."""
+    """Minimal newline-delimited JSON-RPC client, used by the tests."""
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)

@@ -99,21 +99,24 @@ class ToolSpec:
 
 @dataclass
 class ToolResult:
-    status: str  # ok | error
+    """A tool outcome; it failed exactly when it carries a taxonomy class."""
+
     text: str
     value: Any = None
     files: list[str] = field(default_factory=list)
     error_class: str | None = None
 
     def __post_init__(self):
-        if self.status == "error" and self.error_class not in ERROR_CLASSES:
-            raise ValueError("error results must carry a taxonomy class")
-        if self.status == "ok" and self.error_class is not None:
-            raise ValueError("ok results must not carry an error class")
+        if self.error_class is not None and self.error_class not in ERROR_CLASSES:
+            raise ValueError(f"unknown error class {self.error_class!r}")
 
     @property
     def is_error(self) -> bool:
-        return self.status == "error"
+        return self.error_class is not None
+
+    @property
+    def status(self) -> str:
+        return "error" if self.is_error else "ok"
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {"status": self.status, "text": self.text}
@@ -127,24 +130,27 @@ class ToolResult:
 
     @staticmethod
     def from_json(doc: dict) -> "ToolResult":
-        return ToolResult(
-            status=doc.get("status", "ok"),
+        result = ToolResult(
             text=doc.get("text", ""),
             value=doc.get("value"),
             files=list(doc.get("files", [])),
             error_class=doc.get("error_class"),
         )
+        if doc.get("status", "ok") != result.status:
+            raise ValueError(f"status {doc.get('status')!r} does not match "
+                             f"error class {result.error_class!r}")
+        return result
 
 
 def ok_result(value: Any = None, text: str | None = None,
               files: list[str] | None = None) -> ToolResult:
     if text is None:
         text = json.dumps(value, sort_keys=True) if value is not None else "ok"
-    return ToolResult(status="ok", text=text, value=value, files=files or [])
+    return ToolResult(text=text, value=value, files=files or [])
 
 
 def error_result(error_class: str, message: str) -> ToolResult:
-    return ToolResult(status="error", text=message, error_class=error_class)
+    return ToolResult(text=message, error_class=error_class)
 
 
 def classify_exception(exc: BaseException) -> str:

@@ -46,10 +46,3 @@ class Workspace:
             raise MissingFileError(f"no such file or directory: {path!s}")
         return resolved
 
-    def relativize(self, path: str | os.PathLike[str]) -> str:
-        """Render a path workspace-relative (forward slashes) when possible."""
-        p = Path(path)
-        try:
-            return p.resolve().relative_to(self.root).as_posix()
-        except ValueError:
-            return p.as_posix()

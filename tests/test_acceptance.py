@@ -70,7 +70,8 @@ def suite(tmp_path_factory):
     ws = Workspace(root)
     registry = build_registry(ToolContext(
         workspace=ws,
-        perception=MockExpertBackend(root / "mock_manifest.json", ws)))
+        perception=MockExpertBackend(
+            json.loads((root / "mock_manifest.json").read_text()), ws)))
     return root, tasks, registry, ws
 
 
@@ -147,7 +148,8 @@ def test_criterion_2_full_loop_identity(tmp_path):
         ws = Workspace(root)
         registry = build_registry(ToolContext(
             workspace=ws,
-            perception=MockExpertBackend(root / "mock_manifest.json", ws)))
+            perception=MockExpertBackend(
+                json.loads((root / "mock_manifest.json").read_text()), ws)))
         assert len(tasks) == 12
         loaded = load_suite(root / "tasks", workspace_root=root, registry=registry)
         for regime in ("AutoPlanning", "InstructionFollowing"):
@@ -303,7 +305,7 @@ def test_criterion_5_mcp_conformance(tmp_path):
         ws = Workspace(tmp_path)
         write_raster(tmp_path / "img.tif", [[1.0, 2.0], [3.0, 4.0]])
         registry = build_registry(ToolContext(
-            workspace=ws, perception=MockExpertBackend.from_entries([], ws)))
+            workspace=ws, perception=MockExpertBackend([], ws)))
         server = McpServer(registry)
 
         for golden_path in sorted(GOLDEN_DIR.glob("*.json")):
@@ -369,7 +371,7 @@ def test_criterion_6_error_taxonomy(tmp_path):
         ws = Workspace(tmp_path)
         write_raster(tmp_path / "ok.tif", [[1.0, 2.0]])
         registry = build_registry(ToolContext(
-            workspace=ws, perception=MockExpertBackend.from_entries([], ws)))
+            workspace=ws, perception=MockExpertBackend([], ws)))
         adversarial = ScriptedPolicy([
             ToolCallDecision("invented_tool", {}),                     # ToolHallucination
             ToolCallDecision("calculate_area",
@@ -428,7 +430,7 @@ def test_criterion_7_raster_round_trip(tmp_path):
         # GeoRef bytes preserved by every raster-writing tool
         ws = Workspace(tmp_path)
         registry = build_registry(ToolContext(
-            workspace=ws, perception=MockExpertBackend.from_entries([], ws)))
+            workspace=ws, perception=MockExpertBackend([], ws)))
         d = tmp_path / "src"
         d.mkdir()
         write_raster(d / "a.tif", rng.uniform(0.1, 0.9, (6, 6)), geo=geo)

@@ -27,11 +27,10 @@ from conftest import write_raster
 @pytest.fixture
 def registry(tmp_path):
     ws = Workspace(tmp_path)
-    (tmp_path / "manifest.json").write_text("[]")
     write_raster(tmp_path / "b31.tif", [[300.0]])
     write_raster(tmp_path / "b32.tif", [[298.0]])
     return build_registry(ToolContext(
-        workspace=ws, perception=MockExpertBackend(tmp_path / "manifest.json", ws)))
+        workspace=ws, perception=MockExpertBackend([], ws)))
 
 
 GOAL = Goal(query="mean LST please", regime="AutoPlanning", data_dir="data")

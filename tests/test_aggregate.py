@@ -16,8 +16,7 @@ def score(task_id="t1", regime="AutoPlanning", modality="Spectrum",
 
 class TestAggregate:
     def test_two_tasks_half_accuracy(self):
-        reports = aggregate([score(acc=1), score(task_id="t2", acc=0)],
-                            group_by=("regime",))
+        reports = aggregate([score(acc=1), score(task_id="t2", acc=0)])
         assert reports[0].means["accuracy"] == 50.0
 
     def test_single_task_equals_its_report(self):
@@ -34,9 +33,10 @@ class TestAggregate:
     def test_grouping_splits_regimes(self):
         scores = [score(regime="AutoPlanning", acc=1),
                   score(task_id="t2", regime="InstructionFollowing", acc=0)]
-        reports = aggregate(scores, group_by=("regime",))
-        assert [r.group["regime"] for r in reports] == \
-            ["AutoPlanning", "InstructionFollowing"]
+        reports = aggregate(scores)
+        assert [r.group for r in reports] == [
+            {"regime": "AutoPlanning", "modality": "Spectrum"},
+            {"regime": "InstructionFollowing", "modality": "Spectrum"}]
         assert reports[0].means["accuracy"] == 100.0
         assert reports[1].means["accuracy"] == 0.0
 
@@ -49,14 +49,10 @@ class TestAggregate:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([], group_by=("regime",))
-
-    def test_unknown_grouping_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([score()], group_by=("flavor",))
+            aggregate([])
 
     def test_table_renders_all_columns(self):
-        text = render_table(aggregate([score()], group_by=("regime", "modality")))
+        text = render_table(aggregate([score()]))
         for col in ("tools_any_order", "efficiency", "accuracy"):
             assert col in text
         assert "AutoPlanning" in text and "Spectrum" in text

@@ -36,7 +36,8 @@ def suite(tmp_path_factory):
     ws = Workspace(root)
     registry = build_registry(ToolContext(
         workspace=ws,
-        perception=MockExpertBackend(root / "mock_manifest.json", ws)))
+        perception=MockExpertBackend(
+            json.loads((root / "mock_manifest.json").read_text()), ws)))
     return root, tasks, registry, ws
 
 
@@ -45,7 +46,7 @@ def simple_ctx(tmp_path):
     ws = Workspace(tmp_path)
     write_raster(tmp_path / "a.tif", [[2.0, 4.0]])
     registry = build_registry(ToolContext(
-        workspace=ws, perception=MockExpertBackend.from_entries([], ws)))
+        workspace=ws, perception=MockExpertBackend([], ws)))
     return ws, registry
 
 
@@ -83,7 +84,12 @@ class TestSchemas:
     @pytest.mark.parametrize("damage", [
         lambda doc: doc.update(final="oops"),
         lambda doc: doc["steps"][0].update(output={"status": "error"}),
-    ], ids=["final-not-object", "error-without-class"])
+        lambda doc: doc["steps"][0].update(output={"status": "weird", "text": ""}),
+        lambda doc: doc["steps"][0]["output"].update(error_class="SystemError"),
+        lambda doc: doc["steps"][0]["output"].update(status="error",
+                                                     error_class="Flaky"),
+    ], ids=["final-not-object", "error-without-class", "unknown-status",
+            "ok-with-class", "unknown-class"])
     def test_malformed_trajectory_rejected(self, suite, tmp_path, capsys, damage):
         root, tasks, _, _ = suite
         doc = Trajectory(task_id=tasks[0].id, actions=[
@@ -376,6 +382,14 @@ class TestCli:
                      "--workspace", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert json.loads(err)["error"]
+
+    def test_parallelism_below_one_rejected(self, suite, capsys):
+        from geoagent.cli import main
+
+        root, _, _, _ = suite
+        assert main(["bench", "--tasks-dir", str(root / "tasks"),
+                     "--workspace", str(root), "--parallelism", "0"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
     def test_no_tools_run(self, tmp_path, capsys):
         from geoagent.cli import main

@@ -9,8 +9,6 @@ FileHallucination would mean the fixture workspace is incomplete.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -168,9 +166,8 @@ def sweep_registry(tmp_path_factory):
     write_raster(d / "mask.tif", rng.integers(0, 2, (8, 8)), dtype="u8", geo=geo)
     write_raster(d / "scene.tif", rng.uniform(0.0, 1.0, (6, 6)), geo=geo)
     write_raster(d / "odd.tif", rng.uniform(0.1, 0.9, (3, 5)), geo=geo)
-    (tmp / "manifest.json").write_text(json.dumps(MANIFEST))
     registry = build_registry(ToolContext(
-        workspace=ws, perception=MockExpertBackend(tmp / "manifest.json", ws)))
+        workspace=ws, perception=MockExpertBackend(MANIFEST, ws)))
     return registry
 
 

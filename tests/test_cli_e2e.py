@@ -50,7 +50,7 @@ class TestBatchItemErrors:
         write_raster(tmp_path / "n0.tif", [[0.5]])
         write_raster(tmp_path / "r0.tif", [[0.2]])
         registry = build_registry(ToolContext(
-            workspace=ws, perception=MockExpertBackend.from_entries([], ws)))
+            workspace=ws, perception=MockExpertBackend([], ws)))
         res = registry.call_tool("calculate_batch_ndvi", {
             "nir_paths": ["n0.tif", "n1_missing.tif"],
             "red_paths": ["r0.tif", "r0.tif"],
@@ -83,6 +83,45 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"workspace": "/nonexistent/elsewhere"}))
         assert main(["tools", "--config", str(cfg),
                      "--workspace", str(tmp_path)]) == 0
+
+
+class TestMockManifest:
+    @pytest.fixture
+    def annotate(self, tmp_path, capsys):
+        from geoagent.cli import main
+
+        write_raster(tmp_path / "x.tif", [[1.0, 5.0]])
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"steps": [
+            {"tool": "calc_batch_image_mean", "input": {"image_paths": ["x.tif"]}}]}))
+
+        def run(*flags):
+            code = main(["annotate", "--plan", str(plan), "--workspace", str(tmp_path),
+                         *flags])
+            err = capsys.readouterr().err
+            return code, json.loads(err)["error"] if err else None
+
+        return run
+
+    @pytest.mark.parametrize("text,error", [
+        (None, "FileNotFoundError"),
+        ("[", "JSONDecodeError"),
+        ('{"a": 1}', "SchemaError"),
+        ('[{"task": "classify", "result": {}}]', "SchemaError"),
+    ], ids=["missing", "not-json", "not-a-list", "entry-without-image"])
+    def test_bad_explicit_manifest(self, tmp_path, annotate, text, error):
+        path = tmp_path / "manifest.json"
+        if text is not None:
+            path.write_text(text)
+        assert annotate("--mock-manifest", str(path)) == (1, error)
+
+    def test_manifest_is_a_directory(self, tmp_path, annotate):
+        assert annotate("--mock-manifest", str(tmp_path)) == (1, "IsADirectoryError")
+
+    def test_default_manifest_optional_but_checked(self, tmp_path, annotate):
+        assert annotate() == (0, None)
+        (tmp_path / "mock_manifest.json").write_text('[{"image": "x"}]')
+        assert annotate() == (1, "SchemaError")
 
 
 class TestStdioServerSubprocess:

@@ -9,8 +9,9 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from geoagent.errors import ExternalServiceError
-from geoagent.kits.perception import HttpExpertBackend, expert_call
+from geoagent.kits.perception import HttpExpertBackend
 from geoagent.tools import ToolContext, build_registry
+from geoagent.tools.mcp import McpServer
 from geoagent.workspace import Workspace
 
 from conftest import write_raster
@@ -18,12 +19,13 @@ from conftest import write_raster
 
 class InferenceHandler(BaseHTTPRequestHandler):
     requests: list[dict] = []
-    reply: dict = {}
+    reply: dict | bytes = {}  # bytes go out verbatim
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).requests.append({"path": self.path, "body": body})
-        payload = json.dumps(type(self).reply).encode()
+        reply = type(self).reply
+        payload = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -48,12 +50,11 @@ def inference_server():
 class TestHttpBackend:
     def test_single_post_contract(self, inference_server, tmp_path):
         server, handler = inference_server
-        handler.reply = {"label": "Harbor"}
+        handler.reply = {"label": "Harbor", "score": 0.93}
         host, port = server.server_address
         backend = HttpExpertBackend(f"http://{host}:{port}")
-        out = expert_call(backend, "RemoteCLIP", "classify",
-                          [str(tmp_path / "scene.png")])
-        assert out == {"label": "Harbor"}
+        out = backend.call("RemoteCLIP", "classify", [str(tmp_path / "scene.png")], None)
+        assert out == {"label": "Harbor", "score": 0.93}
         req = handler.requests[0]
         assert req["path"] == "/infer"
         assert req["body"]["model"] == "RemoteCLIP"
@@ -66,8 +67,8 @@ class TestHttpBackend:
         handler.reply = {"count": 4}
         host, port = server.server_address
         backend = HttpExpertBackend(f"http://{host}:{port}")
-        out = expert_call(backend, "InstructSAM", "count",
-                          [str(tmp_path / "x.png")], prompt="storage tank")
+        out = backend.call("InstructSAM", "count", [str(tmp_path / "x.png")],
+                           "storage tank")
         assert out == {"count": 4}
         assert handler.requests[0]["body"]["prompt"] == "storage tank"
 
@@ -99,3 +100,31 @@ class TestHttpBackend:
         import base64
 
         assert base64.b64decode(body["images_b64"][0]) == b"notapng"
+
+    @pytest.mark.parametrize("reply", [
+        b'{"label": NaN}',
+        b'{"label": -Infinity}',
+        b'{"area": 1e999}',
+        b'[1, 2]',
+        b'"text"',
+        b'{"mask": 5}',
+        b'{"label": "Harbor"',
+    ], ids=["nan", "infinity", "overflow", "array", "string", "mask-not-string",
+            "truncated"])
+    def test_untrusted_reply_is_system_error(self, inference_server, tmp_path, reply):
+        server, handler = inference_server
+        handler.reply = reply
+        host, port = server.server_address
+        backend = HttpExpertBackend(f"http://{host}:{port}")
+        with pytest.raises(ExternalServiceError):
+            backend.call("MSCN", "classify", [str(tmp_path / "scene.tif")], None)
+        write_raster(tmp_path / "scene.tif", [[1.0]])
+        mcp = McpServer(build_registry(ToolContext(
+            workspace=Workspace(tmp_path), perception=backend)))
+        response = mcp.handle_line(json.dumps({
+            "jsonrpc": "2.0", "id": 1, "method": "tools/call",
+            "params": {"name": "MSCN", "arguments": {"image_path": "scene.tif"}}}))
+        result = response["result"]
+        assert result["isError"]
+        assert result["structured"] == {"error_class": "SystemError"}
+        json.dumps(response, allow_nan=False)

@@ -60,7 +60,7 @@ def test_full_episode_over_http(tmp_path, chat_server):
     ws = Workspace(tmp_path)
     write_raster(tmp_path / "lake.tif", [[0.1, 0.9], [0.4, 0.7]])
     registry = build_registry(ToolContext(
-        workspace=ws, perception=MockExpertBackend.from_entries([], ws)))
+        workspace=ws, perception=MockExpertBackend([], ws)))
 
     handler.script = [
         {"content": None, "tool_calls": [{
@@ -95,7 +95,7 @@ def test_server_error_becomes_policy_failure(tmp_path, chat_server):
     server, handler = chat_server
     ws = Workspace(tmp_path)
     registry = build_registry(ToolContext(
-        workspace=ws, perception=MockExpertBackend.from_entries([], ws)))
+        workspace=ws, perception=MockExpertBackend([], ws)))
     handler.script = []  # every request gets a 500
     host, port = server.server_address
     policy = LLMPolicy(f"http://{host}:{port}/v1", "m", registry=registry,

@@ -22,11 +22,10 @@ GOLDEN_DIR = Path(__file__).parent / "data" / "mcp"
 
 def make_server(root):
     ws = Workspace(root)
-    (root / "manifest.json").write_text("[]")
     write_raster(root / "img.tif", [[1.0, 2.0], [3.0, 4.0]])
     write_raster(root / "bt.tif", [[300.0, 301.0]])
     registry = build_registry(ToolContext(
-        workspace=ws, perception=MockExpertBackend(root / "manifest.json", ws)))
+        workspace=ws, perception=MockExpertBackend([], ws)))
     return McpServer(registry)
 
 

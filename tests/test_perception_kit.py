@@ -1,12 +1,11 @@
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from geoagent.errors import ExternalServiceError, InvalidInputError
+from geoagent.errors import ExternalServiceError, InvalidInputError, SchemaError
 from geoagent.kits import perception as perc
 from geoagent.raster import from_array, load_raster, save_raster
 from geoagent.workspace import Workspace
@@ -29,51 +28,49 @@ def mock_backend(tmp_path):
         {"image": "airport_01", "task": "change", "prompt": None,
          "result": {"mask_threshold": 3.0}},
     ]
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    return perc.MockExpertBackend(tmp_path / "manifest.json", ws), tmp_path
+    return perc.MockExpertBackend(manifest, ws), tmp_path
 
 
 class TestExpertCall:
     def test_mock_classify(self, mock_backend):
         backend, root = mock_backend
-        out = perc.expert_call(backend, "MSCN", "classify",
-                               [str(root / "airport_01.tif")])
+        out = backend.call("MSCN", "classify", [str(root / "airport_01.tif")], None)
         assert out == {"label": "Airport"}
-
-    def test_unsupported_task(self, mock_backend):
-        backend, root = mock_backend
-        with pytest.raises(InvalidInputError):
-            perc.expert_call(backend, "MSCN", "detect",
-                             [str(root / "airport_01.tif")], "plane")
-
-    def test_unknown_model(self, mock_backend):
-        backend, root = mock_backend
-        with pytest.raises(InvalidInputError):
-            perc.expert_call(backend, "YOLOv99", "detect",
-                             [str(root / "airport_01.tif")])
 
     def test_change_with_same_path_twice(self, mock_backend):
         backend, root = mock_backend
         p = str(root / "airport_01.tif")
-        out = perc.expert_call(backend, "ChangeOS", "change", [p, p])
+        out = backend.call("ChangeOS", "change", [p, p], None)
         mask = load_raster(out["mask"])
         assert set(np.unique(mask.data)) <= {0, 255}
 
     def test_missing_fixture_is_service_error(self, mock_backend):
         backend, root = mock_backend
         with pytest.raises(ExternalServiceError):
-            perc.expert_call(backend, "InstructSAM", "count",
-                             [str(root / "airport_01.tif")], "storage tank")
+            backend.call("InstructSAM", "count", [str(root / "airport_01.tif")],
+                         "storage tank")
 
     def test_mock_referentially_transparent(self, mock_backend):
         backend, root = mock_backend
         p = [str(root / "airport_01.tif")]
-        a = perc.expert_call(backend, "SAM2", "segment", p)
-        b = perc.expert_call(backend, "SAM2", "segment", p)
+        a = backend.call("SAM2", "segment", p, None)
+        b = backend.call("SAM2", "segment", p, None)
         assert a == b
         first = load_raster(a["mask"]).data.copy()
         again = load_raster(b["mask"]).data
         assert np.array_equal(first, again)
+
+    @pytest.mark.parametrize("entries", [
+        {"a": 1},
+        [{"task": "classify", "result": {}}],
+        [{"image": "x", "task": "classify", "result": [1]}],
+        [{"image": "x", "task": "detect", "prompt": 3, "result": {}}],
+        ["x"],
+    ], ids=["not-a-list", "no-image", "result-not-object", "prompt-not-string",
+            "entry-not-object"])
+    def test_malformed_manifest_rejected(self, tmp_path, entries):
+        with pytest.raises(SchemaError):
+            perc.MockExpertBackend(entries, Workspace(tmp_path))
 
 
 class TestThresholdSegmentation:

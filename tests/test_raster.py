@@ -21,16 +21,18 @@ from geoagent.errors import (
     UnsupportedLayoutError,
     WorkspaceEscapeError,
 )
+from geoagent.kits.perception import MockExpertBackend
 from geoagent.raster import (
     Raster,
     from_array,
     load_raster,
-    pixelwise,
     require_same_grid,
     save_raster,
 )
 from geoagent.raster.png import SIGNATURE as PNG_SIGNATURE
 from geoagent.raster.tiff import write_tiff
+from geoagent.tools import ToolContext, build_registry
+from geoagent.workspace import Workspace
 
 from conftest import make_georef
 
@@ -490,6 +492,15 @@ class TestErrors:
         with pytest.raises(UnsupportedLayoutError):
             load_raster(tmp_path / "u.tif")
 
+    @pytest.mark.parametrize("shape", [(1, 32768, 32768), (2, 32768, 16384)],
+                             ids=["4GiB-plane", "4GiB-file"])
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_past_classic_tiff_limit(self, tmp_path, shape, compress):
+        # a zero-stride view: the refusal must come before any copy
+        big = Raster(np.broadcast_to(np.zeros((1, 1, 1), np.float32), shape))
+        with pytest.raises(UnsupportedLayoutError, match="4 GiB"):
+            write_tiff(big, tmp_path / "big.tif", compress=compress)
+        assert not (tmp_path / "big.tif").exists()
 
     @pytest.mark.parametrize("predictor", [2, 3])
     def test_predictor_rejected(self, tmp_path, predictor):
@@ -608,32 +619,41 @@ class TestErrors:
 
 
 class TestPixelwise:
-    def test_sub(self):
-        a = from_array([[4.0, 6.0]])
+    """The two difference tools subtract band 1 of their inputs."""
+
+    @pytest.fixture
+    def difference(self, tmp_path):
+        ws = Workspace(tmp_path)
+        registry = build_registry(ToolContext(workspace=ws,
+                                              perception=MockExpertBackend([], ws)))
+
+        def run(tool, a, b):
+            save_raster(a, tmp_path / "a.tif")
+            save_raster(b, tmp_path / "b.tif")
+            res = registry.call_tool(tool, {"image_a_path": "a.tif", "image_b_path": "b.tif",
+                                            "output_path": "out.tif"})
+            return res if res.is_error else load_raster(tmp_path / "out.tif")
+
+        return run
+
+    def test_sub(self, difference):
+        a = from_array([[4.0, 6.0]], geo=make_georef())
         b = from_array([[1.0, 2.0]])
-        assert pixelwise(a, b, "sub").data.ravel().tolist() == [3.0, 4.0]
+        out = difference("subtract", a, b)
+        assert out.data.ravel().tolist() == [3.0, 4.0] and out.geo == a.geo
+        out = difference("calculate_tif_difference", a, b)
+        assert out.data.ravel().tolist() == [-3.0, -4.0] and out.geo == b.geo
 
-    def test_div_by_zero_is_nodata(self):
-        a = from_array([[1.0, 1.0]])
-        b = from_array([[2.0, 0.0]])
-        out = pixelwise(a, b, "div")
-        assert out.data.ravel()[0] == 0.5
-        assert np.isnan(out.data.ravel()[1])
+    def test_shape_mismatch(self, difference):
+        for tool in ("subtract", "calculate_tif_difference"):
+            res = difference(tool, from_array(np.ones((2, 2))), from_array(np.ones((3, 3))))
+            assert res.error_class == "InvalidParameters" and "grids differ" in res.text
 
-    def test_abs_diff(self):
-        a = from_array([[1.0, 5.0]])
-        b = from_array([[3.0, 2.0]])
-        assert pixelwise(a, b, "abs_diff").data.ravel().tolist() == [2.0, 3.0]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            pixelwise(from_array(np.ones((2, 2))), from_array(np.ones((3, 3))), "add")
-
-    def test_nodata_propagates(self):
+    def test_nodata_propagates(self, difference):
         a = from_array([[1.0, 2.0]], nodata=2.0)
         b = from_array([[1.0, 1.0]])
-        out = pixelwise(a, b, "add")
-        assert out.data.ravel()[0] == 2.0
+        out = difference("subtract", a, b)
+        assert out.data.ravel()[0] == 0.0
         assert np.isnan(out.data.ravel()[1])
 
 
@@ -646,10 +666,6 @@ class TestWorkspace:
     def test_escape_rejected(self, workspace):
         with pytest.raises(WorkspaceEscapeError):
             workspace.resolve_output("../../etc/x.tif")
-
-    def test_relativize(self, workspace):
-        p = workspace.resolve_output("a/b.tif")
-        assert workspace.relativize(p) == "a/b.tif"
 
 
 class TestStatsWithNodata:

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -26,15 +24,14 @@ from conftest import make_georef, write_raster
 @pytest.fixture
 def ctx(tmp_path):
     ws = Workspace(tmp_path)
-    (tmp_path / "manifest.json").write_text(json.dumps([
-        {"image": "scene", "task": "classify", "prompt": None,
-         "result": {"label": "Forest"}},
-    ]))
     write_raster(tmp_path / "nir.tif", [[0.6, 0.4]], geo=make_georef())
     write_raster(tmp_path / "red.tif", [[0.2, 0.4]], geo=make_georef())
     write_raster(tmp_path / "scene.tif", [[1.0, 2.0]])
     return ToolContext(workspace=ws,
-                       perception=MockExpertBackend(tmp_path / "manifest.json", ws))
+                       perception=MockExpertBackend([
+        {"image": "scene", "task": "classify", "prompt": None,
+         "result": {"label": "Forest"}},
+    ], ws))
 
 
 @pytest.fixture
