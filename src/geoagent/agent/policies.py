@@ -9,6 +9,7 @@ registered tool schemas, and maps the model's reply back to a decision.
 from __future__ import annotations
 
 import json
+import math
 import urllib.error
 import urllib.request
 from typing import Any, Callable, Protocol, Sequence
@@ -199,25 +200,31 @@ class LLMPolicy:
                 return self.transport(self.endpoint + "/chat/completions",
                                       payload, headers, self.timeout)
             except (urllib.error.URLError, TimeoutError, ConnectionError,
-                    json.JSONDecodeError, OSError) as exc:
+                    ValueError, RecursionError, OSError) as exc:
+                # ValueError covers undecodable JSON and integers too long to convert
                 last = exc
         raise PolicyUnreachable(f"chat endpoint unreachable: {last}")
 
-    def _parse(self, reply: dict) -> Decision:
+    def _parse(self, reply: Any) -> Decision:
+        """Map any decoded JSON reply to a decision or MalformedModelOutput."""
         try:
             message = reply["choices"][0]["message"]
         except (KeyError, IndexError, TypeError) as exc:
             raise MalformedModelOutput(f"reply missing choices[0].message: {exc}")
+        if not isinstance(message, dict):
+            raise MalformedModelOutput("choices[0].message must be an object")
         tool_calls = message.get("tool_calls") or []
         if tool_calls:
             if self.no_tool_mode:
                 raise MalformedModelOutput("tool call received in no-tool mode")
-            call = tool_calls[0]
             try:
-                name = call["function"]["name"]
-                args = json.loads(call["function"]["arguments"] or "{}")
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
+                function = tool_calls[0]["function"]
+                name = function["name"]
+                args = json.loads(function["arguments"] or "{}")
+            except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
                 raise MalformedModelOutput(f"unparseable tool call: {exc}")
+            if not isinstance(name, str):
+                raise MalformedModelOutput("tool name must be a string")
             if not isinstance(args, dict):
                 raise MalformedModelOutput("tool arguments must be an object")
             return ToolCallDecision(name=name, args=args)
@@ -227,7 +234,9 @@ class LLMPolicy:
         text = content.strip()
         value: Any = None
         try:
-            value = float(text)
+            number = float(text)
+            if math.isfinite(number):  # "nan", "inf" and "1e999" stay text only
+                value = number
         except ValueError:
             pass
         return FinalAnswerDecision(text=text, value=value)

@@ -22,6 +22,12 @@ def _clean_series(values) -> np.ndarray:
     return arr
 
 
+def _valid(values) -> np.ndarray:
+    """The series' valid values, gaps dropped."""
+    x = _clean_series(values)
+    return x[~np.isnan(x)]
+
+
 def _valid_with_positions(values) -> tuple[np.ndarray, np.ndarray]:
     arr = _clean_series(values)
     pos = np.flatnonzero(~np.isnan(arr))
@@ -268,8 +274,7 @@ def detect_change_points(values, penalty: float) -> list[int]:
     t is only discarded from time t + MIN_SEGMENT on, because the dominating
     split point is not itself admissible before then.
     """
-    x = _clean_series(values)
-    x = x[~np.isnan(x)]
+    x = _valid(values)
     n = x.size
     if penalty <= 0:
         raise InvalidInputError("penalty must be positive")
@@ -311,8 +316,7 @@ def detect_change_points(values, penalty: float) -> list[int]:
 
 def segmentation_cost(values, breakpoints: list[int], penalty: float) -> float:
     """Total penalized cost of a given segmentation (for oracle comparisons)."""
-    x = _clean_series(values)
-    x = x[~np.isnan(x)]
+    x = _valid(values)
     cost = _segment_cost_fn(x)
     bounds = [0] + sorted(breakpoints) + [x.size]
     total = penalty * (len(bounds) - 2)
@@ -328,8 +332,7 @@ def segmentation_cost(values, breakpoints: list[int], penalty: float) -> float:
 
 def acf(values, max_lag: int) -> list[float]:
     """Biased autocorrelation estimates for lags 0..max_lag."""
-    x = _clean_series(values)
-    x = x[~np.isnan(x)]
+    x = _valid(values)
     n = x.size
     if max_lag >= n:
         raise InvalidInputError(f"max_lag {max_lag} must be below series length {n}")
@@ -345,8 +348,7 @@ def detect_seasonality_acf(values, max_lag: int | None = None) -> int | None:
 
     Significance band is the white-noise bound 1.96/sqrt(n).
     """
-    x = _clean_series(values)
-    x = x[~np.isnan(x)]
+    x = _valid(values)
     n = x.size
     if max_lag is None:
         max_lag = n // 2
@@ -362,8 +364,7 @@ def detect_seasonality_acf(values, max_lag: int | None = None) -> int | None:
 
 def count_spikes(values, threshold: float) -> int:
     """Count consecutive valid-value increases greater than the threshold."""
-    x = _clean_series(values)
-    x = x[~np.isnan(x)]
+    x = _valid(values)
     if x.size < 2:
         return 0
     return int(np.count_nonzero(np.diff(x) > threshold))
@@ -419,13 +420,6 @@ def gi_star_zscores(band: np.ndarray, kernel_radius: int = 1) -> np.ndarray:
         den = s * np.sqrt(np.maximum(n * wcount - wcount * wcount, 0.0) / (n - 1))
         z = np.where(den > 0, num / den, 0.0)
     return np.where(valid, z, np.nan)
-
-
-def getis_ord_gi_star(r: Raster, kernel_radius: int = 1) -> Raster:
-    """Gi* hot/cold-spot z map of a raster (f32, nodata-aware)."""
-    z = gi_star_zscores(r.band(), kernel_radius)
-    nodata = float("nan") if np.isnan(z).any() else None
-    return Raster(z.astype(np.float32), nodata=nodata, geo=r.geo)
 
 
 DIRECTIONS = ("N", "E", "S", "W")

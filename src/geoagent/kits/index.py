@@ -11,21 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..raster import Raster, like, require_same_grid
+from ..raster import Raster, like, mask_like, require_same_grid
 from .common import as_binary, nonempty
-
-# index name -> ordered band roles
-INDEX_BANDS: dict[str, tuple[str, ...]] = {
-    "ndvi": ("nir", "red"),
-    "ndwi": ("nir", "swir"),
-    "ndbi": ("swir", "nir"),
-    "evi": ("nir", "red", "blue"),
-    "nbr": ("nir", "swir"),
-    "wri": ("green", "red", "nir", "swir"),
-    "ndti": ("red", "green"),
-    "ndsi": ("green", "swir"),
-    "fvc": ("nir", "red"),
-}
 
 FVC_NDVI_MIN = 0.05
 FVC_NDVI_MAX = 0.86
@@ -45,55 +32,55 @@ def normalized_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _ratio(a - b, a + b)
 
 
+def _evi(nir: np.ndarray, red: np.ndarray, blue: np.ndarray) -> np.ndarray:
+    return _ratio(2.5 * (nir - red), nir + 6.0 * red - 7.5 * blue + 1.0)
+
+
+def _wri(green: np.ndarray, red: np.ndarray, nir: np.ndarray,
+         swir: np.ndarray) -> np.ndarray:
+    return _ratio(green + red, nir + swir)
+
+
+# index kind -> (band roles, formula taking the bands in role order)
+INDICES = {
+    "ndvi": (("nir", "red"), normalized_difference),
+    "ndwi": (("nir", "swir"), normalized_difference),
+    "ndbi": (("swir", "nir"), normalized_difference),
+    "evi": (("nir", "red", "blue"), _evi),
+    "nbr": (("nir", "swir"), normalized_difference),
+    "wri": (("green", "red", "nir", "swir"), _wri),
+    "ndti": (("red", "green"), normalized_difference),
+    "ndsi": (("green", "swir"), normalized_difference),
+}
+
+
 def compute_index(kind: str, bands: dict[str, Raster]) -> Raster:
     """Compute one spectral index from a role->raster map."""
-    kind = kind.lower()
-    if kind not in INDEX_BANDS:
+    if kind not in INDICES:
         raise InvalidInputError(f"unknown index kind {kind!r}")
-    roles = INDEX_BANDS[kind]
+    roles, formula = INDICES[kind]
     missing = [r for r in roles if r not in bands]
     if missing:
         raise InvalidInputError(f"{kind} requires band roles {missing}")
     rs = [bands[r] for r in roles]
     require_same_grid(*rs)
-    b = {role: bands[role].band() for role in roles}
-
-    if kind in ("ndvi", "ndwi", "nbr", "ndbi", "ndti", "ndsi"):
-        first, second = roles
-        out = normalized_difference(b[first], b[second])
-    elif kind == "evi":
-        den = b["nir"] + 6.0 * b["red"] - 7.5 * b["blue"] + 1.0
-        out = _ratio(2.5 * (b["nir"] - b["red"]), den)
-    elif kind == "wri":
-        out = _ratio(b["green"] + b["red"], b["nir"] + b["swir"])
-    elif kind == "fvc":
-        ndvi = normalized_difference(b["nir"], b["red"])
-        out = fvc_from_ndvi(ndvi, FVC_NDVI_MIN, FVC_NDVI_MAX)
-    else:  # pragma: no cover - kinds table is exhaustive
-        raise InvalidInputError(f"unhandled index kind {kind!r}")
-    return like(rs[0], out)
+    return like(rs[0], formula(*(r.band() for r in rs)))
 
 
-def fvc_from_ndvi(ndvi: np.ndarray, ndvi_min: float, ndvi_max: float) -> np.ndarray:
+def compute_fvc(ndvi: Raster, ndvi_min: float = FVC_NDVI_MIN,
+                ndvi_max: float = FVC_NDVI_MAX) -> Raster:
     """Fractional vegetation cover: squared clamped NDVI fraction."""
     if not ndvi_max > ndvi_min:
         raise InvalidInputError(
             f"degenerate NDVI range: min {ndvi_min} >= max {ndvi_max}"
         )
-    frac = np.clip((ndvi - ndvi_min) / (ndvi_max - ndvi_min), 0.0, 1.0)
-    return frac * frac
-
-
-def compute_fvc(ndvi: Raster, ndvi_min: float = FVC_NDVI_MIN,
-                ndvi_max: float = FVC_NDVI_MAX) -> Raster:
-    return like(ndvi, fvc_from_ndvi(ndvi.band(), ndvi_min, ndvi_max))
+    frac = np.clip((ndvi.band() - ndvi_min) / (ndvi_max - ndvi_min), 0.0, 1.0)
+    return like(ndvi, frac * frac)
 
 
 def frp_mask(r: Raster, threshold: float, band: int = 1) -> Raster:
     """Binary fire-radiative-power mask: 1 where value > threshold."""
-    b = r.band(band)
-    mask = np.where(np.isnan(b), 0, (b > threshold).astype(np.uint8))
-    return Raster(mask.astype(np.uint8), geo=r.geo)
+    return mask_like(r, r.band(band) > threshold)
 
 
 def extreme_snow_loss_percentage(binary_map: Raster) -> float:

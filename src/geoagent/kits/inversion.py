@@ -14,7 +14,9 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from ..raster import Raster, require_same_grid
+from .common import lookup
 from .index import normalized_difference
+from .statistics import DIRECTIONS
 
 # second radiation constant h*c/k_B in m*K
 C2 = 6.62607015e-34 * 2.99792458e8 / 1.380649e-23
@@ -331,13 +333,11 @@ def turbidity_ntu(red_reflectance: np.ndarray, a: float = TURBIDITY_A,
     return np.where(red_reflectance >= c, np.nan, out)
 
 
-def lst_stat_by_ndvi(stat: str, lst_rasters: list[Raster], ndvi_rasters: list[Raster],
+def lst_stat_by_ndvi(reduce, lst_rasters: list[Raster], ndvi_rasters: list[Raster],
                      threshold: float, direction: str = "above") -> float:
-    """Mean or max LST over pixels selected by an NDVI threshold, across pairs."""
-    if stat not in ("mean", "max"):
-        raise InvalidInputError(f"unsupported statistic {stat!r}")
-    if direction not in ("above", "below"):
-        raise InvalidInputError(f"direction must be above or below, got {direction!r}")
+    """`reduce` (such as np.mean) over the LST pixels selected by an NDVI
+    threshold, pooled across pairs."""
+    beyond = lookup(DIRECTIONS, direction, "direction")
     if len(lst_rasters) != len(ndvi_rasters):
         raise InvalidInputError(
             f"paired lists differ in length: {len(lst_rasters)} LST vs "
@@ -347,10 +347,8 @@ def lst_stat_by_ndvi(stat: str, lst_rasters: list[Raster], ndvi_rasters: list[Ra
     for lst_r, ndvi_r in zip(lst_rasters, ndvi_rasters):
         require_same_grid(lst_r, ndvi_r)
         lst, ndvi = lst_r.band(), ndvi_r.band()
-        cond = ndvi > threshold if direction == "above" else ndvi < threshold
-        cond &= ~np.isnan(ndvi) & ~np.isnan(lst)
-        selected.append(lst[cond])
+        selected.append(lst[beyond(ndvi, threshold) & ~np.isnan(lst)])
     pool = np.concatenate(selected) if selected else np.array([])
     if pool.size == 0:
         raise InvalidInputError("NDVI condition selects no pixels")
-    return float(np.mean(pool) if stat == "mean" else np.max(pool))
+    return float(reduce(pool))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ExternalServiceError, InvalidInputError, SchemaError
-from ..raster import Raster, load_raster, save_raster
+from ..raster import Raster, load_raster, mask_like, save_raster
 from ..workspace import Workspace
 from .common import as_binary
 
@@ -99,10 +99,9 @@ class MockExpertBackend(ExpertBackend):
 
     def _write_mask(self, image_paths, threshold, stem, task) -> str:
         src = load_raster(self.workspace.resolve_input(image_paths[0]))
-        band = src.band()
-        mask = np.where(np.isnan(band), 0, (band > threshold).astype(np.uint8) * 255)
+        mask = mask_like(src, src.band() > threshold, 255)
         out = self.workspace.resolve_output(f"perception/{task}_{stem}.tif")
-        save_raster(Raster(mask.astype(np.uint8), geo=src.geo), out)
+        save_raster(mask, out)
         return str(out)
 
 
@@ -159,9 +158,7 @@ def threshold_segmentation(r: Raster, threshold: float) -> Raster:
     """Binary segmentation: strictly greater -> 255, otherwise 0."""
     if r.bands != 1:
         raise InvalidInputError(f"segmentation expects a single band, got {r.bands}")
-    b = r.band()
-    out = np.where(np.isnan(b), 0, (b > threshold).astype(np.uint8) * 255)
-    return Raster(out.astype(np.uint8), geo=r.geo)
+    return mask_like(r, r.band() > threshold, 255)
 
 
 def count_above_threshold(r: Raster, threshold: float) -> int:

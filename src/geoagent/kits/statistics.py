@@ -14,14 +14,20 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import InvalidInputError, MissingFileError
-from ..raster import Raster, like, require_same_grid
-from .common import nonempty
+from ..raster import Raster, like, mask_like, require_same_grid
+from .common import lookup, nonempty
 
 COMPARATORS = {
     ">": np.greater,
     "<": np.less,
     ">=": np.greater_equal,
     "<=": np.less_equal,
+}
+
+# side of a threshold -> the strict comparison that selects it
+DIRECTIONS = {
+    "above": np.greater,
+    "below": np.less,
 }
 
 KELVIN_OFFSET = 273.15
@@ -35,9 +41,7 @@ QA_MASK_BITS = (1, 2, 3, 4)  # dilated cloud, cirrus, cloud, shadow
 
 
 def _compare(values: np.ndarray, comparator: str, threshold: float) -> np.ndarray:
-    if comparator not in COMPARATORS:
-        raise InvalidInputError(f"unknown comparator {comparator!r}")
-    return COMPARATORS[comparator](values, threshold)
+    return lookup(COMPARATORS, comparator, "comparator")(values, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -85,64 +89,29 @@ def kurtosis(data) -> float:
     return float(np.mean((arr - m) ** 4) / (m2 * m2) - 3.0)
 
 
-_SCALAR_STATS = {
-    "mean": mean,
-    "cv": coefficient_of_variation,
-    "skewness": skewness,
-    "kurtosis": kurtosis,
-}
-
-
-def scalar_stat(data, stat: str) -> float:
-    if stat not in _SCALAR_STATS:
-        raise InvalidInputError(f"unknown scalar statistic {stat!r}")
-    return _SCALAR_STATS[stat](data)
-
-
 # ---------------------------------------------------------------------------
 # per-image statistics over batches
 # ---------------------------------------------------------------------------
 
 
-def image_stat(r: Raster, stat: str, band: int = 1) -> float:
-    vals = nonempty(r.values(band), "image")
-    if stat == "mean":
-        return float(vals.mean())
-    if stat == "std":
-        return float(vals.std())
-    if stat == "median":
-        return float(np.median(vals))
-    if stat == "min":
-        return float(vals.min())
-    if stat == "max":
-        return float(vals.max())
-    if stat == "sum":
-        return float(vals.sum())
-    if stat == "skewness":
-        return skewness(vals)
-    if stat == "kurtosis":
-        return kurtosis(vals)
-    raise InvalidInputError(f"unknown image statistic {stat!r}")
+# per-image statistic -> reducer over the image's valid values
+IMAGE_STATS = {
+    "mean": np.mean,
+    "std": np.std,
+    "median": np.median,
+    "min": np.min,
+    "max": np.max,
+    "skewness": skewness,
+    "kurtosis": kurtosis,
+    "sum": np.sum,
+}
 
 
-def batch_image_stat(rasters: list[Raster], stat: str, band: int = 1) -> list[float]:
+def batch_image_stat(rasters: list[Raster], reduce, band: int = 1) -> list[float]:
+    """`reduce` over the valid values of each image's band, in order."""
     if not rasters:
         raise InvalidInputError("empty image batch")
-    return [image_stat(r, stat, band) for r in rasters]
-
-
-def batch_aggregate(rasters: list[Raster], agg: str, band: int = 1):
-    if agg == "mean_of_means":
-        return float(np.mean(batch_image_stat(rasters, "mean", band)))
-    if agg == "max_of_means":
-        return float(np.max(batch_image_stat(rasters, "mean", band)))
-    if agg == "mean_max_min_triple":
-        return (
-            float(np.mean(batch_image_stat(rasters, "mean", band))),
-            float(np.max(batch_image_stat(rasters, "max", band))),
-            float(np.min(batch_image_stat(rasters, "min", band))),
-        )
-    raise InvalidInputError(f"unknown aggregate {agg!r}")
+    return [float(reduce(nonempty(r.values(band), "image"))) for r in rasters]
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +135,7 @@ def hotspot_percentages(rasters: list[Raster], threshold: float,
 
 def hotspot_map(r: Raster, threshold: float, band: int = 1) -> Raster:
     """Binary map, 1 where the pixel is BELOW the threshold."""
-    b = r.band(band)
-    out = np.where(np.isnan(b), 0, (b < threshold).astype(np.uint8))
-    return Raster(out.astype(np.uint8), geo=r.geo)
+    return mask_like(r, r.band(band) < threshold)
 
 
 def threshold_ratio(rasters: list[Raster], threshold: float, band: int = 1,
@@ -231,13 +198,9 @@ def images_mean_vs_threshold(rasters: list[Raster], threshold: float,
                              direction: str = "above", mode: str = "count",
                              band: int = 1) -> float:
     """Count (or percentage) of images whose band mean is above/below a threshold."""
-    means = batch_image_stat(rasters, "mean", band)
-    if direction == "above":
-        hits = sum(1 for m in means if m > threshold)
-    elif direction == "below":
-        hits = sum(1 for m in means if m < threshold)
-    else:
-        raise InvalidInputError(f"direction must be above or below, got {direction!r}")
+    means = batch_image_stat(rasters, np.mean, band)
+    beyond = lookup(DIRECTIONS, direction, "direction")
+    hits = sum(1 for m in means if beyond(m, threshold))
     if mode == "count":
         return float(hits)
     if mode == "percentage":
@@ -248,13 +211,10 @@ def images_mean_vs_threshold(rasters: list[Raster], threshold: float,
 def count_images_vs_mean_multiplier(rasters: list[Raster], multiplier: float,
                                     direction: str = "above", band: int = 1) -> int:
     """Images whose mean is above/below multiplier x (mean of all image means)."""
-    means = batch_image_stat(rasters, "mean", band)
+    means = batch_image_stat(rasters, np.mean, band)
+    beyond = lookup(DIRECTIONS, direction, "direction")
     reference = multiplier * float(np.mean(means))
-    if direction == "above":
-        return int(sum(1 for m in means if m > reference))
-    if direction == "below":
-        return int(sum(1 for m in means if m < reference))
-    raise InvalidInputError(f"direction must be above or below, got {direction!r}")
+    return int(sum(1 for m in means if beyond(m, reference)))
 
 
 def fire_pixel_counts(rasters: list[Raster], threshold: float,
@@ -271,9 +231,7 @@ def fire_pixel_counts(rasters: list[Raster], threshold: float,
 def fire_increase_map(before: Raster, after: Raster, threshold: float) -> Raster:
     """Binary map where (after - before) exceeds the threshold."""
     require_same_grid(before, after)
-    diff = after.band() - before.band()
-    out = np.where(np.isnan(diff), 0, (diff > threshold).astype(np.uint8))
-    return Raster(out.astype(np.uint8), geo=before.geo)
+    return mask_like(before, after.band() - before.band() > threshold)
 
 
 def fire_prone_areas(hotspot: Raster, percentile: float) -> Raster:
@@ -282,9 +240,7 @@ def fire_prone_areas(hotspot: Raster, percentile: float) -> Raster:
         raise InvalidInputError(f"percentile must be in [0, 100], got {percentile}")
     vals = nonempty(hotspot.values(), "hotspot map")
     cut = float(np.percentile(vals, percentile))
-    b = hotspot.band()
-    out = np.where(np.isnan(b), 0, (b >= cut).astype(np.uint8))
-    return Raster(out.astype(np.uint8), geo=hotspot.geo)
+    return mask_like(hotspot, hotspot.band() >= cut)
 
 
 # ---------------------------------------------------------------------------

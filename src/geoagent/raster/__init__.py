@@ -11,6 +11,7 @@ from .model import (
     Raster,
     from_array,
     like,
+    mask_like,
     require_same_grid,
 )
 from .png import SIGNATURE as _PNG_SIGNATURE
@@ -24,6 +25,7 @@ __all__ = [
     "from_array",
     "like",
     "load_raster",
+    "mask_like",
     "require_same_grid",
     "save_raster",
 ]

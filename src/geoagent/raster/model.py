@@ -165,6 +165,12 @@ def like(reference: Raster, band_f64: np.ndarray) -> Raster:
     return Raster(out, nodata=nodata, geo=reference.geo)
 
 
+def mask_like(reference: Raster, condition: np.ndarray, on: int = 1) -> Raster:
+    """Wrap a boolean band as a u8 map, `on` where it holds and 0 elsewhere
+    (a comparison with NaN never holds), inheriting the reference geo."""
+    return Raster(np.where(condition, np.uint8(on), np.uint8(0)), geo=reference.geo)
+
+
 def require_same_grid(*rasters: Raster) -> None:
     for prev, r in zip(rasters, rasters[1:]):
         if not prev.same_shape(r):

@@ -270,6 +270,10 @@ def _swap_to_le(raw: bytes, ftype: int) -> bytes:
 
 def write_tiff(raster: Raster, path: str | Path, compress: bool = False) -> None:
     bands, height, width = raster.data.shape
+    # SamplesPerPixel is 16-bit; like the 4 GiB check below, this refuses
+    # before any plane is copied or the file is opened
+    if bands > 0xFFFF:
+        raise UnsupportedLayoutError(f"{bands} bands exceed the 65535 bands of a TIFF")
     bits, fmt = _FORMATS_INV[raster.dtype_name]
     planar = 1 if bands == 1 else 2
 

@@ -16,6 +16,8 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from ..kits import analysis as an
 from ..kits import index as ix
 from ..kits import inversion as inv
@@ -41,8 +43,8 @@ def P(name: str, type_: str, required: bool = True, desc: str = "",
                      item_nullable=nullable_items)
 
 
-COMPARATOR_ENUM = (">", "<", ">=", "<=")
-DIRECTION_ENUM = ("above", "below")
+COMPARATOR_ENUM = tuple(st.COMPARATORS)
+DIRECTION_ENUM = tuple(st.DIRECTIONS)
 
 
 class Tool(NamedTuple):
@@ -203,7 +205,7 @@ def _index_tools() -> list[Tool]:
                + (P("output_dir", "string", True,
                     "directory for the output rasters, relative to the workspace"),),
                index(kind, roles), prefix=kind)
-          for kind, roles in ix.INDEX_BANDS.items() if kind != "fvc"),
+          for kind, (roles, _) in ix.INDICES.items()),
         Tool("calculate_batch_fvc",
              "Compute fractional vegetation cover from NIR/Red pairs "
              "via squared clamped NDVI scaling and save the results.",
@@ -317,7 +319,7 @@ def _inversion_tools(ctx: ToolContext) -> list[Tool]:
              (P("band_paths", "array", items="string", desc="three thermal band raster paths"),
               P("output_path", "string")),
              handler=ttm),
-        *(Tool(name,
+        *(Tool(f"calculate_{stat}_lst_by_ndvi",
                f"{stat.capitalize()} land surface temperature over "
                "pixels whose paired NDVI is above or below a "
                "threshold, pooled across all image pairs.",
@@ -325,9 +327,8 @@ def _inversion_tools(ctx: ToolContext) -> list[Tool]:
                 P("ndvi_paths", "array", items="string"),
                 P("threshold", "number"),
                 P("direction", "string", False, enum=DIRECTION_ENUM)),
-               partial(inv.lst_stat_by_ndvi, stat))
-          for stat, name in (("mean", "calculate_mean_lst_by_ndvi"),
-                             ("max", "calculate_max_lst_by_ndvi"))),
+               partial(inv.lst_stat_by_ndvi, reduce))
+          for stat, reduce in (("mean", np.mean), ("max", np.max))),
         Tool("ATI",
              "Apparent thermal inertia (1 - albedo) / (day - night "
              "temperature); non-positive diurnal range becomes nodata.",
@@ -555,7 +556,7 @@ def _analysis_tools() -> list[Tool]:
              (P("image_path", "string"),
               P("output_path", "string"),
               P("kernel_radius", "integer", False)),
-             an.getis_ord_gi_star),
+             an.gi_star_zscores, like="image_path"),
         Tool("analyze_hotspot_direction",
              "Dominant cardinal sector of 1-pixels in a binary map "
              "relative to the map center, with per-direction counts.",
@@ -579,23 +580,28 @@ def _statistics_tools(ctx: ToolContext) -> list[Tool]:
     band = P("band", "integer", False)
     a_b_out = (P("image_a_path", "string"), P("image_b_path", "string"),
                P("output_path", "string"))
+
+    def of_images(outer: Callable, inner: Callable) -> Callable:
+        """`outer` over the per-image `inner` statistics of a batch."""
+        return lambda images, **kw: float(outer(st.batch_image_stat(images, inner, **kw)))
+
+    mean_max_min = (of_images(np.mean, np.mean), of_images(np.max, np.max),
+                    of_images(np.min, np.min))
     return [
-        *(Tool(name, blurb, (P("data", "array", items="number"),),
-               partial(st.scalar_stat, stat=stat))
-          for name, stat, blurb in (
-              ("coefficient_of_variation", "cv",
+        *(Tool(name, blurb, (P("data", "array", items="number"),), fn)
+          for name, fn, blurb in (
+              ("coefficient_of_variation", st.coefficient_of_variation,
                "Standard deviation over mean of a dataset."),
-              ("skewness", "skewness", "Asymmetry of a dataset's distribution."),
-              ("kurtosis", "kurtosis",
+              ("skewness", st.skewness, "Asymmetry of a dataset's distribution."),
+              ("kurtosis", st.kurtosis,
                "Excess tailedness of a dataset relative to a normal distribution."),
-              ("mean", "mean", "Arithmetic mean of a dataset."))),
+              ("mean", st.mean, "Arithmetic mean of a dataset."))),
         *(Tool(f"calc_batch_image_{stat}",
                f"Per-image {stat} of valid pixel values over a "
                "batch of rasters, order preserving.",
                (images, band),
-               partial(st.batch_image_stat, stat=stat))
-          for stat in ("mean", "std", "median", "min", "max", "skewness", "kurtosis",
-                       "sum")),
+               partial(st.batch_image_stat, reduce=reduce))
+          for stat, reduce in st.IMAGE_STATS.items()),
         Tool("calc_batch_image_hotspot_percentage",
              "Per-image percentage of pixels strictly above a "
              "threshold.",
@@ -684,16 +690,16 @@ def _statistics_tools(ctx: ToolContext) -> list[Tool]:
         Tool("calc_batch_image_mean_mean",
              "Mean of the per-image mean pixel values.",
              (images, band),
-             partial(st.batch_aggregate, agg="mean_of_means")),
+             of_images(np.mean, np.mean)),
         Tool("calc_batch_image_mean_max",
              "Maximum of the per-image mean pixel values.",
              (images, band),
-             partial(st.batch_aggregate, agg="max_of_means")),
+             of_images(np.max, np.mean)),
         Tool("calc_batch_image_mean_max_min",
              "Batch summary: mean of means, maximum of maxima, and "
              "minimum of minima across images.",
              (images, band),
-             _record(partial(st.batch_aggregate, agg="mean_max_min_triple"),
+             _record(lambda images, **kw: [f(images, **kw) for f in mean_max_min],
                      ("mean_of_means", "max_of_maxes", "min_of_mins"))),
         Tool("calc_batch_image_mean_threshold",
              "Count or percentage of images whose band mean is above "

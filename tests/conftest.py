@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from geoagent.kits.perception import MockExpertBackend
 from geoagent.raster import GeoRef, Raster, from_array, save_raster
+from geoagent.tools import ToolContext, build_registry
 from geoagent.workspace import Workspace
 
 
@@ -18,6 +20,13 @@ def make_georef() -> GeoRef:
 @pytest.fixture
 def workspace(tmp_path) -> Workspace:
     return Workspace(tmp_path)
+
+
+@pytest.fixture
+def tool_registry(workspace):
+    """The full catalog over the per-test workspace, with no expert fixtures."""
+    return build_registry(ToolContext(
+        workspace=workspace, perception=MockExpertBackend([], workspace)))
 
 
 @pytest.fixture

@@ -3,11 +3,14 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoagent.agent import (
     FinalAnswerDecision,
     Goal,
     LLMPolicy,
+    PolicyError,
     PolicyUnreachable,
     ScriptedPolicy,
     ToolCallDecision,
@@ -15,7 +18,7 @@ from geoagent.agent import (
     replay_policy,
     run_episode,
 )
-from geoagent.agent.policies import TRUNCATION_MARKER
+from geoagent.agent.policies import TRUNCATION_MARKER, MalformedModelOutput
 from geoagent.agent.types import Action
 from geoagent.kits.perception import MockExpertBackend
 from geoagent.tools import ToolContext, build_registry, ok_result
@@ -232,3 +235,75 @@ class TestLLMPolicy:
         msgs = transport.requests[1]["body"]["messages"]
         assert msgs[-1]["role"] == "tool"
         assert "34.82" in msgs[-1]["content"]
+
+
+def call_reply(call):
+    return {"choices": [{"message": {"tool_calls": [call]}}]}
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["choices", "message", "tool_calls", "function", "name",
+                         "arguments", "content"]) | st.text(max_size=8),
+        inner, max_size=4),
+    max_leaves=12)
+
+
+class TestHostileReplies:
+    """Every decoded reply maps to a decision or to a PolicyError."""
+
+    @pytest.mark.parametrize("reply", [
+        None,
+        [],
+        {"choices": "x"},
+        {"choices": [{"message": "x"}]},
+        {"choices": [{"message": {"tool_calls": 5}}]},
+        {"choices": [{"message": {"tool_calls": {"function": {}}}}]},
+        call_reply("mean"),
+        call_reply({"function": [1]}),
+        call_reply({"function": {"name": 5, "arguments": "{}"}}),
+        call_reply({"function": {"name": ["mean"], "arguments": "{}"}}),
+        call_reply({"function": {"name": "mean", "arguments": "[" * 100_000}}),
+        call_reply({"function": {"name": "mean", "arguments": "1" * 5000}}),
+        call_reply({"function": {"name": "mean", "arguments": {"data": [1]}}}),
+        call_reply({"function": {"name": "mean", "arguments": "[1]"}}),
+    ], ids=["none", "list", "choices_str", "message_str", "tool_calls_int",
+            "tool_calls_dict", "call_str", "function_list", "name_int", "name_list",
+            "deep_arguments", "long_integer_arguments", "arguments_object",
+            "arguments_list"])
+    def test_malformed(self, registry, reply):
+        transport = FakeTransport([reply, reply])
+        policy = LLMPolicy("http://llm.test/v1", "m", registry=registry,
+                           transport=transport)
+        with pytest.raises(MalformedModelOutput):
+            policy.next(GOAL, [])
+        assert len(transport.requests) == 2  # one reprompt
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_answer_keeps_text_only(self, registry, text):
+        policy = LLMPolicy("http://llm.test/v1", "m", registry=registry,
+                           transport=FakeTransport([text_reply(text)]))
+        assert policy.next(GOAL, []) == FinalAnswerDecision(text=text, value=None)
+
+    @pytest.mark.parametrize("body", ["[" * 100_000, "1" * 5000, "{"],
+                             ids=["deep_nesting", "long_integer", "truncated"])
+    def test_undecodable_reply_is_unreachable(self, registry, body):
+        policy = LLMPolicy("http://llm.test/v1", "m", registry=registry, retries=1,
+                           transport=lambda *_: json.loads(body))
+        with pytest.raises(PolicyUnreachable):
+            policy.next(GOAL, [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(reply=JSON | st.builds(lambda m: {"choices": [{"message": m}]}, JSON))
+    def test_any_reply_is_decision_or_policy_error(self, reply):
+        policy = LLMPolicy("http://llm.test/v1", "m", transport=FakeTransport([reply, reply]))
+        try:
+            decision = policy.next(GOAL, [])
+        except PolicyError:
+            return
+        if isinstance(decision, ToolCallDecision):
+            assert isinstance(decision.name, str) and isinstance(decision.args, dict)
+        else:
+            assert isinstance(decision, FinalAnswerDecision)
+            json.dumps(decision.value, allow_nan=False)

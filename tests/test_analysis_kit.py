@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from geoagent.errors import InvalidInputError
 from geoagent.kits import analysis as an
-from geoagent.raster import from_array
+from geoagent.raster import from_array, load_raster
+
+from conftest import write_raster
 
 series = st.lists(st.floats(-50, 50, allow_nan=False), min_size=4, max_size=24)
 
@@ -299,28 +301,38 @@ def gi_star_oracle(grid, radius):
 
 
 class TestGetisOrd:
-    def test_constant_raster_all_zero(self):
-        out = an.getis_ord_gi_star(from_array(np.full((4, 4), 3.0)), 1)
+    """The getis_ord_gi_star tool: Gi* z-scores saved as an f32 raster."""
+
+    @staticmethod
+    def gi_star(registry, workspace, grid, radius):
+        write_raster(workspace.root / "field.tif", grid)
+        result = registry.call_tool("getis_ord_gi_star", {
+            "image_path": "field.tif", "output_path": "gi.tif", "kernel_radius": radius})
+        assert not result.is_error, result.text
+        return load_raster(result.files[0])
+
+    def test_constant_raster_all_zero(self, tool_registry, workspace):
+        out = self.gi_star(tool_registry, workspace, np.full((4, 4), 3.0), 1)
         assert np.allclose(out.data, 0.0)
 
-    def test_hot_pixel_peak(self):
+    def test_hot_pixel_peak(self, tool_registry, workspace):
         grid = np.zeros((7, 7))
         grid[3, 3] = 10.0
-        out = an.getis_ord_gi_star(from_array(grid), 1).data[0]
+        out = self.gi_star(tool_registry, workspace, grid, 1).data[0]
         # every window covering the hot pixel ties at the max; (3,3) is one of them
         assert out[3, 3] == np.max(out)
         assert out[0, 0] < out[3, 3]
 
-    def test_matches_direct_formula(self):
+    def test_matches_direct_formula(self, tool_registry, workspace):
         rng = np.random.default_rng(17)
         grid = rng.normal(size=(5, 5))
-        got = an.getis_ord_gi_star(from_array(grid), 1).data[0].astype(np.float64)
+        got = self.gi_star(tool_registry, workspace, grid, 1).data[0].astype(np.float64)
         want = gi_star_oracle(from_array(grid).band(), 1)
         assert np.max(np.abs(got - want)) < 1e-6  # f32 storage of the z map
 
-    def test_mean_near_zero_on_large_field(self):
+    def test_mean_near_zero_on_large_field(self, tool_registry, workspace):
         rng = np.random.default_rng(42)
-        out = an.getis_ord_gi_star(from_array(rng.normal(size=(64, 64))), 2)
+        out = self.gi_star(tool_registry, workspace, rng.normal(size=(64, 64)), 2)
         assert abs(float(np.mean(out.data))) < 0.1
 
 

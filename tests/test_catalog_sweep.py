@@ -5,14 +5,29 @@ The sweep asserts that no tool hits an unclassified failure path: every call
 either succeeds or returns a deliberate, classified rejection. A SystemError
 here would mean a handler bug (unwired argument, raw exception), and a
 FileHallucination would mean the fixture workspace is incomplete.
+
+It also pins what each call produced against `data/catalog_sweep_outputs.json`:
+the error class, or a digest of the value (workspace root masked) and of
+every output raster's decoded samples, dtype, shape, nodata and georeference
+tags. Message text is left out. The digests depend on numpy's floating-point
+results, as the `write_tiff` golden depends on zlib; after a deliberate
+output change, rewrite the file with
+
+    PYTHONPATH=src python tests/test_catalog_sweep.py
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geoagent.kits.perception import MockExpertBackend
+from geoagent.raster import load_raster
 from geoagent.tools import ToolContext, build_registry
 from geoagent.tools.catalog import catalog_rows
 from geoagent.workspace import Workspace
@@ -143,9 +158,12 @@ def generic_value(tool_name: str, param):
     return {}
 
 
-@pytest.fixture(scope="module")
-def sweep_registry(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("sweep")
+GOLDEN = Path(__file__).parent / "data" / "catalog_sweep_outputs.json"
+
+
+def make_sweep_registry(tmp: Path):
+    """The sweep's registry over a fresh workspace in `tmp`, and the
+    workspace root as the tools report it."""
     ws = Workspace(tmp)
     rng = np.random.default_rng(12)
     geo = make_georef()
@@ -168,7 +186,22 @@ def sweep_registry(tmp_path_factory):
     write_raster(d / "odd.tif", rng.uniform(0.1, 0.9, (3, 5)), geo=geo)
     registry = build_registry(ToolContext(
         workspace=ws, perception=MockExpertBackend(MANIFEST, ws)))
-    return registry
+    return registry, str(ws.root)
+
+
+@pytest.fixture(scope="module")
+def sweep_env(tmp_path_factory):
+    return make_sweep_registry(tmp_path_factory.mktemp("sweep"))
+
+
+@pytest.fixture(scope="module")
+def sweep_registry(sweep_env):
+    return sweep_env[0]
+
+
+@pytest.fixture(scope="module")
+def sweep_outputs(sweep_env):
+    return sweep(*sweep_env)
 
 
 def build_args(registry, name: str, optional: bool = False) -> dict:
@@ -189,16 +222,43 @@ def build_args(registry, name: str, optional: bool = False) -> dict:
     return args
 
 
-def sweep(registry, optional: bool) -> dict:
-    outcomes = {}
-    for spec in registry.list_specs():
-        result = registry.call_tool(spec.name, build_args(registry, spec.name, optional))
-        outcomes[spec.name] = result.error_class if result.is_error else "ok"
-    return outcomes
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def test_every_tool_executes_cleanly(sweep_registry):
-    outcomes = sweep(sweep_registry, optional=False)
+def output_record(result, root: str) -> dict:
+    """What a call produced, as the golden file pins it."""
+    if result.is_error:
+        return {"error": result.error_class}
+    files = []
+    for path in result.files:
+        r = load_raster(path)
+        files.append({
+            "path": path.replace(root, "<ws>"),
+            "dtype": r.dtype_name,
+            "shape": list(r.data.shape),
+            "nodata": repr(r.nodata),
+            "samples": _sha256(r.data.tobytes()),
+            "geo": _sha256(repr(r.geo.tags).encode()),
+        })
+    value = json.dumps(result.value, sort_keys=True).replace(root, "<ws>")
+    return {"value": _sha256(value.encode()), "files": files}
+
+
+def sweep(registry, root: str) -> dict:
+    """{pass: {tool: output record}} for the required-only and the
+    all-optional pass; each record is taken before the next call runs."""
+    passes = {}
+    for label, optional in (("required", False), ("optional", True)):
+        passes[label] = {
+            spec.name: output_record(registry.call_tool(
+                spec.name, build_args(registry, spec.name, optional)), root)
+            for spec in registry.list_specs()}
+    return passes
+
+
+def test_every_tool_executes_cleanly(sweep_outputs):
+    outcomes = {n: rec.get("error", "ok") for n, rec in sweep_outputs["required"].items()}
     bad = {n: c for n, c in outcomes.items() if c != "ok"}
     assert bad == {}, f"tools not cleanly executable: {bad}"
     assert len(outcomes) == 103
@@ -206,9 +266,18 @@ def test_every_tool_executes_cleanly(sweep_registry):
     # With every optional parameter filled too, generic values may be
     # rejected deliberately, but an optional argument the handler passes on
     # under a name the kit does not accept shows up as a SystemError.
-    outcomes = sweep(sweep_registry, optional=True)
+    outcomes = {n: rec.get("error", "ok") for n, rec in sweep_outputs["optional"].items()}
     bad = {n: c for n, c in outcomes.items() if c not in ("ok", "InvalidParameters")}
     assert bad == {}, f"tools failing with optional arguments: {bad}"
+
+
+@pytest.mark.parametrize("label", ["required", "optional"])
+def test_outputs_match_golden(sweep_outputs, label):
+    golden = json.loads(GOLDEN.read_text())[label]
+    got = sweep_outputs[label]
+    assert sorted(got) == sorted(golden)
+    changed = sorted(n for n in golden if got[n] != golden[n])
+    assert changed == [], f"outputs differ from {GOLDEN.name}: {changed}"
 
 
 def _raster_inputs(tool) -> list[str]:
@@ -233,3 +302,10 @@ def test_like_rows_reject_mismatched_grids(sweep_registry, tool):
     result = sweep_registry.call_tool(tool.name, args)
     assert result.error_class == "InvalidParameters", result.text
     assert "grids differ" in result.text
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = sweep(*make_sweep_registry(Path(tmp)))
+    GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -39,7 +39,7 @@ class TestComputeIndex:
 
     @pytest.mark.parametrize("kind", ["ndvi", "ndwi", "ndbi", "nbr", "ndti", "ndsi"])
     def test_normalized_difference_antisymmetry(self, kind):
-        a, b = index.INDEX_BANDS[kind]
+        (a, b), _ = index.INDICES[kind]
         rng = np.random.default_rng(11)
         x = from_array(rng.uniform(0.01, 1.0, (4, 4)))
         y = from_array(rng.uniform(0.01, 1.0, (4, 4)))
@@ -49,7 +49,7 @@ class TestComputeIndex:
 
     @pytest.mark.parametrize("kind", ["ndvi", "ndwi", "nbr", "ndsi", "ndti"])
     def test_scale_invariance(self, kind):
-        a, b = index.INDEX_BANDS[kind]
+        (a, b), _ = index.INDICES[kind]
         rng = np.random.default_rng(5)
         x = rng.uniform(0.1, 1.0, (3, 3))
         y = rng.uniform(0.1, 1.0, (3, 3))

@@ -236,20 +236,20 @@ class TestLstStatByNdvi:
     def test_all_above_is_plain_mean(self):
         lst = from_array([[300.0, 310.0]])
         ndvi = from_array([[0.7, 0.9]])
-        out = inv.lst_stat_by_ndvi("mean", [lst], [ndvi], threshold=0.5)
+        out = inv.lst_stat_by_ndvi(np.mean, [lst], [ndvi], threshold=0.5)
         assert out == 305.0
 
     def test_empty_selection(self):
         lst = from_array([[300.0]])
         ndvi = from_array([[0.1]])
         with pytest.raises(InvalidInputError):
-            inv.lst_stat_by_ndvi("mean", [lst], [ndvi], threshold=0.5)
+            inv.lst_stat_by_ndvi(np.mean, [lst], [ndvi], threshold=0.5)
 
     def test_two_pairs_match_bruteforce(self):
         rng = np.random.default_rng(8)
         lsts = [from_array(rng.uniform(280, 320, (3, 3))) for _ in range(2)]
         ndvis = [from_array(rng.uniform(0, 1, (3, 3))) for _ in range(2)]
-        got = inv.lst_stat_by_ndvi("max", lsts, ndvis, threshold=0.4)
+        got = inv.lst_stat_by_ndvi(np.max, lsts, ndvis, threshold=0.4)
         pool = []
         for lr, nr in zip(lsts, ndvis):
             for lv, nv in zip(lr.data.ravel(), nr.data.ravel()):
@@ -259,4 +259,4 @@ class TestLstStatByNdvi:
 
     def test_pair_count_mismatch(self):
         with pytest.raises(InvalidInputError):
-            inv.lst_stat_by_ndvi("mean", [from_array([[1.0]])], [], 0.5)
+            inv.lst_stat_by_ndvi(np.mean, [from_array([[1.0]])], [], 0.5)

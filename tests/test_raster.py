@@ -492,13 +492,16 @@ class TestErrors:
         with pytest.raises(UnsupportedLayoutError):
             load_raster(tmp_path / "u.tif")
 
-    @pytest.mark.parametrize("shape", [(1, 32768, 32768), (2, 32768, 16384)],
-                             ids=["4GiB-plane", "4GiB-file"])
+    @pytest.mark.parametrize("shape,dtype,limit", [
+        ((1, 32768, 32768), np.float32, "4 GiB"),
+        ((2, 32768, 16384), np.float32, "4 GiB"),
+        ((70000, 1, 1), np.uint8, "65535 bands"),
+    ], ids=["4GiB-plane", "4GiB-file", "70000-bands"])
     @pytest.mark.parametrize("compress", [False, True])
-    def test_past_classic_tiff_limit(self, tmp_path, shape, compress):
+    def test_past_classic_tiff_limit(self, tmp_path, shape, dtype, limit, compress):
         # a zero-stride view: the refusal must come before any copy
-        big = Raster(np.broadcast_to(np.zeros((1, 1, 1), np.float32), shape))
-        with pytest.raises(UnsupportedLayoutError, match="4 GiB"):
+        big = Raster(np.broadcast_to(np.zeros((1, 1, 1), dtype), shape))
+        with pytest.raises(UnsupportedLayoutError, match=limit):
             write_tiff(big, tmp_path / "big.tif", compress=compress)
         assert not (tmp_path / "big.tif").exists()
 

@@ -9,18 +9,20 @@ from geoagent.errors import InvalidInputError, MissingFileError
 from geoagent.kits import statistics as stats
 from geoagent.raster import from_array
 
+from conftest import write_raster
+
 
 class TestScalarStats:
     def test_mean(self):
-        assert stats.scalar_stat([2, 4, 6], "mean") == 4.0
+        assert stats.mean([2, 4, 6]) == 4.0
 
     def test_symmetric_skewness_zero(self):
-        assert stats.scalar_stat([1, 2, 3], "skewness") == 0.0
+        assert stats.skewness([1, 2, 3]) == 0.0
 
     def test_normal_sample_excess_kurtosis_near_zero(self):
         rng = np.random.default_rng(100)
         sample = rng.normal(size=20000)
-        assert abs(stats.scalar_stat(sample, "kurtosis")) < 0.2
+        assert abs(stats.kurtosis(sample)) < 0.2
 
     def test_cv_scale_invariant(self):
         x = [1.0, 2.0, 5.0, 9.0]
@@ -41,47 +43,57 @@ class TestScalarStats:
 class TestBatchImageStats:
     def test_mean_order_preserving(self):
         imgs = [from_array([[3.0]]), from_array([[5.0]])]
-        assert stats.batch_image_stat(imgs, "mean") == [3.0, 5.0]
+        assert stats.batch_image_stat(imgs, stats.IMAGE_STATS["mean"]) == [3.0, 5.0]
 
     def test_even_count_median(self):
         img = from_array([[1.0, 2.0], [3.0, 4.0]])
-        assert stats.batch_image_stat([img], "median") == [2.5]
+        assert stats.batch_image_stat([img], stats.IMAGE_STATS["median"]) == [2.5]
 
     def test_matches_flatten_oracle(self):
         rng = np.random.default_rng(12)
         imgs = [from_array(rng.normal(size=(4, 4))) for _ in range(3)]
         for stat, fn in [("mean", np.mean), ("std", np.std), ("min", np.min),
                          ("max", np.max), ("sum", np.sum), ("median", np.median)]:
-            got = stats.batch_image_stat(imgs, stat)
+            got = stats.batch_image_stat(imgs, stats.IMAGE_STATS[stat])
             want = [float(fn(i.data.astype(np.float64).ravel())) for i in imgs]
             assert np.allclose(got, want, atol=1e-6)
 
     def test_nodata_excluded(self):
         img = from_array([[1.0, -9.0]], nodata=-9.0)
-        assert stats.batch_image_stat([img], "mean") == [1.0]
+        assert stats.batch_image_stat([img], stats.IMAGE_STATS["mean"]) == [1.0]
 
     def test_empty_batch(self):
         with pytest.raises(InvalidInputError):
-            stats.batch_image_stat([], "mean")
+            stats.batch_image_stat([], stats.IMAGE_STATS["mean"])
 
 
 class TestBatchAggregate:
-    def test_mean_of_means(self):
-        imgs = [from_array([[1.0]]), from_array([[3.0]])]
-        assert stats.batch_aggregate(imgs, "mean_of_means") == 2.0
+    """The calc_batch_image_mean_* tools, which reduce per-image statistics."""
 
-    def test_triple(self):
-        a = from_array(np.linspace(0, 5, 6).reshape(2, 3))
-        b = from_array(np.linspace(2, 9, 6).reshape(2, 3))
-        mean_means, max_max, min_min = stats.batch_aggregate(
-            [a, b], "mean_max_min_triple")
-        assert max_max == 9.0 and min_min == 0.0
-        assert abs(mean_means - np.mean([2.5, 5.5])) < 1e-9
+    @staticmethod
+    def call(registry, workspace, tool, grids):
+        paths = []
+        for i, grid in enumerate(grids):
+            write_raster(workspace.root / f"img{i}.tif", grid)
+            paths.append(f"img{i}.tif")
+        result = registry.call_tool(tool, {"image_paths": paths})
+        assert not result.is_error, result.text
+        return result.value
 
-    def test_single_image_degenerates(self):
-        img = from_array([[2.0, 4.0]])
-        assert stats.batch_aggregate([img], "mean_of_means") == 3.0
-        assert stats.batch_aggregate([img], "max_of_means") == 3.0
+    def test_mean_of_means(self, tool_registry, workspace):
+        assert self.call(tool_registry, workspace, "calc_batch_image_mean_mean",
+                         [[[1.0]], [[3.0]]]) == 2.0
+
+    def test_triple(self, tool_registry, workspace):
+        a = np.linspace(0, 5, 6).reshape(2, 3)
+        b = np.linspace(2, 9, 6).reshape(2, 3)
+        out = self.call(tool_registry, workspace, "calc_batch_image_mean_max_min", [a, b])
+        assert out["max_of_maxes"] == 9.0 and out["min_of_mins"] == 0.0
+        assert abs(out["mean_of_means"] - np.mean([2.5, 5.5])) < 1e-9
+
+    def test_single_image_degenerates(self, tool_registry, workspace):
+        for tool in ("calc_batch_image_mean_mean", "calc_batch_image_mean_max"):
+            assert self.call(tool_registry, workspace, tool, [[[2.0, 4.0]]]) == 3.0
 
 
 class TestThresholdQueries:
