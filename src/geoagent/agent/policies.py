@@ -14,6 +14,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Callable, Protocol, Sequence
 
+from .. import finite_json
 from ..errors import GeoAgentError
 from ..tools.registry import ToolRegistry
 from .types import Action, Decision, FinalAnswerDecision, Goal, ToolCallDecision
@@ -220,7 +221,7 @@ class LLMPolicy:
             try:
                 function = tool_calls[0]["function"]
                 name = function["name"]
-                args = json.loads(function["arguments"] or "{}")
+                args = finite_json.loads(function["arguments"] or "{}")
             except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
                 raise MalformedModelOutput(f"unparseable tool call: {exc}")
             if not isinstance(name, str):

@@ -8,7 +8,6 @@ from .runner import (
     replay_factory,
     run_benchmark,
     run_task,
-    score_record,
 )
 from .schema import (
     GroundTruth,
@@ -19,7 +18,6 @@ from .schema import (
     load_plan,
     load_record,
     load_task,
-    mask_workspace,
     save_record,
     save_task,
 )
@@ -39,11 +37,9 @@ __all__ = [
     "load_record",
     "load_suite",
     "load_task",
-    "mask_workspace",
     "replay_factory",
     "run_benchmark",
     "run_task",
     "save_record",
     "save_task",
-    "score_record",
 ]

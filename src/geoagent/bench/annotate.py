@@ -13,7 +13,7 @@ from typing import Any
 from ..errors import GeoAgentError
 from ..tools.registry import ToolRegistry
 from ..workspace import Workspace
-from .schema import GroundTruth, GtStep, mask_workspace
+from .schema import GroundTruth, GtStep
 
 
 class AnnotationError(GeoAgentError):
@@ -47,12 +47,11 @@ def annotate_from_plan(plan: list[tuple[str, dict]], registry: ToolRegistry,
             raise AnnotationError(i, f"{tool}: [{result.error_class}] {result.text}")
         steps.append(GtStep(
             tool=tool,
-            input=mask_workspace(dict(args), workspace.root),
-            output=mask_workspace(result.to_json(), workspace.root),
+            input=workspace.mask(args),
+            output=workspace.mask(result.to_json()),
         ))
         last_value = result.value
-    answer_value = extract_answer(last_value, answer_path)
-    answer_value = mask_workspace(answer_value, workspace.root)
+    answer_value = workspace.mask(extract_answer(last_value, answer_path))
     if answer_text is None:
         answer_text = _render_answer(answer_value)
     return GroundTruth(steps=tuple(steps), answer_text=answer_text,

@@ -14,23 +14,10 @@ from pathlib import Path
 from typing import Callable
 
 from ..agent import Goal, Trajectory, replay_policy, run_episode
-from ..evaluation import (
-    TaskScore,
-    aggregate,
-    count_errors,
-    overall,
-    render_table,
-    score_trajectory,
-)
+from ..evaluation import TaskScore, aggregate, overall, render_table, score_trajectory
 from ..tools.registry import ToolRegistry, ToolResult
 from ..workspace import Workspace
-from .schema import (
-    WORKSPACE_TOKEN,
-    TaskSpec,
-    canonical_json,
-    mask_workspace,
-    save_record,
-)
+from .schema import TaskSpec, canonical_json, save_record
 
 PolicyFactory = Callable[[TaskSpec, str], object]
 
@@ -59,30 +46,6 @@ def replay_factory(task: TaskSpec, regime: str):
                          answer_value=gt.answer_value)
 
 
-def score_record(task: TaskSpec, trajectory: Trajectory,
-                 workspace_root: str | Path | None = None,
-                 model_tag: str | None = None) -> TaskScore:
-    """Score a trajectory against a task's ground truth."""
-    roots = [WORKSPACE_TOKEN]
-    if workspace_root is not None:
-        roots.append(str(Path(workspace_root).resolve()))
-    return score_trajectory(
-        task_id=task.id,
-        regime=trajectory.regime,
-        modality=task.modality,
-        model_tag=model_tag or trajectory.model_tag,
-        pred_steps=trajectory.step_pairs(),
-        gt_steps=task.ground_truth.step_pairs(),
-        answer_text=trajectory.answer_text,
-        answer_value=trajectory.answer_value,
-        expected_answer=task.ground_truth.answer_value,
-        answer_rule=task.answer_rule,
-        error_counts=count_errors(trajectory),
-        stop_reason=trajectory.stop_reason,
-        roots=roots,
-    )
-
-
 def run_task(task: TaskSpec, registry: ToolRegistry, workspace: Workspace,
              policy_factory: PolicyFactory, regime: str, max_steps: int = 25,
              model_tag: str = "replay") -> tuple[Trajectory, TaskScore]:
@@ -92,12 +55,9 @@ def run_task(task: TaskSpec, registry: ToolRegistry, workspace: Workspace,
     trajectory = run_episode(goal, policy_factory(task, regime), registry,
                              max_steps, model_tag=model_tag)
     trajectory = replace(trajectory, task_id=task.id, actions=[
-        replace(a, output=ToolResult.from_json(
-            mask_workspace(a.output.to_json(), workspace.root)))
+        replace(a, output=ToolResult.from_json(workspace.mask(a.output.to_json())))
         for a in trajectory.actions])
-    score = score_record(task, trajectory, workspace_root=workspace.root,
-                         model_tag=model_tag)
-    return trajectory, score
+    return trajectory, score_trajectory(task, trajectory, workspace)
 
 
 def run_benchmark(tasks: list[TaskSpec], registry: ToolRegistry,

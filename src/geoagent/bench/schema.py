@@ -19,8 +19,6 @@ from ..errors import SchemaError
 
 MODALITIES = ("Spectrum", "Products", "RGB")
 
-WORKSPACE_TOKEN = "$WS"
-
 
 def canonical_json(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
@@ -188,15 +186,3 @@ def load_plan(path: str | Path) -> tuple[list[tuple[str, dict]], dict]:
         if key in doc and not isinstance(doc[key], kind):
             raise SchemaError(f"{path}: plan {key!r} must be {name}")
     return [(s["tool"], s["input"]) for s in steps], doc
-
-
-def mask_workspace(doc: Any, root: str | Path) -> Any:
-    """Replace absolute workspace prefixes with a stable token, recursively."""
-    prefix = str(Path(root).resolve())
-    if isinstance(doc, str):
-        return doc.replace(prefix, WORKSPACE_TOKEN)
-    if isinstance(doc, list):
-        return [mask_workspace(v, root) for v in doc]
-    if isinstance(doc, dict):
-        return {k: mask_workspace(v, root) for k, v in doc.items()}
-    return doc

@@ -26,10 +26,10 @@ from .bench import (
     run_benchmark,
     run_task,
     save_record,
-    score_record,
 )
 from .bench.runner import replay_factory
 from .errors import GeoAgentError
+from .evaluation import score_trajectory
 from .kits.perception import HttpExpertBackend, MockExpertBackend
 from .tools import ToolContext, build_registry
 from .tools.mcp import serve_stdio, serve_tcp
@@ -185,8 +185,8 @@ def cmd_bench(args) -> int:
 def cmd_eval(args) -> int:
     trajectory = load_record(args.pred)
     task = load_task(args.gt)
-    score = score_record(task, trajectory,
-                         workspace_root=args.workspace if args.workspace else None)
+    score = score_trajectory(task, trajectory,
+                             Workspace(args.workspace) if args.workspace else None)
     print(canonical_json(score.as_json()), end="")
     return 0
 

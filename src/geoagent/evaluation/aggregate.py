@@ -5,11 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .metrics import TaskScore
+from .metrics import METRICS, TaskScore
 from .taxonomy import merge_counts
-
-METRIC_COLUMNS = ("tools_any_order", "tools_in_order", "tool_exact_match",
-                  "parameter_accuracy", "efficiency", "accuracy")
 
 # every task of a run shares one model tag, so only these keys split a run
 GROUP_KEYS = ("regime", "modality")
@@ -36,15 +33,11 @@ def _mean(values: list[float]) -> float:
 
 
 def _summarize(scores: Sequence[TaskScore]) -> dict[str, float]:
-    return {
-        "tools_any_order": _mean([s.tao for s in scores]),
-        "tools_in_order": _mean([s.tio for s in scores]),
-        "tool_exact_match": _mean([s.tem for s in scores]),
-        "parameter_accuracy": _mean([s.param_acc for s in scores]),
-        "efficiency": _mean([s.eff for s in scores]),
-        # final accuracy is conventionally reported as a percentage
-        "accuracy": 100.0 * _mean([float(s.acc) for s in scores]),
-    }
+    means = {name: _mean([float(getattr(s, attr)) for s in scores])
+             for name, attr in METRICS.items()}
+    # final accuracy is conventionally reported as a percentage
+    means["accuracy"] *= 100.0
+    return means
 
 
 def _report(group: dict[str, str], scores: Sequence[TaskScore]) -> GroupReport:
@@ -78,12 +71,12 @@ def render_table(reports: Sequence[GroupReport]) -> str:
     if not reports:
         return "(no results)"
     group_keys = list(reports[0].group.keys())
-    headers = group_keys + ["n", *METRIC_COLUMNS]
+    headers = group_keys + ["n", *METRICS]
     rows = []
     for r in reports:
         row = [str(r.group[k]) for k in group_keys]
         row.append(str(r.task_count))
-        for col in METRIC_COLUMNS:
+        for col in METRICS:
             row.append(f"{r.means[col]:.4f}" if col != "accuracy"
                        else f"{r.means[col]:.2f}")
         rows.append(row)

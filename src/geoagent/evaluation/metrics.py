@@ -15,7 +15,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
+
+from ..agent.types import Trajectory
+from ..workspace import WORKSPACE_TOKEN, Workspace
+from .taxonomy import count_errors
+
+if TYPE_CHECKING:  # bench imports evaluation at load time
+    from ..bench.schema import TaskSpec
 
 NUMERIC_REL_TOL = 1e-2
 NUMERIC_ABS_TOL = 1e-6
@@ -175,6 +182,17 @@ def parameter_accuracy(pred: Sequence[tuple[str, dict]],
 # ---------------------------------------------------------------------------
 
 
+# report name -> TaskScore attribute, in report column order
+METRICS = {
+    "tools_any_order": "tao",
+    "tools_in_order": "tio",
+    "tool_exact_match": "tem",
+    "parameter_accuracy": "param_acc",
+    "efficiency": "eff",
+    "accuracy": "acc",
+}
+
+
 @dataclass
 class TaskScore:
     task_id: str
@@ -196,37 +214,38 @@ class TaskScore:
             "regime": self.regime,
             "modality": self.modality,
             "model_tag": self.model_tag,
-            "accuracy": self.acc,
-            "efficiency": self.eff,
-            "tools_any_order": self.tao,
-            "tools_in_order": self.tio,
-            "tool_exact_match": self.tem,
-            "parameter_accuracy": self.param_acc,
+            **{name: getattr(self, attr) for name, attr in METRICS.items()},
             "error_counts": dict(self.error_counts),
             "stop_reason": self.stop_reason,
         }
 
 
-def score_trajectory(task_id: str, regime: str, modality: str, model_tag: str,
-                     pred_steps: Sequence[tuple[str, dict]],
-                     gt_steps: Sequence[tuple[str, dict]],
-                     answer_text: str | None, answer_value: Any,
-                     expected_answer: Any, answer_rule: dict | None,
-                     error_counts: dict[str, int], stop_reason: str,
-                     roots: Sequence[str] = ()) -> TaskScore:
+def score_trajectory(task: TaskSpec, trajectory: Trajectory,
+                     workspace: Workspace | None = None) -> TaskScore:
+    """Score a trajectory against its task's expert steps and answer.
+
+    Paths compare workspace-relative: `$WS` and, when a workspace is given,
+    its absolute root are stripped before comparison.
+    """
+    roots = [WORKSPACE_TOKEN]
+    if workspace is not None:
+        roots.append(str(workspace.root))
+    gt = task.ground_truth
+    pred_steps, gt_steps = trajectory.step_pairs(), gt.step_pairs()
     pred_names = [name for name, _ in pred_steps]
     gt_names = [name for name, _ in gt_steps]
     return TaskScore(
-        task_id=task_id,
-        regime=regime,
-        modality=modality,
-        model_tag=model_tag,
-        acc=accuracy(answer_text, answer_value, expected_answer, answer_rule, roots),
+        task_id=task.id,
+        regime=trajectory.regime,
+        modality=task.modality,
+        model_tag=trajectory.model_tag,
+        acc=accuracy(trajectory.answer_text, trajectory.answer_value,
+                     gt.answer_value, task.answer_rule, roots),
         eff=efficiency(len(pred_names), len(gt_names)),
         tao=tools_any_order(pred_names, gt_names),
         tio=tools_in_order(pred_names, gt_names),
         tem=tool_exact_match(pred_names, gt_names),
         param_acc=parameter_accuracy(pred_steps, gt_steps, roots),
-        error_counts=dict(error_counts),
-        stop_reason=stop_reason,
+        error_counts=count_errors(trajectory),
+        stop_reason=trajectory.stop_reason,
     )

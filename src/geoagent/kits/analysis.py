@@ -422,7 +422,7 @@ def gi_star_zscores(band: np.ndarray, kernel_radius: int = 1) -> np.ndarray:
     return np.where(valid, z, np.nan)
 
 
-DIRECTIONS = ("N", "E", "S", "W")
+CARDINALS = ("N", "E", "S", "W")
 
 
 def hotspot_direction(binary_map: Raster) -> tuple[str, dict[str, int]]:
@@ -430,12 +430,12 @@ def hotspot_direction(binary_map: Raster) -> tuple[str, dict[str, int]]:
 
     Pixels exactly on the center row or column are excluded; diagonal-sector
     assignment sends |dy| >= |dx| to N/S and the rest to E/W. Ties resolve
-    lexicographically (N < E < S < W); an empty map is center-balanced.
+    by name (E < N < S < W); an empty map is center-balanced.
     """
     band = as_binary(binary_map.band(), "hotspot map")
     h, w = band.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    counts = {d: 0 for d in DIRECTIONS}
+    counts = {d: 0 for d in CARDINALS}
     ys, xs = np.nonzero(band == 1.0)
     for y, x in zip(ys, xs):
         dy, dx = y - cy, x - cx
@@ -448,5 +448,5 @@ def hotspot_direction(binary_map: Raster) -> tuple[str, dict[str, int]]:
     best = max(counts.values())
     if best == 0:
         return "center-balanced", counts
-    winner = min(d for d in DIRECTIONS if counts[d] == best)
+    winner = min(d for d in CARDINALS if counts[d] == best)
     return winner, counts

@@ -9,7 +9,6 @@ by a fixture manifest so episodes can run hermetically.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import urllib.error
@@ -19,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import finite_json
 from ..errors import ExternalServiceError, InvalidInputError, SchemaError
 from ..raster import Raster, load_raster, mask_like, save_raster
 from ..workspace import Workspace
@@ -108,20 +108,13 @@ class MockExpertBackend(ExpertBackend):
 class HttpExpertBackend(ExpertBackend):
     """Single-POST JSON adapter for remote expert models."""
 
-    def __init__(self, base_url: str, timeout: float = 60.0, embed_images: bool = False):
+    def __init__(self, base_url: str, timeout: float = 60.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.embed_images = embed_images
 
     def call(self, model, task, image_paths, prompt):
-        payload: dict = {"model": model, "task": task, "prompt": prompt}
-        if self.embed_images:
-            payload["images_b64"] = [
-                base64.b64encode(Path(p).read_bytes()).decode("ascii")
-                for p in image_paths
-            ]
-        else:
-            payload["images"] = [str(p) for p in image_paths]
+        payload = {"model": model, "task": task, "prompt": prompt,
+                   "images": [str(p) for p in image_paths]}
         req = urllib.request.Request(
             self.base_url + "/infer",
             data=json.dumps(payload).encode("utf-8"),
@@ -129,8 +122,7 @@ class HttpExpertBackend(ExpertBackend):
         )
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                reply = json.loads(resp.read().decode("utf-8"),
-                                   parse_constant=_finite, parse_float=_finite)
+                reply = finite_json.loads(resp.read().decode("utf-8"))
         except (urllib.error.URLError, TimeoutError, ValueError, RecursionError) as exc:
             raise ExternalServiceError(f"expert endpoint failed: {exc}") from exc
         if not isinstance(reply, dict):
@@ -139,14 +131,6 @@ class HttpExpertBackend(ExpertBackend):
         if not isinstance(reply.get("mask", ""), str):
             raise ExternalServiceError("expert reply `mask` must be a path string")
         return reply
-
-
-def _finite(text: str) -> float:
-    """A JSON number as a float; NaN, Infinity and overflow (1e999) are refused."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text}")
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ __all__ = [
 
 
 def load_raster(path: str | Path) -> Raster:
-    """Load a raster, sniffing TIFF vs PNG vs .meta.json by content."""
+    """Load a raster, sniffing TIFF vs PNG by content."""
     p = Path(path)
     if not p.is_file():
         raise MissingFileError(f"no such file: {path}")
@@ -42,39 +42,7 @@ def load_raster(path: str | Path) -> Raster:
         return read_png(p)
     if head[:2] in (b"II", b"MM"):
         return read_tiff(p)
-    if head.lstrip().startswith(b"{"):
-        return read_meta_json(p)
-    raise CorruptFileError(f"{path}: neither TIFF, PNG, nor raster sidecar")
-
-
-def read_meta_json(path: str | Path) -> Raster:
-    """Plain-text raster sidecar for synthetic fixtures.
-
-    Schema: {"width": int, "height": int, "dtype": "u8"|"u16"|"f32",
-    "values": row-major samples, "bands": optional int (default 1),
-    "nodata": optional number}.
-    """
-    import json
-
-    import numpy as np
-
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        width, height = int(doc["width"]), int(doc["height"])
-        bands = int(doc.get("bands", 1))
-        dtype = doc["dtype"]
-        values = doc["values"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise CorruptFileError(f"{path}: bad raster sidecar: {exc}") from exc
-    if dtype not in DTYPES:
-        raise CorruptFileError(f"{path}: sidecar dtype {dtype!r} unsupported")
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size != width * height * bands:
-        raise CorruptFileError(
-            f"{path}: sidecar has {arr.size} samples, expected "
-            f"{width * height * bands}")
-    data = arr.reshape(bands, height, width)
-    return from_array(data, dtype=dtype, nodata=doc.get("nodata"))
+    raise CorruptFileError(f"{path}: neither TIFF nor PNG")
 
 
 def save_raster(raster: Raster, path: str | Path) -> Path:

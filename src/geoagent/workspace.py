@@ -2,7 +2,9 @@
 
 Tools receive model-generated paths, so every output path is confined to a
 single workspace root. Inputs may be absolute (benchmark data folders often
-live elsewhere); relative inputs resolve against the root.
+live elsewhere); relative inputs resolve against the root. Stored documents
+write the root as `WORKSPACE_TOKEN`, so they do not depend on where the
+workspace lives.
 """
 
 from __future__ import annotations
@@ -10,8 +12,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 from .errors import MissingFileError, WorkspaceEscapeError
+
+WORKSPACE_TOKEN = "$WS"
 
 
 @dataclass(frozen=True)
@@ -46,3 +51,14 @@ class Workspace:
             raise MissingFileError(f"no such file or directory: {path!s}")
         return resolved
 
+
+    def mask(self, doc: Any) -> Any:
+        """`doc` with the root written as `WORKSPACE_TOKEN` in every string,
+        recursively through lists and dicts."""
+        if isinstance(doc, str):
+            return doc.replace(str(self.root), WORKSPACE_TOKEN)
+        if isinstance(doc, list):
+            return [self.mask(v) for v in doc]
+        if isinstance(doc, dict):
+            return {k: self.mask(v) for k, v in doc.items()}
+        return doc

@@ -27,11 +27,11 @@ from geoagent.bench import (
     run_benchmark,
     run_task,
     save_record,
-    score_record,
 )
 from geoagent.evaluation import (
     count_errors,
     parameter_accuracy,
+    score_trajectory,
     tool_exact_match,
     tools_any_order,
     tools_in_order,
@@ -392,7 +392,7 @@ def test_criterion_6_error_taxonomy(tmp_path):
         save_record(trajectory, tmp_path / "adversarial.json")
         stored = load_record(tmp_path / "adversarial.json")
         for histogram in (count_errors(trajectory),
-                          score_record(task, stored, workspace_root=ws.root).error_counts):
+                          score_trajectory(task, stored, ws).error_counts):
             assert histogram == {
                 "UnawareOfTermination": 1,
                 "ToolHallucination": 1,

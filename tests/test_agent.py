@@ -280,6 +280,19 @@ class TestHostileReplies:
             policy.next(GOAL, [])
         assert len(transport.requests) == 2  # one reprompt
 
+    @pytest.mark.parametrize("arguments", [
+        '{"kelvin": NaN}', '{"kelvin": Infinity}', '{"kelvin": -Infinity}',
+        '{"kelvin": 1e999}', '{"kelvin": [300, {"k": -1e999}]}',
+    ], ids=["nan", "infinity", "minus_infinity", "overflow", "nested_overflow"])
+    def test_non_finite_arguments_are_reprompted(self, registry, arguments):
+        transport = FakeTransport([
+            call_reply({"function": {"name": "kelvin_to_celsius", "arguments": arguments}}),
+            tool_call_reply("kelvin_to_celsius", {"kelvin": 300})])
+        policy = LLMPolicy("http://llm.test/v1", "m", registry=registry,
+                           transport=transport)
+        assert policy.next(GOAL, []) == ToolCallDecision("kelvin_to_celsius", {"kelvin": 300})
+        assert "non-finite" in transport.requests[1]["body"]["messages"][-1]["content"]
+
     @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e999"])
     def test_non_finite_answer_keeps_text_only(self, registry, text):
         policy = LLMPolicy("http://llm.test/v1", "m", registry=registry,
@@ -304,6 +317,7 @@ class TestHostileReplies:
             return
         if isinstance(decision, ToolCallDecision):
             assert isinstance(decision.name, str) and isinstance(decision.args, dict)
+            json.dumps(decision.args, allow_nan=False)
         else:
             assert isinstance(decision, FinalAnswerDecision)
             json.dumps(decision.value, allow_nan=False)

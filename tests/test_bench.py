@@ -348,6 +348,30 @@ class TestCli:
         assert score["accuracy"] == 1
         assert score["parameter_accuracy"] == 1.0
 
+    def test_eval_prints_the_bench_report_entry(self, tmp_path, capsys, monkeypatch):
+        from geoagent.cli import REGIME_FLAGS, main
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("WORKSPACE_ROOT", raising=False)
+        monkeypatch.delenv("GEOAGENT_CONFIG", raising=False)
+        root = tmp_path / "suite"
+        assert main(["fixtures", "--out", str(root)]) == 0
+        assert main(["bench", "--tasks-dir", str(root / "tasks"), "--workspace",
+                     str(root), "--regime", "both", "--out-dir", "out"]) == 0
+        capsys.readouterr()
+        task_count = len(list((root / "tasks").glob("*.json")))
+        for regime in REGIME_FLAGS.values():
+            out = tmp_path / "out" / regime.lower()
+            entries = json.loads((out / "report.json").read_text())["tasks"]
+            assert len(entries) == task_count
+            for entry in entries:
+                for workspace in ([], ["--workspace", str(root)]):
+                    assert main(["eval", "--pred",
+                                 str(out / "trajectories" / f"{entry['task_id']}.json"),
+                                 "--gt", str(root / "tasks" / f"{entry['task_id']}.json"),
+                                 *workspace]) == 0
+                    assert capsys.readouterr().out == canonical_json(entry)
+
     def test_annotate_command(self, tmp_path, capsys):
         from geoagent.cli import main
 

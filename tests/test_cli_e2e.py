@@ -4,40 +4,9 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from geoagent.errors import CorruptFileError
-from geoagent.raster import load_raster
-
 from conftest import write_raster
-
-
-class TestMetaJsonSidecar:
-    def test_load_sidecar(self, tmp_path):
-        doc = {"width": 2, "height": 2, "dtype": "f32",
-               "values": [1.0, 2.0, 3.0, 4.0]}
-        p = tmp_path / "synthetic.meta.json"
-        p.write_text(json.dumps(doc))
-        r = load_raster(p)
-        assert r.width == 2 and r.height == 2 and r.bands == 1
-        assert r.data.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
-
-    def test_sidecar_with_nodata_and_bands(self, tmp_path):
-        doc = {"width": 1, "height": 2, "dtype": "u8", "bands": 2,
-               "values": [1, 2, 3, 4], "nodata": 2}
-        p = tmp_path / "x.meta.json"
-        p.write_text(json.dumps(doc))
-        r = load_raster(p)
-        assert r.bands == 2
-        assert r.values(1).tolist() == [1.0]
-
-    def test_sample_count_mismatch(self, tmp_path):
-        p = tmp_path / "bad.meta.json"
-        p.write_text(json.dumps({"width": 2, "height": 2, "dtype": "f32",
-                                 "values": [1.0]}))
-        with pytest.raises(CorruptFileError):
-            load_raster(p)
 
 
 class TestBatchItemErrors:

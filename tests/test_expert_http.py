@@ -87,20 +87,6 @@ class TestHttpBackend:
                                               "post_image_path": "pre.tif"})
         assert res.is_error and res.error_class == "SystemError"
 
-    def test_embedded_images_mode(self, inference_server, tmp_path):
-        server, handler = inference_server
-        handler.reply = {"label": "River"}
-        (tmp_path / "tiny.png").write_bytes(b"notapng")
-        host, port = server.server_address
-        backend = HttpExpertBackend(f"http://{host}:{port}", embed_images=True)
-        out = backend.call("MSCN", "classify", [str(tmp_path / "tiny.png")], None)
-        assert out == {"label": "River"}
-        body = handler.requests[0]["body"]
-        assert "images" not in body
-        import base64
-
-        assert base64.b64decode(body["images_b64"][0]) == b"notapng"
-
     @pytest.mark.parametrize("reply", [
         b'{"label": NaN}',
         b'{"label": -Infinity}',

@@ -469,9 +469,12 @@ class TestErrors:
             load_raster(tmp_path / "absent.tif")
 
     def test_not_a_tiff(self, tmp_path):
-        (tmp_path / "junk.tif").write_bytes(b"this is not imagery")
-        with pytest.raises(CorruptFileError):
-            load_raster(tmp_path / "junk.tif")
+        # JSON text is no raster either: there is no plain-text raster format
+        for blob in (b"this is not imagery",
+                     b'{"width": 1, "height": 1, "dtype": "u8", "values": [1]}'):
+            (tmp_path / "junk.tif").write_bytes(blob)
+            with pytest.raises(CorruptFileError, match="neither TIFF nor PNG"):
+                load_raster(tmp_path / "junk.tif")
 
     def test_truncated(self, tmp_path):
         r = from_array(np.ones((4, 4)))
