@@ -13,11 +13,7 @@ class GeoAgentError(Exception):
 
 
 class MissingFileError(GeoAgentError):
-    """A path argument points at a file or directory that does not exist."""
-
-
-class WorkspaceEscapeError(GeoAgentError):
-    """An output path resolves outside the workspace root."""
+    """An input path names no file, or no directory, of the kind expected."""
 
 
 class InvalidInputError(GeoAgentError):
@@ -26,6 +22,10 @@ class InvalidInputError(GeoAgentError):
     Covers shape mismatches, degenerate ranges, non-binary maps, series too
     short for a statistic, zero variance, empty batches, and similar.
     """
+
+
+class WorkspaceEscapeError(InvalidInputError):
+    """An output path resolves outside the workspace root."""
 
 
 class ShapeMismatchError(InvalidInputError):

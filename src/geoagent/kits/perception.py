@@ -52,7 +52,8 @@ class BBox:
 
 
 class ExpertBackend:
-    """Dispatch surface for expert-model calls."""
+    """Dispatch surface for expert-model calls; `image_paths` arrive
+    resolved against the workspace by the tool layer."""
 
     def call(self, model: str, task: str, image_paths: list[str],
              prompt: str | None) -> dict:
@@ -98,9 +99,9 @@ class MockExpertBackend(ExpertBackend):
         return result
 
     def _write_mask(self, image_paths, threshold, stem, task) -> str:
-        src = load_raster(self.workspace.resolve_input(image_paths[0]))
+        src = load_raster(image_paths[0])
         mask = mask_like(src, src.band() > threshold, 255)
-        out = self.workspace.resolve_output(f"perception/{task}_{stem}.tif")
+        out = self.workspace.resolve(f"perception/{task}_{stem}.tif", "out_file")
         save_raster(mask, out)
         return str(out)
 

@@ -46,6 +46,7 @@ def load_raster(path: str | Path) -> Raster:
 
 
 def save_raster(raster: Raster, path: str | Path) -> Path:
-    """Write a raster as uncompressed GeoTIFF; parent directory must already exist."""
+    """Write a raster as uncompressed GeoTIFF, creating its parent directories."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     write_tiff(raster, path)
     return Path(path)

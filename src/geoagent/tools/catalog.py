@@ -3,10 +3,11 @@ public name with a strict parameter schema.
 
 Each tool is one `Tool` row naming a kit function, served by one of two
 generic handlers (`_raster_handler`, `_batch_handler`); the few rows that do
-not fit carry a handler of their own. Handlers close over a ToolContext
-(workspace + perception backend). File arguments resolve against the
-workspace; outputs are confined to it and reported as
-"Result saved at <path>".
+not fit carry a handler of their own. Each parameter's path kind is derived
+from its name once, in `P`; `build_registry` resolves every path argument
+by its kind with `Workspace.resolve` before any handler runs, so handlers
+see resolved paths only. Outputs are confined to the workspace and
+reported as "Result saved at <path>".
 """
 
 from __future__ import annotations
@@ -35,12 +36,24 @@ class ToolContext:
     perception: perc.ExpertBackend
 
 
+def _path_kind(name: str, type_: str, items: str | None) -> str | None:
+    """The `Workspace.resolve` kind a parameter takes, by the catalog's
+    naming rule, or None for a parameter that is not a path."""
+    if type_ == "array" and items == "string" and name.endswith("_paths"):
+        return "files"
+    if type_ != "string":
+        return None
+    named = {"output_path": "out_file", "output_dir": "out_dir", "directory": "dir"}
+    return named.get(name, "file" if "path" in name else None)
+
+
 def P(name: str, type_: str, required: bool = True, desc: str = "",
       enum: tuple | None = None, items: str | None = None,
       nullable_items: bool = False) -> ParamSpec:
     return ParamSpec(name=name, type=type_, required=required,
                      description=desc, enum=enum, item_type=items,
-                     item_nullable=nullable_items)
+                     item_nullable=nullable_items,
+                     kind=_path_kind(name, type_, items))
 
 
 COMPARATOR_ENUM = tuple(st.COMPARATORS)
@@ -51,13 +64,14 @@ class Tool(NamedTuple):
     """One catalog row.
 
     `fn` gets the required arguments positionally in parameter order, each
-    input path (a parameter named with "path", other than `output_path`)
-    loaded as a raster or list of rasters, and the optional arguments that
+    `file` or `files` parameter loaded as a raster or list of rasters, a
+    `dir` parameter as its resolved path, and the optional arguments that
     were given as keywords: the kit signature owns every default. The value
-    is returned, or saved to `output_path`. With `like` set, rasters arrive
-    as float64 bands and the array result takes the georeference of that
-    parameter's (first) raster. With `prefix` set, the tool is a batch (see
-    `_batch_handler`). A row with `handler` bypasses all of this.
+    is returned, or saved to the `out_file` parameter. With `like` set,
+    rasters arrive as float64 bands and the array result takes the
+    georeference of that parameter's (first) raster. With `prefix` set, the
+    tool is a batch (see `_batch_handler`). A row with `handler` bypasses
+    all of this, but it too receives its path arguments resolved.
     """
 
     name: str
@@ -69,24 +83,17 @@ class Tool(NamedTuple):
     handler: Callable[[dict], ToolResult] | None = None
 
 
-def _load(ctx: ToolContext, path: str) -> Raster:
-    return load_raster(ctx.workspace.resolve_input(path))
-
-
-def _save(ctx: ToolContext, raster: Raster, relpath: str) -> ToolResult:
-    out = ctx.workspace.resolve_output(relpath)
+def _save(raster: Raster, out: Path) -> ToolResult:
     save_raster(raster, out)
     return ok_result(value=str(out), text=f"Result saved at {out}", files=[str(out)])
 
 
-def _save_many(ctx: ToolContext, rasters: list[Raster], relpaths: list[str]) -> ToolResult:
-    outs = []
-    for r, rel in zip(rasters, relpaths):
-        out = ctx.workspace.resolve_output(rel)
+def _save_many(rasters: list[Raster], outs: list[Path]) -> ToolResult:
+    for r, out in zip(rasters, outs):
         save_raster(r, out)
-        outs.append(str(out))
-    text = "\n".join(f"Result saved at {o}" for o in outs)
-    return ok_result(value=outs, text=text, files=outs)
+    names = [str(o) for o in outs]
+    return ok_result(value=names, text="\n".join(f"Result saved at {o}" for o in names),
+                     files=names)
 
 
 def _as_list(value: Raster | list[Raster]) -> list[Raster]:
@@ -97,18 +104,18 @@ def _bands(value: Raster | list[Raster]):
     return [r.band() for r in value] if isinstance(value, list) else value.band()
 
 
-def _call(ctx: ToolContext, tool: Tool, args: dict):
-    """Load the input paths in parameter order and call `tool.fn`."""
+def _call(tool: Tool, args: dict):
+    """Load the input files in parameter order and call `tool.fn`."""
     inputs, given, loaded = {}, {}, []
     for p in tool.params:
         if not p.required:
             if p.name in args:
                 given[p.name] = args[p.name]
-        elif p.name not in ("output_path", "output_dir"):
+        elif p.kind not in ("out_file", "out_dir"):
             value = args[p.name]
-            if "path" in p.name:
-                value = ([_load(ctx, v) for v in value] if isinstance(value, list)
-                         else _load(ctx, value))
+            if p.kind in ("file", "files"):
+                value = ([load_raster(v) for v in value] if isinstance(value, list)
+                         else load_raster(value))
                 loaded.append(p.name)
             inputs[p.name] = value
     if tool.like is None:
@@ -122,56 +129,75 @@ def _call(ctx: ToolContext, tool: Tool, args: dict):
     return like(template[0], out)
 
 
-def _raster_handler(ctx: ToolContext, tool: Tool) -> Callable[[dict], object]:
+def _raster_handler(tool: Tool) -> Callable[[dict], object]:
+    out = next((p.name for p in tool.params if p.kind == "out_file"), None)
+
     def handler(args: dict):
-        out = _call(ctx, tool, args)
-        return _save(ctx, out, args["output_path"]) if "output_path" in args else out
+        value = _call(tool, args)
+        return value if out is None else _save(value, args[out])
 
     return handler
 
 
-def _batch_handler(ctx: ToolContext, tool: Tool) -> Callable[[dict], ToolResult]:
-    """Call `tool.fn` once per item of the equal-length `*_paths` lists and
-    save item i as <output_dir>/<prefix>_<stem of its first path>.tif."""
-    lists = [p.name for p in tool.params if p.name.endswith("_paths")]
+def _batch_handler(tool: Tool, resolve: Callable) -> Callable[[dict], ToolResult]:
+    """Call `tool.fn` once per item of the equal-length `files` lists and
+    save item i as <out_dir>/<prefix>_<stem of its first path>.tif, a path
+    that `resolve` checks as an `out_file` like any other."""
+    lists = [p.name for p in tool.params if p.kind == "files"]
+    out_dir = next(p.name for p in tool.params if p.kind == "out_dir")
 
     def handler(args: dict) -> ToolResult:
         lengths = {len(args[n]) for n in lists}
         if len(lengths) != 1:
             raise InvalidInputError(
                 f"band path lists must have equal lengths, got {sorted(lengths)}")
-        if next(iter(lengths)) == 0:
-            raise InvalidInputError("empty batch")
-        rasters, names = [], []
+        rasters, outs = [], []
         for i, item in enumerate(zip(*(args[n] for n in lists))):
             try:
-                rasters.append(_call(ctx, tool, {**args, **dict(zip(lists, item))}))
+                rasters.append(_call(tool, {**args, **dict(zip(lists, item))}))
+                outs.append(resolve(args[out_dir] / f"{tool.prefix}_{item[0].stem}.tif",
+                                    "out_file"))
             except GeoAgentError as exc:
                 raise type(exc)(f"batch item {i}: {exc}") from exc
-            names.append(f"{args['output_dir']}/{tool.prefix}_{Path(item[0]).stem}.tif")
-        return _save_many(ctx, rasters, names)
+        return _save_many(rasters, outs)
 
     return handler
 
 
+def _resolving(resolve: Callable, params: tuple[ParamSpec, ...],
+               handler: Callable[[dict], object]) -> Callable[[dict], object]:
+    """`handler` given each path argument resolved by its kind; a row without
+    path parameters keeps its bare handler."""
+    kinds = [(p.name, p.kind) for p in params if p.kind is not None]
+    if not kinds:
+        return handler
+
+    def call(args: dict):
+        return handler({**args, **{n: resolve(args[n], k) for n, k in kinds if n in args}})
+
+    return call
+
+
 def catalog_rows(ctx: ToolContext) -> list[Tool]:
     """Every catalog row, in registration order."""
-    return (_index_tools() + _inversion_tools(ctx) + _perception_tools(ctx)
-            + _analysis_tools() + _statistics_tools(ctx))
+    return (_index_tools() + _inversion_tools() + _perception_tools(ctx)
+            + _analysis_tools() + _statistics_tools())
 
 
 def build_registry(ctx: ToolContext) -> ToolRegistry:
     # the rows look kit functions up now, so replacements made before this
     # call (tracing, tests) take effect
     reg = ToolRegistry()
+    resolve = ctx.workspace.resolve
     for tool in catalog_rows(ctx):
         if tool.handler is not None:
             handler = tool.handler
         elif tool.prefix is not None:
-            handler = _batch_handler(ctx, tool)
+            handler = _batch_handler(tool, resolve)
         else:
-            handler = _raster_handler(ctx, tool)
-        reg.register(ToolSpec(tool.name, tool.description, tool.params), handler)
+            handler = _raster_handler(tool)
+        reg.register(ToolSpec(tool.name, tool.description, tool.params),
+                     _resolving(resolve, tool.params, handler))
     return reg
 
 
@@ -244,11 +270,11 @@ def _index_tools() -> list[Tool]:
 # ---------------------------------------------------------------------------
 
 
-def _inversion_tools(ctx: ToolContext) -> list[Tool]:
+def _inversion_tools() -> list[Tool]:
     def ttm(args: dict) -> ToolResult:
-        rasters = [_load(ctx, p) for p in args["band_paths"]]
+        rasters = [load_raster(p) for p in args["band_paths"]]
         out, failures = inv.ttm_lst([r.band() for r in rasters])
-        result = _save(ctx, like(rasters[0], out), args["output_path"])
+        result = _save(like(rasters[0], out), args["output_path"])
         if failures:
             result.text += f"\n{failures} pixel(s) did not converge and are nodata"
         return result
@@ -413,7 +439,7 @@ def _inversion_tools(ctx: ToolContext) -> list[Tool]:
 def _perception_tools(ctx: ToolContext) -> list[Tool]:
     def expert(model: str, task: str, image_params: tuple[str, ...]):
         def handler(args: dict) -> ToolResult:
-            paths = [str(ctx.workspace.resolve_input(args[p])) for p in image_params]
+            paths = [str(args[p]) for p in image_params]
             out = ctx.perception.call(model, task, paths, args.get("prompt"))
             return ok_result(value=out, files=[out["mask"]] if "mask" in out else [])
 
@@ -575,7 +601,7 @@ def _analysis_tools() -> list[Tool]:
 # ---------------------------------------------------------------------------
 
 
-def _statistics_tools(ctx: ToolContext) -> list[Tool]:
+def _statistics_tools() -> list[Tool]:
     images = P("image_paths", "array", items="string")
     band = P("band", "integer", False)
     a_b_out = (P("image_a_path", "string"), P("image_b_path", "string"),
@@ -775,8 +801,7 @@ def _statistics_tools(ctx: ToolContext) -> list[Tool]:
              "Sorted list of file names in a directory, optionally "
              "filtered by a glob pattern.",
              (P("directory", "string"), P("pattern", "string", False)),
-             lambda directory, **kw: st.get_filelist(
-                 ctx.workspace.resolve_input(directory), **kw)),
+             st.get_filelist),
         Tool("radiometric_correction_sr",
              "Scale surface-reflectance digital numbers to "
              "reflectance in [0, 1].",

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..errors import InvalidInputError, MissingFileError, WorkspaceEscapeError
+from ..errors import InvalidInputError, MissingFileError
 
 TOOL_HALLUCINATION = "ToolHallucination"
 FILE_HALLUCINATION = "FileHallucination"
@@ -49,6 +49,7 @@ class ParamSpec:
     enum: tuple | None = None
     item_type: str | None = None  # element type for arrays
     item_nullable: bool = False   # arrays that mark gaps with null
+    kind: str | None = None       # path kind (see `Workspace.resolve`), None for a non-path
 
     def __post_init__(self):
         if self.type not in _JSON_TYPES:
@@ -157,7 +158,7 @@ def classify_exception(exc: BaseException) -> str:
     """Map a handler exception to its taxonomy class."""
     if isinstance(exc, MissingFileError):
         return FILE_HALLUCINATION
-    if isinstance(exc, (InvalidInputError, WorkspaceEscapeError)):
+    if isinstance(exc, InvalidInputError):
         return INVALID_PARAMETERS
     return SYSTEM_ERROR
 

@@ -121,14 +121,25 @@ MANIFEST = [
 ]
 
 
+# a sample argument per path kind; outputs are named after the tool
+PATH_VALUES = {"file": "src/a.tif", "dir": "src", "out_file": "sweep/{}.tif",
+               "out_dir": "sweep_{}"}
+
+# every string (or string-array) parameter that is not a path
+NON_PATH_STRINGS = {"comparator", "comparator_a", "comparator_b", "direction",
+                    "mode", "pattern", "prompt", "target"}
+
+
 def generic_value(tool_name: str, param):
     name = param.name
+    if param.kind == "files":
+        return ["src/a.tif"]
+    if param.kind is not None:
+        return PATH_VALUES[param.kind].format(tool_name)
     if param.enum is not None:
         return param.enum[0]
     if param.type == "string":
-        if "dir" in name and "path" not in name:
-            return "src"
-        return "src/a.tif" if "path" in name else "x"
+        return "x"
     if param.type == "integer":
         return {"max_lag": 3, "period": 4, "kernel_radius": 1, "bins": 4,
                 "band": 1}.get(name, 1)
@@ -139,8 +150,6 @@ def generic_value(tool_name: str, param):
     if param.type == "boolean":
         return False
     if param.type == "array":
-        if name.endswith("_paths") or name == "image_paths":
-            return ["src/a.tif"]
         if name == "values" or name == "data":
             return list(SERIES)
         if name == "timestamps":
@@ -210,14 +219,9 @@ def build_args(registry, name: str, optional: bool = False) -> dict:
     for param in spec.params:
         if not param.required and not optional:
             continue
-        if "output_path" == param.name:
-            args[param.name] = f"sweep/{name}.tif"
-        elif "output_dir" == param.name:
-            args[param.name] = f"sweep_{name}"
-        else:
-            value = generic_value(name, param)
-            if value is not None:
-                args[param.name] = value
+        value = generic_value(name, param)
+        if value is not None:
+            args[param.name] = value
     args.update(OVERRIDES.get(name, {}))
     return args
 
@@ -280,23 +284,32 @@ def test_outputs_match_golden(sweep_outputs, label):
     assert changed == [], f"outputs differ from {GOLDEN.name}: {changed}"
 
 
-def _raster_inputs(tool) -> list[str]:
-    return [p.name for p in tool.params
-            if p.required and "path" in p.name and p.name != "output_path"]
+ROWS = catalog_rows(ToolContext(workspace=None, perception=None))
+
+
+def test_every_non_path_string_is_known():
+    # a path parameter whose name breaks the naming rule would get no kind
+    # and reach its kit unresolved
+    strings = {p.name for t in ROWS for p in t.params
+               if p.kind is None and "string" in (p.type, p.item_type)}
+    assert strings == NON_PATH_STRINGS
+
+
+def _raster_inputs(tool) -> list:
+    return [p for p in tool.params if p.kind in ("file", "files")]
 
 
 # `like=` rows hand the kit bare arrays; those reading two or more rasters
 # (several path parameters, or a list of paths) can meet mismatched grids
-LIKE_ROWS = [t for t in catalog_rows(ToolContext(workspace=None, perception=None))
-             if t.like is not None
+LIKE_ROWS = [t for t in ROWS if t.like is not None
              and (len(_raster_inputs(t)) > 1
-                  or any(n.endswith("_paths") for n in _raster_inputs(t)))]
+                  or any(p.kind == "files" for p in _raster_inputs(t)))]
 
 
 @pytest.mark.parametrize("tool", LIKE_ROWS, ids=lambda t: t.name)
 def test_like_rows_reject_mismatched_grids(sweep_registry, tool):
     args = build_args(sweep_registry, tool.name)
-    last = _raster_inputs(tool)[-1]
+    last = _raster_inputs(tool)[-1].name
     args[last] = (args[last][:-1] + ["src/odd.tif"] if isinstance(args[last], list)
                   else "src/odd.tif")
     result = sweep_registry.call_tool(tool.name, args)
