@@ -12,6 +12,7 @@ import json
 import math
 import urllib.error
 import urllib.request
+import weakref
 from typing import Any, Callable, Protocol, Sequence
 
 from .. import finite_json
@@ -127,7 +128,38 @@ Transport = Callable[[str, bytes, dict, float], dict]
 def _urllib_transport(url: str, body: bytes, headers: dict, timeout: float) -> dict:
     req = urllib.request.Request(url, data=body, headers=headers)
     with urllib.request.urlopen(req, timeout=timeout) as resp:
-        return json.loads(resp.read().decode("utf-8"))
+        return json.loads(finite_json.read_reply(resp))
+
+
+# registry -> (tool count, its chat `tools` array as JSON text)
+_TOOLS_JSON: "weakref.WeakKeyDictionary[ToolRegistry, tuple[int, str]]" = (
+    weakref.WeakKeyDictionary())
+
+
+def _tools_json(registry: ToolRegistry) -> str:
+    """The registry's tools as the chat `tools` array, in JSON text.
+
+    The text is encoded once per registry and reused by every policy that
+    shares it. The tool count keys the cache exactly: `register` refuses a
+    repeated name and nothing unregisters, so a new count means a new tool.
+    Two threads may both encode a stale entry; they store the same text.
+    """
+    cached = _TOOLS_JSON.get(registry)
+    if cached is not None and cached[0] == len(registry):
+        return cached[1]
+    text = json.dumps([
+        {
+            "type": "function",
+            "function": {
+                "name": spec.name,
+                "description": spec.description,
+                "parameters": spec.input_schema(),
+            },
+        }
+        for spec in registry.list_specs()
+    ])
+    _TOOLS_JSON[registry] = (len(registry), text)
+    return text
 
 
 class LLMPolicy:
@@ -154,21 +186,6 @@ class LLMPolicy:
         self.observation_budget = observation_budget
         self.transport = transport
 
-    def tool_schemas(self) -> list[dict]:
-        if self.registry is None or self.no_tool_mode:
-            return []
-        return [
-            {
-                "type": "function",
-                "function": {
-                    "name": spec.name,
-                    "description": spec.description,
-                    "parameters": spec.input_schema(),
-                },
-            }
-            for spec in self.registry.list_specs()
-        ]
-
     def next(self, goal: Goal, actions: Sequence[Action]) -> Decision:
         messages = render_memory(goal, actions, self.observation_budget)
         try:
@@ -186,15 +203,15 @@ class LLMPolicy:
         return self._parse(reply)
 
     def _post(self, messages: list[dict]) -> dict:
-        body: dict[str, Any] = {"model": self.model, "messages": messages}
-        schemas = self.tool_schemas()
-        if schemas:
-            body["tools"] = schemas
-            body["tool_choice"] = "auto"
+        text = json.dumps({"model": self.model, "messages": messages})
+        if self.registry is not None and len(self.registry) and not self.no_tool_mode:
+            # the bytes json.dumps gives for the body with these two keys last
+            text = (text[:-1] + ', "tools": ' + _tools_json(self.registry)
+                    + ', "tool_choice": "auto"}')
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        payload = json.dumps(body).encode("utf-8")
+        payload = text.encode("utf-8")
         last: Exception | None = None
         for _ in range(self.retries + 1):
             try:

@@ -50,11 +50,21 @@ class MannKendallResult:
     trend: str  # increasing | decreasing | no-trend
 
 
+def _valid_with_times(values, timestamps) -> tuple[np.ndarray, np.ndarray]:
+    """The series' valid values and their times: their index positions, or
+    their entries of `timestamps`, which must hold one time per value."""
+    y, pos = _valid_with_positions(values)
+    if timestamps is None:
+        return y, pos
+    if len(timestamps) != len(values):
+        raise InvalidInputError(f"timestamps must give one time per value, got "
+                                f"{len(timestamps)} for {len(values)} values")
+    return y, np.asarray(timestamps, dtype=np.float64)[pos.astype(int)]
+
+
 def linear_trend(values, timestamps=None) -> LinearTrend:
     """Ordinary least squares y = a*x + b over index positions (or timestamps)."""
-    y, pos = _valid_with_positions(values)
-    x = pos if timestamps is None else np.asarray(timestamps, dtype=np.float64)[
-        pos.astype(int)]
+    y, x = _valid_with_times(values, timestamps)
     if y.size < 2 or np.unique(x).size < 2:
         raise InvalidInputError("linear trend needs at least 2 distinct x positions")
     xm, ym = x.mean(), y.mean()
@@ -108,9 +118,7 @@ def mann_kendall(values, alpha: float = 0.05) -> MannKendallResult:
 
 def sens_slope(values, timestamps=None) -> float:
     """Median of all pairwise slopes (x_j - x_i) / (t_j - t_i), i < j."""
-    y, pos = _valid_with_positions(values)
-    t = pos if timestamps is None else np.asarray(timestamps, dtype=np.float64)[
-        pos.astype(int)]
+    y, t = _valid_with_times(values, timestamps)
     if y.size < 2:
         raise InvalidInputError("Sen's slope needs at least 2 valid values")
     slopes = []

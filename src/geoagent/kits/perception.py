@@ -123,7 +123,7 @@ class HttpExpertBackend(ExpertBackend):
         )
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                reply = finite_json.loads(resp.read().decode("utf-8"))
+                reply = finite_json.loads(finite_json.read_reply(resp))
         except (urllib.error.URLError, TimeoutError, ValueError, RecursionError) as exc:
             raise ExternalServiceError(f"expert endpoint failed: {exc}") from exc
         if not isinstance(reply, dict):

@@ -139,10 +139,23 @@ def _raster_handler(tool: Tool) -> Callable[[dict], object]:
     return handler
 
 
+def _per_item(fn: Callable, items: list) -> list:
+    """`fn` of each batch item; an error names the item it came from."""
+    out = []
+    for i, item in enumerate(items):
+        try:
+            out.append(fn(item))
+        except GeoAgentError as exc:
+            raise type(exc)(f"batch item {i}: {exc}") from exc
+    return out
+
+
 def _batch_handler(tool: Tool, resolve: Callable) -> Callable[[dict], ToolResult]:
     """Call `tool.fn` once per item of the equal-length `files` lists and
     save item i as <out_dir>/<prefix>_<stem of its first path>.tif, a path
-    that `resolve` checks as an `out_file` like any other."""
+    that `resolve` checks as an `out_file` like any other. Every item's
+    output is named before any kit runs, and two items that would share a
+    name are refused."""
     lists = [p.name for p in tool.params if p.kind == "files"]
     out_dir = next(p.name for p in tool.params if p.kind == "out_dir")
 
@@ -151,14 +164,16 @@ def _batch_handler(tool: Tool, resolve: Callable) -> Callable[[dict], ToolResult
         if len(lengths) != 1:
             raise InvalidInputError(
                 f"band path lists must have equal lengths, got {sorted(lengths)}")
-        rasters, outs = [], []
-        for i, item in enumerate(zip(*(args[n] for n in lists))):
-            try:
-                rasters.append(_call(tool, {**args, **dict(zip(lists, item))}))
-                outs.append(resolve(args[out_dir] / f"{tool.prefix}_{item[0].stem}.tif",
-                                    "out_file"))
-            except GeoAgentError as exc:
-                raise type(exc)(f"batch item {i}: {exc}") from exc
+        items = list(zip(*(args[n] for n in lists)))
+        outs = _per_item(lambda item: resolve(
+            args[out_dir] / f"{tool.prefix}_{item[0].stem}.tif", "out_file"), items)
+        first: dict[Path, int] = {}
+        for i, out in enumerate(outs):
+            if first.setdefault(out, i) != i:
+                raise InvalidInputError(f"batch items {first[out]} and {i} would "
+                                        f"both be saved as {out.name}")
+        rasters = _per_item(lambda item: _call(tool, {**args, **dict(zip(lists, item))}),
+                            items)
         return _save_many(rasters, outs)
 
     return handler

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,8 @@ from geoagent.agent import (
 from geoagent.agent.policies import TRUNCATION_MARKER, MalformedModelOutput
 from geoagent.agent.types import Action
 from geoagent.kits.perception import MockExpertBackend
-from geoagent.tools import ToolContext, build_registry, ok_result
+from geoagent.tools import (ParamSpec, ToolContext, ToolRegistry, ToolSpec,
+                            build_registry, ok_result)
 from geoagent.workspace import Workspace
 
 from conftest import write_raster
@@ -147,7 +150,7 @@ class FakeTransport:
 
     def __call__(self, url, body, headers, timeout):
         self.requests.append({"url": url, "body": json.loads(body.decode()),
-                              "headers": headers})
+                              "payload": body, "headers": headers})
         if not self.replies:
             raise ConnectionError("no reply queued")
         reply = self.replies.pop(0)
@@ -235,6 +238,115 @@ class TestLLMPolicy:
         msgs = transport.requests[1]["body"]["messages"]
         assert msgs[-1]["role"] == "tool"
         assert "34.82" in msgs[-1]["content"]
+
+
+def oracle_payload(model, messages, registry=None, no_tool_mode=False) -> bytes:
+    """The request body as `json.dumps` of the whole body dict, with the tool
+    schemas built afresh: the reference the cached encoding must equal."""
+    body = {"model": model, "messages": messages}
+    schemas = [] if registry is None or no_tool_mode else [
+        {"type": "function",
+         "function": {"name": spec.name, "description": spec.description,
+                      "parameters": spec.input_schema()}}
+        for spec in registry.list_specs()]
+    if schemas:
+        body["tools"] = schemas
+        body["tool_choice"] = "auto"
+    return json.dumps(body).encode("utf-8")
+
+
+ACTIONS = [Action(tool="mean", input={"data": [1, 2]},
+                  output=ok_result(value=1.5, text="moyenne 1.5 °C"))]
+
+
+class TestRequestBytes:
+    """The tools array is encoded once per registry and spliced into each
+    request; the bytes on the wire equal `json.dumps` of the whole body."""
+
+    @pytest.mark.parametrize("model, query, options", [
+        ("m", "mean LST please", {}),
+        ("m", "mean LST please", {"no_tool_mode": True}),
+        ("m", "mean LST please", {"api_key": "secret"}),
+        ("m", "mean LST please", {"registry": None}),
+        ("m", "mean LST please", {"registry": ToolRegistry()}),
+        ("modèle-東京", "Température moyenne à Zürich ☀?", {}),
+    ], ids=["tools", "no_tool_mode", "api_key", "no_registry", "empty_registry",
+            "non_ascii"])
+    def test_payload_equals_oracle(self, registry, model, query, options):
+        options = {"registry": registry, **options}
+        goal = Goal(query=query, regime="AutoPlanning", data_dir="data")
+        transport = FakeTransport([text_reply("42")])
+        policy = LLMPolicy("http://llm.test/v1", model, transport=transport, **options)
+        policy.next(goal, ACTIONS)
+        (request,) = transport.requests
+        assert request["payload"] == oracle_payload(
+            model, render_memory(goal, ACTIONS), options["registry"],
+            options.get("no_tool_mode", False))
+        if "api_key" in options:
+            assert request["headers"]["Authorization"] == "Bearer secret"
+
+    def test_reprompt_payload_equals_oracle(self, registry):
+        transport = FakeTransport([text_reply(""), text_reply("42")])
+        policy = LLMPolicy("http://llm.test/v1", "m", registry=registry,
+                           transport=transport)
+        policy.next(GOAL, ACTIONS)
+        first, second = transport.requests
+        messages = render_memory(GOAL, ACTIONS)
+        assert first["payload"] == oracle_payload("m", messages, registry)
+        feedback = second["body"]["messages"][-1]
+        assert "could not be used" in feedback["content"]
+        assert second["payload"] == oracle_payload("m", messages + [feedback], registry)
+
+    def test_tool_registered_later_is_sent(self, registry):
+        transport = FakeTransport([text_reply("1"), text_reply("2")])
+        policy = LLMPolicy("http://llm.test/v1", "m", registry=registry,
+                           transport=transport)
+        policy.next(GOAL, [])
+        registry.register(ToolSpec("zz_added_later", "Registered after a request.",
+                                   (ParamSpec("x", "number"),)), lambda args: args["x"])
+        policy.next(GOAL, [])
+        first, second = transport.requests
+        assert "zz_added_later" not in [t["function"]["name"] for t in first["body"]["tools"]]
+        assert second["body"]["tools"][-1]["function"]["name"] == "zz_added_later"
+        assert second["payload"] == oracle_payload("m", render_memory(GOAL, []), registry)
+
+    def test_schemas_built_once_per_registry(self, registry, monkeypatch):
+        built = []
+        input_schema = ToolSpec.input_schema
+        monkeypatch.setattr(ToolSpec, "input_schema",
+                            lambda spec: built.append(spec.name) or input_schema(spec))
+        for _ in range(3):  # a new policy per episode, as the bench runner makes
+            LLMPolicy("http://llm.test/v1", "m", registry=registry,
+                      transport=FakeTransport([text_reply("1")])).next(GOAL, [])
+        assert sorted(built) == sorted(spec.name for spec in registry.list_specs())
+
+    def test_threads_sharing_a_registry_send_identical_bodies(self, registry):
+        threads, requests = 4, 5
+        start = threading.Barrier(threads)  # all threads meet the empty cache
+        payloads, lock = [], threading.Lock()
+
+        def client():
+            start.wait(timeout=30)
+            for _ in range(requests):
+                transport = FakeTransport([text_reply("1")])
+                LLMPolicy("http://llm.test/v1", "m", registry=registry,
+                          transport=transport).next(GOAL, ACTIONS)
+                with lock:
+                    payloads.append(transport.requests[0]["payload"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=client) for _ in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert len(payloads) == threads * requests
+        assert set(payloads) == {oracle_payload("m", render_memory(GOAL, ACTIONS), registry)}
 
 
 def call_reply(call):

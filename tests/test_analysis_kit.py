@@ -132,6 +132,16 @@ class TestSensSlope:
         assert an.sens_slope(x) == float(np.median(slopes))
 
 
+@pytest.mark.parametrize("tool", ["compute_linear_trend", "sens_slope"])
+@pytest.mark.parametrize("timestamps", [[0.0, 1.0], [float(i) for i in range(6)]],
+                         ids=["shorter", "longer"])
+def test_timestamps_must_match_values(tool_registry, tool, timestamps):
+    result = tool_registry.call_tool(tool, {"values": [1.0, None, 3.0, 4.0, 6.0],
+                                            "timestamps": timestamps})
+    assert result.error_class == "InvalidParameters"
+    assert f"got {len(timestamps)} for 5 values" in result.text
+
+
 class TestStl:
     def test_pure_sine_residual_tiny(self):
         p = 12

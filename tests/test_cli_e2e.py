@@ -27,6 +27,25 @@ class TestBatchItemErrors:
         assert res.is_error and res.error_class == "FileHallucination"
         assert "batch item 1" in res.text
 
+    def test_repeated_output_name_refused_before_any_write(self, tmp_path):
+        from geoagent.kits.perception import MockExpertBackend
+        from geoagent.tools import ToolContext, build_registry
+        from geoagent.workspace import Workspace
+
+        ws = Workspace(tmp_path)
+        for name in ("src/a.tif", "d2/a.tif", "src/r.tif"):
+            write_raster(tmp_path / name, [[0.5]])
+        registry = build_registry(ToolContext(
+            workspace=ws, perception=MockExpertBackend([], ws)))
+        res = registry.call_tool("calculate_batch_ndvi", {
+            "nir_paths": ["src/a.tif", "d2/a.tif"],
+            "red_paths": ["src/r.tif", "src/r.tif"],
+            "output_dir": "out"})
+        assert res.error_class == "InvalidParameters"
+        assert res.text == ("calculate_batch_ndvi: batch items 0 and 1 would both "
+                            "be saved as ndvi_a.tif")
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigFile:
     def test_workspace_from_config(self, tmp_path, capsys):

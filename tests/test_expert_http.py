@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from geoagent import finite_json
 from geoagent.errors import ExternalServiceError
 from geoagent.kits.perception import HttpExpertBackend
 from geoagent.tools import ToolContext, build_registry
@@ -71,6 +72,20 @@ class TestHttpBackend:
                            "storage tank")
         assert out == {"count": 4}
         assert handler.requests[0]["body"]["prompt"] == "storage tank"
+
+    def test_reply_past_the_byte_bound_is_service_error(self, inference_server, tmp_path,
+                                                         monkeypatch):
+        server, handler = inference_server
+        handler.reply = {"label": "Harbor"}
+        size = len(json.dumps(handler.reply).encode())
+        host, port = server.server_address
+        backend = HttpExpertBackend(f"http://{host}:{port}")
+        monkeypatch.setattr(finite_json, "MAX_REPLY_BYTES", size - 1)
+        with pytest.raises(ExternalServiceError, match="exceeds"):
+            backend.call("MSCN", "classify", [str(tmp_path / "scene.png")], None)
+        monkeypatch.setattr(finite_json, "MAX_REPLY_BYTES", size)
+        assert backend.call("MSCN", "classify", [str(tmp_path / "scene.png")],
+                            None) == {"label": "Harbor"}
 
     def test_unreachable_endpoint_raises_service_error(self):
         backend = HttpExpertBackend("http://127.0.0.1:1", timeout=0.3)

@@ -9,7 +9,9 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from geoagent.agent import Goal, LLMPolicy, run_episode
+from geoagent import finite_json
+from geoagent.agent import (FinalAnswerDecision, Goal, LLMPolicy, PolicyUnreachable,
+                            run_episode)
 from geoagent.kits.perception import MockExpertBackend
 from geoagent.tools import ToolContext, build_registry
 from geoagent.workspace import Workspace
@@ -104,3 +106,22 @@ def test_server_error_becomes_policy_failure(tmp_path, chat_server):
     trajectory = run_episode(goal, policy, registry, max_steps=3)
     assert trajectory.stop_reason == "policy_failure"
     assert trajectory.actions == []
+
+
+def test_reply_past_the_byte_bound_is_unreachable(chat_server, monkeypatch):
+    server, handler = chat_server
+    message = {"content": "42"}
+    size = len(json.dumps({"choices": [{"message": message}]}).encode())
+    host, port = server.server_address
+    policy = LLMPolicy(f"http://{host}:{port}/v1", "m", retries=1, timeout=5)
+    goal = Goal(query="anything", regime="AutoPlanning")
+
+    monkeypatch.setattr(finite_json, "MAX_REPLY_BYTES", size - 1)
+    handler.script = [message, message]  # one byte over, twice
+    with pytest.raises(PolicyUnreachable, match="exceeds"):
+        policy.next(goal, [])
+    assert len(handler.requests) == 2
+
+    monkeypatch.setattr(finite_json, "MAX_REPLY_BYTES", size)
+    handler.script = [message]
+    assert policy.next(goal, []) == FinalAnswerDecision(text="42", value=42.0)
