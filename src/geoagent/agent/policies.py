@@ -131,34 +131,30 @@ def _urllib_transport(url: str, body: bytes, headers: dict, timeout: float) -> d
         return json.loads(finite_json.read_reply(resp))
 
 
-# registry -> (tool count, its chat `tools` array as JSON text)
-_TOOLS_JSON: "weakref.WeakKeyDictionary[ToolRegistry, tuple[int, str]]" = (
-    weakref.WeakKeyDictionary())
+# registry -> its chat `tools` array as JSON text
+_TOOLS_JSON: "weakref.WeakKeyDictionary[ToolRegistry, str]" = weakref.WeakKeyDictionary()
 
 
 def _tools_json(registry: ToolRegistry) -> str:
     """The registry's tools as the chat `tools` array, in JSON text.
 
     The text is encoded once per registry and reused by every policy that
-    shares it. The tool count keys the cache exactly: `register` refuses a
-    repeated name and nothing unregisters, so a new count means a new tool.
-    Two threads may both encode a stale entry; they store the same text.
+    shares it; a registry is fixed when it is built. Two threads may both
+    encode a missing entry; they store the same text.
     """
-    cached = _TOOLS_JSON.get(registry)
-    if cached is not None and cached[0] == len(registry):
-        return cached[1]
-    text = json.dumps([
-        {
-            "type": "function",
-            "function": {
-                "name": spec.name,
-                "description": spec.description,
-                "parameters": spec.input_schema(),
-            },
-        }
-        for spec in registry.list_specs()
-    ])
-    _TOOLS_JSON[registry] = (len(registry), text)
+    text = _TOOLS_JSON.get(registry)
+    if text is None:
+        text = _TOOLS_JSON[registry] = json.dumps([
+            {
+                "type": "function",
+                "function": {
+                    "name": spec.name,
+                    "description": spec.description,
+                    "parameters": spec.input_schema(),
+                },
+            }
+            for spec in registry.list_specs()
+        ])
     return text
 
 
@@ -189,18 +185,14 @@ class LLMPolicy:
     def next(self, goal: Goal, actions: Sequence[Action]) -> Decision:
         messages = render_memory(goal, actions, self.observation_budget)
         try:
-            return self._decide(messages)
+            return self._parse(self._post(messages))
         except MalformedModelOutput as exc:
             feedback = messages + [{
                 "role": "user",
                 "content": f"Your previous reply could not be used: {exc}. "
                            "Reply with a single tool call or a plain-text final answer.",
             }]
-            return self._decide(feedback)
-
-    def _decide(self, messages: list[dict]) -> Decision:
-        reply = self._post(messages)
-        return self._parse(reply)
+            return self._parse(self._post(feedback))
 
     def _post(self, messages: list[dict]) -> dict:
         text = json.dumps({"model": self.model, "messages": messages})

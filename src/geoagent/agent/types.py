@@ -73,10 +73,6 @@ class Trajectory:
     started_at: float | None = field(default_factory=time.time)
     finished_at: float | None = None
 
-    @property
-    def tool_names(self) -> list[str]:
-        return [a.tool for a in self.actions]
-
     def step_pairs(self) -> list[tuple[str, dict]]:
         return [(a.tool, a.input) for a in self.actions]
 

@@ -64,16 +64,14 @@ class _SuiteBuilder:
         d.mkdir(parents=True, exist_ok=True)
         return d
 
-    def save_tif(self, path: Path, values, dtype="f32", nodata=None) -> None:
-        save_raster(from_array(values, dtype=dtype, nodata=nodata,
-                               geo=default_georef()), path)
+    def save_tif(self, path: Path, values, dtype="f32") -> None:
+        save_raster(from_array(values, dtype=dtype, geo=default_georef()), path)
 
     def finish_task(self, task_id: str, modality: str, query_ap: str,
                     query_if: str, plan: list[tuple[str, dict]],
-                    answer_rule: dict, answer_path: list | None = None,
-                    answer_text: str | None = None) -> None:
+                    answer_rule: dict, answer_path: list | None = None) -> None:
         gt = annotate_from_plan(plan, self.registry, self.workspace,
-                                answer_path=answer_path, answer_text=answer_text)
+                                answer_path=answer_path)
         task = TaskSpec(
             id=task_id, modality=modality, query_ap=query_ap, query_if=query_if,
             data_dir=f"data/{task_id}", answer_rule=answer_rule, ground_truth=gt,

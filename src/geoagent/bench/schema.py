@@ -16,6 +16,7 @@ from typing import Any
 
 from ..agent.types import REGIMES, Trajectory
 from ..errors import SchemaError
+from ..evaluation.metrics import answer_matcher
 
 MODALITIES = ("Spectrum", "Products", "RGB")
 
@@ -93,6 +94,7 @@ class TaskSpec:
             raise SchemaError("both query regimes must be present")
         if not self.ground_truth.steps:
             raise SchemaError("ground truth needs at least one step")
+        answer_matcher(self.answer_rule)
 
     def query(self, regime: str) -> str:
         if regime not in REGIMES:
@@ -143,8 +145,8 @@ def load_task(path: str | Path, workspace_root: str | Path | None = None,
         if not data.is_dir():
             raise SchemaError(f"{path}: data folder missing: {data}")
     if registry is not None:
-        unknown = sorted({s.tool for s in task.ground_truth.steps}
-                         - {sp.name for sp in registry.list_specs()})
+        unknown = sorted({s.tool for s in task.ground_truth.steps
+                          if s.tool not in registry})
         if unknown:
             raise SchemaError(f"{path}: ground truth references unknown tools "
                               f"{unknown}")

@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..agent.types import Trajectory
+from ..errors import SchemaError
 from ..workspace import WORKSPACE_TOKEN, Workspace
 from .taxonomy import count_errors
 
@@ -53,67 +54,82 @@ def normalize_path(value: str, roots: Sequence[str] = ()) -> str:
     return out
 
 
-def values_equal(a: Any, b: Any, roots: Sequence[str] = (),
-                 abs_tol: float = ARGUMENT_ABS_TOL) -> bool:
+def values_equal(a: Any, b: Any, roots: Sequence[str] = ()) -> bool:
     """Deep structural equality with numeric tolerance and path normalization."""
     if isinstance(a, bool) or isinstance(b, bool):
         return a is b or a == b
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         if math.isnan(a) and math.isnan(b):
             return True
-        return abs(a - b) <= abs_tol
+        return abs(a - b) <= ARGUMENT_ABS_TOL
     if isinstance(a, str) and isinstance(b, str):
         return normalize_path(a, roots) == normalize_path(b, roots)
     if isinstance(a, dict) and isinstance(b, dict):
         if set(a) != set(b):
             return False
-        return all(values_equal(a[k], b[k], roots, abs_tol) for k in a)
+        return all(values_equal(a[k], b[k], roots) for k in a)
     if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
         if len(a) != len(b):
             return False
-        return all(values_equal(x, y, roots, abs_tol) for x, y in zip(a, b))
+        return all(values_equal(x, y, roots) for x, y in zip(a, b))
     return a == b
 
 
-def accuracy(answer_text: str | None, answer_value: Any, expected: Any,
-             rule: dict | None = None, roots: Sequence[str] = ()) -> int:
-    """Final-answer indicator under the task's declared matching rule."""
-    rule = rule or {"kind": "numeric"}
+def _numeric(text: str | None, value: Any, expected: Any, rule: dict, roots) -> int:
+    got = value
+    if got is None and text is not None:
+        try:
+            got = float(text.strip())
+        except ValueError:
+            return 0
+    if not isinstance(got, (int, float)) or isinstance(got, bool):
+        return 0
+    want = float(expected)
+    rel = rule.get("rel_tol", NUMERIC_REL_TOL)
+    abst = rule.get("abs_tol", NUMERIC_ABS_TOL)
+    return int(abs(float(got) - want) <= max(abst, rel * abs(want)))
+
+
+def _string(text: str | None, value: Any, expected: Any, rule: dict, roots) -> int:
+    got = text if text is not None else str(value)
+    return int(_normalize_string(got) == _normalize_string(str(expected)))
+
+
+def _string_set(text: str | None, value: Any, expected: Any, rule: dict, roots) -> int:
+    if isinstance(value, (list, tuple, set)):
+        got_items = [str(v) for v in value]
+    else:
+        got_items = re.split(r"[,;\n]", text or "")
+    got = {_normalize_string(v) for v in got_items if _normalize_string(v)}
+    want = {_normalize_string(str(v)) for v in expected}
+    return int(got == want)
+
+
+def _structured(text: str | None, value: Any, expected: Any, rule: dict, roots) -> int:
+    return int(values_equal(value, expected, roots))
+
+
+# answer rule kind -> matcher(answer_text, answer_value, expected, rule, roots)
+ANSWER_RULES: dict[str, Callable[..., int]] = {
+    "numeric": _numeric, "string": _string, "string_set": _string_set,
+    "structured": _structured}
+
+
+def answer_matcher(rule: dict) -> Callable[..., int]:
+    """The matcher of a task's answer rule; a rule with no kind is numeric."""
     kind = rule.get("kind", "numeric")
+    if kind not in ANSWER_RULES:
+        raise SchemaError(f"unknown answer rule {kind!r}")
+    return ANSWER_RULES[kind]
+
+
+def accuracy(answer_text: str | None, answer_value: Any, expected: Any,
+             rule: dict, roots: Sequence[str] = ()) -> int:
+    """Final-answer indicator under the task's declared matching rule."""
+    matcher = answer_matcher(rule)
     if answer_text is None and answer_value is None:
         return 0
-
-    if kind == "numeric":
-        got = answer_value
-        if got is None and answer_text is not None:
-            try:
-                got = float(answer_text.strip())
-            except ValueError:
-                return 0
-        if not isinstance(got, (int, float)) or isinstance(got, bool):
-            return 0
-        want = float(expected)
-        rel = rule.get("rel_tol", NUMERIC_REL_TOL)
-        abst = rule.get("abs_tol", NUMERIC_ABS_TOL)
-        return int(abs(float(got) - want) <= max(abst, rel * abs(want)))
-
-    if kind == "string":
-        got_text = answer_text if answer_text is not None else str(answer_value)
-        return int(_normalize_string(got_text) == _normalize_string(str(expected)))
-
-    if kind == "string_set":
-        if isinstance(answer_value, (list, tuple, set)):
-            got_items = [str(v) for v in answer_value]
-        else:
-            got_items = re.split(r"[,;\n]", answer_text or "")
-        got = {_normalize_string(v) for v in got_items if _normalize_string(v)}
-        want = {_normalize_string(str(v)) for v in expected}
-        return int(got == want)
-
-    if kind == "structured":
-        return int(values_equal(answer_value, expected, roots))
-
-    raise ValueError(f"unknown answer rule {kind!r}")
+    return matcher(answer_text, answer_value, expected, rule, roots)
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,9 @@ def compute_fvc(ndvi: Raster, ndvi_min: float = FVC_NDVI_MIN,
     return like(ndvi, frac * frac)
 
 
-def frp_mask(r: Raster, threshold: float, band: int = 1) -> Raster:
+def frp_mask(r: Raster, threshold: float) -> Raster:
     """Binary fire-radiative-power mask: 1 where value > threshold."""
-    return mask_like(r, r.band(band) > threshold)
+    return mask_like(r, r.band() > threshold)
 
 
 def extreme_snow_loss_percentage(binary_map: Raster) -> float:
@@ -90,7 +90,7 @@ def extreme_snow_loss_percentage(binary_map: Raster) -> float:
     return float(100.0 * np.count_nonzero(valid == 1.0) / valid.size)
 
 
-def fit_tvdi_edges(ndvi: np.ndarray, lst: np.ndarray, bins: int = 20):
+def fit_tvdi_edges(ndvi: np.ndarray, lst: np.ndarray, bins: int):
     """Fit dry (max-LST) and wet (min-LST) edges over NDVI bins.
 
     Returns ((dry_slope, dry_intercept), (wet_slope, wet_intercept)).
@@ -124,16 +124,12 @@ def fit_tvdi_edges(ndvi: np.ndarray, lst: np.ndarray, bins: int = 20):
     return (float(dry_fit[0]), float(dry_fit[1])), (float(wet_fit[0]), float(wet_fit[1]))
 
 
-def compute_tvdi(ndvi: Raster, lst: Raster, bins: int = 20, edges=None) -> Raster:
-    """Temperature-vegetation dryness index in [0,1].
-
-    Edges are fitted from the data unless precomputed ((dry_slope, dry_int),
-    (wet_slope, wet_int)) lines are supplied.
-    """
+def compute_tvdi(ndvi: Raster, lst: Raster, bins: int = 20) -> Raster:
+    """Temperature-vegetation dryness index in [0,1], between the dry and
+    wet edges fitted from the data."""
     require_same_grid(ndvi, lst)
     nb, lb = ndvi.band(), lst.band()
-    (ds, di), (ws, wi) = edges if edges is not None \
-        else fit_tvdi_edges(nb, lb, bins=bins)
+    (ds, di), (ws, wi) = fit_tvdi_edges(nb, lb, bins=bins)
     dry = ds * nb + di
     wet = ws * nb + wi
     span = dry - wet

@@ -80,13 +80,10 @@ def split_window_lst(b31: np.ndarray, b32: np.ndarray, c0: float = SPLIT_WINDOW_
     return b31 + c1 * d + c2 * d * d + c0
 
 
-def emissivity_from_ndvi(ndvi: np.ndarray, soil: float = EMIS_SOIL,
-                         vegetation: float = EMIS_VEGETATION,
-                         ndvi_soil: float = NDVI_SOIL,
-                         ndvi_veg: float = NDVI_VEGETATION) -> np.ndarray:
+def emissivity_from_ndvi(ndvi: np.ndarray) -> np.ndarray:
     """NDVI-threshold emissivity: soil below, vegetation above, linear blend between."""
-    frac = np.clip((ndvi - ndvi_soil) / (ndvi_veg - ndvi_soil), 0.0, 1.0)
-    return soil + (vegetation - soil) * frac
+    frac = np.clip((ndvi - NDVI_SOIL) / (NDVI_VEGETATION - NDVI_SOIL), 0.0, 1.0)
+    return EMIS_SOIL + (EMIS_VEGETATION - EMIS_SOIL) * frac
 
 
 def planck_radiance(wavelength: float, temperature: np.ndarray) -> np.ndarray:
@@ -116,11 +113,11 @@ def single_channel_lst(bt: np.ndarray, red: np.ndarray, nir: np.ndarray,
 
 
 def modis_day_night_lst(day_bt: np.ndarray, night_bt: np.ndarray,
-                        emissivity: float = 0.97,
-                        wavelength: float = SINGLE_CHANNEL_WAVELENGTH) -> np.ndarray:
+                        emissivity: float = 0.97) -> np.ndarray:
     """Diurnal-mean LST: single-channel correction of day and night BT, averaged."""
-    day = emissivity_corrected_bt(day_bt, np.asarray(emissivity), wavelength)
-    night = emissivity_corrected_bt(night_bt, np.asarray(emissivity), wavelength)
+    e = np.asarray(emissivity)
+    day = emissivity_corrected_bt(day_bt, e, SINGLE_CHANNEL_WAVELENGTH)
+    night = emissivity_corrected_bt(night_bt, e, SINGLE_CHANNEL_WAVELENGTH)
     return 0.5 * (day + night)
 
 

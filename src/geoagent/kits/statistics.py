@@ -149,17 +149,14 @@ def multi_band_condition_mask(r: Raster, conditions: list[dict]) -> np.ndarray:
     if not conditions:
         raise InvalidInputError("at least one condition required")
     mask = None
-    valid = None
     for cond in conditions:
         band_idx = int(cond.get("band", 1))
         comparator = cond.get("comparator", ">")
         value = float(cond["value"])
         b = r.band(band_idx)
-        this_valid = ~np.isnan(b)
-        this = _compare(b, comparator, value) & this_valid
+        this = _compare(b, comparator, value) & ~np.isnan(b)
         mask = this if mask is None else (mask & this)
-        valid = this_valid if valid is None else (valid & this_valid)
-    return mask & valid
+    return mask
 
 
 def multi_band_threshold_ratio(r: Raster, conditions: list[dict]) -> float:
@@ -184,10 +181,10 @@ def count_images_exceeding_ratio(rasters: list[Raster], threshold: float,
 
 
 def average_ratio_exceeding(rasters: list[Raster], threshold: float,
-                            ratio_threshold: float, band: int = 1,
-                            comparator: str = ">") -> float:
-    """Mean percentage over images whose percentage exceeds the ratio threshold."""
-    pcts = [p for p in hotspot_percentages(rasters, threshold, comparator, band)
+                            ratio_threshold: float, band: int = 1) -> float:
+    """Mean percentage over images whose share of pixels above the threshold
+    exceeds the ratio threshold."""
+    pcts = [p for p in hotspot_percentages(rasters, threshold, ">", band)
             if p > ratio_threshold]
     if not pcts:
         raise InvalidInputError("no image exceeds the ratio threshold")
@@ -416,17 +413,16 @@ def get_filelist(directory: str | Path, pattern: str | None = None) -> list[str]
     return sorted(names)
 
 
-def radiometric_correction_sr(r: Raster, band: int = 1) -> Raster:
+def radiometric_correction_sr(r: Raster) -> Raster:
     """Scale Landsat SR digital numbers to reflectance, clamped to [0, 1]."""
     if r.dtype_name != "u16":
         raise InvalidInputError(
             f"surface-reflectance correction expects u16 digital numbers, got {r.dtype_name}"
         )
-    b = r.band(band)
-    return like(r, np.clip(SR_SCALE * b + SR_OFFSET, 0.0, 1.0))
+    return like(r, np.clip(SR_SCALE * r.band() + SR_OFFSET, 0.0, 1.0))
 
 
-def apply_cloud_mask(band_raster: Raster, qa: Raster, band: int = 1) -> Raster:
+def apply_cloud_mask(band_raster: Raster, qa: Raster) -> Raster:
     """Set pixels flagged by the QA band's cloud/shadow bits to nodata."""
     require_same_grid(band_raster, qa)
     if qa.dtype_name != "u16":
@@ -435,5 +431,4 @@ def apply_cloud_mask(band_raster: Raster, qa: Raster, band: int = 1) -> Raster:
     flagged = np.zeros(qa_vals.shape, dtype=bool)
     for bit in QA_MASK_BITS:
         flagged |= (qa_vals >> bit) & 1 == 1
-    b = band_raster.band(band)
-    return like(band_raster, np.where(flagged, np.nan, b))
+    return like(band_raster, np.where(flagged, np.nan, band_raster.band()))

@@ -45,8 +45,7 @@ def load_raster(path: str | Path) -> Raster:
     raise CorruptFileError(f"{path}: neither TIFF nor PNG")
 
 
-def save_raster(raster: Raster, path: str | Path) -> Path:
+def save_raster(raster: Raster, path: str | Path) -> None:
     """Write a raster as uncompressed GeoTIFF, creating its parent directories."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     write_tiff(raster, path)
-    return Path(path)

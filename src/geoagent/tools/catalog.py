@@ -202,8 +202,8 @@ def catalog_rows(ctx: ToolContext) -> list[Tool]:
 def build_registry(ctx: ToolContext) -> ToolRegistry:
     # the rows look kit functions up now, so replacements made before this
     # call (tracing, tests) take effect
-    reg = ToolRegistry()
     resolve = ctx.workspace.resolve
+    tools = []
     for tool in catalog_rows(ctx):
         if tool.handler is not None:
             handler = tool.handler
@@ -211,9 +211,9 @@ def build_registry(ctx: ToolContext) -> ToolRegistry:
             handler = _batch_handler(tool, resolve)
         else:
             handler = _raster_handler(tool)
-        reg.register(ToolSpec(tool.name, tool.description, tool.params),
-                     _resolving(resolve, tool.params, handler))
-    return reg
+        tools.append((ToolSpec(tool.name, tool.description, tool.params),
+                      _resolving(resolve, tool.params, handler)))
+    return ToolRegistry(tools)
 
 
 def _record(fn: Callable, names: tuple[str, ...] | None = None) -> Callable:

@@ -28,6 +28,8 @@ METHOD_NOT_FOUND = -32601
 INVALID_PARAMS = -32602
 INTERNAL_ERROR = -32603
 
+MAX_LINE_BYTES = 16 * 2**20
+
 
 def _rpc_error(request_id: Any, code: int, message: str) -> dict:
     return {"jsonrpc": "2.0", "id": request_id,
@@ -105,27 +107,36 @@ class McpServer:
         return out
 
 
+def _reply(server: McpServer, raw: bytes) -> str | None:
+    """The JSON text that answers one input line, or None for no answer."""
+    if len(raw) > MAX_LINE_BYTES:
+        return json.dumps(_rpc_error(None, PARSE_ERROR, "parse error: line longer "
+                                     f"than {MAX_LINE_BYTES} bytes"), sort_keys=True)
+    line = raw.decode("utf-8", "replace").strip()
+    try:
+        response = server.handle_line(line) if line else None
+        return None if response is None else json.dumps(response, sort_keys=True)
+    except Exception as exc:  # one request must not end the session
+        traceback.print_exc()
+        return json.dumps(_rpc_error(None, INTERNAL_ERROR,
+                                     f"internal error: {type(exc).__name__}"))
+
+
 def serve_stream(server: McpServer, rfile: BinaryIO, wfile: BinaryIO) -> None:
     """Serve newline-delimited JSON-RPC until the input stream closes.
 
-    A request that fails in a way `handle_line` did not foresee is answered
+    No line is read past `MAX_LINE_BYTES`, its newline included: a longer
+    line is skipped up to its newline and answered with one parse error. A
+    request that fails in a way `handle_line` did not foresee is answered
     with an internal error, its traceback goes to stderr, and serving goes on.
     """
-    for raw in rfile:
-        line = raw.decode("utf-8", "replace").strip()
-        if not line:
-            continue
-        try:
-            response = server.handle_line(line)
-            if response is None:
-                continue
-            text = json.dumps(response, sort_keys=True)
-        except Exception as exc:  # one request must not end the session
-            traceback.print_exc()
-            text = json.dumps(_rpc_error(None, INTERNAL_ERROR,
-                                         f"internal error: {type(exc).__name__}"))
-        wfile.write((text + "\n").encode("utf-8"))
-        wfile.flush()
+    while raw := rfile.readline(MAX_LINE_BYTES + 1):
+        text = _reply(server, raw)
+        while len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
+            raw = rfile.readline(MAX_LINE_BYTES + 1)
+        if text is not None:
+            wfile.write((text + "\n").encode("utf-8"))
+            wfile.flush()
 
 
 def serve_stdio(registry: ToolRegistry) -> None:

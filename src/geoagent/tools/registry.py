@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from ..errors import InvalidInputError, MissingFileError
 
@@ -164,17 +164,17 @@ def classify_exception(exc: BaseException) -> str:
 
 
 class ToolRegistry:
-    """Immutable-after-startup mapping of tool names to specs and handlers."""
+    """Immutable mapping of tool names to specs and handlers, fixed when built."""
 
-    def __init__(self) -> None:
+    def __init__(self, tools: Iterable[tuple[ToolSpec, Callable[[dict], Any]]]) -> None:
         self._specs: dict[str, ToolSpec] = {}
-        self._handlers: dict[str, Callable[[dict], ToolResult]] = {}
-
-    def register(self, spec: ToolSpec, handler: Callable[[dict], Any]) -> None:
-        if spec.name in self._specs:
-            raise ValueError(f"tool name already registered: {spec.name}")
-        self._specs[spec.name] = spec
-        self._handlers[spec.name] = handler
+        self._handlers: dict[str, Callable[[dict], Any]] = {}
+        for spec, handler in tools:
+            if spec.name in self._specs:
+                raise ValueError(f"tool name already registered: {spec.name}")
+            self._specs[spec.name] = spec
+            self._handlers[spec.name] = handler
+        self._sorted = tuple(self._specs[k] for k in sorted(self._specs))
 
     def __len__(self) -> int:
         return len(self._specs)
@@ -182,11 +182,8 @@ class ToolRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._specs
 
-    def list_specs(self) -> list[ToolSpec]:
-        return [self._specs[k] for k in sorted(self._specs)]
-
-    def spec(self, name: str) -> ToolSpec:
-        return self._specs[name]
+    def list_specs(self) -> tuple[ToolSpec, ...]:
+        return self._sorted
 
     def validate_args(self, spec: ToolSpec, args: dict) -> str | None:
         """Return a problem description for a bad argument map, else None."""

@@ -23,7 +23,7 @@ from geoagent.agent import (
 from geoagent.agent.policies import TRUNCATION_MARKER, MalformedModelOutput
 from geoagent.agent.types import Action
 from geoagent.kits.perception import MockExpertBackend
-from geoagent.tools import (ParamSpec, ToolContext, ToolRegistry, ToolSpec,
+from geoagent.tools import (ToolContext, ToolRegistry, ToolSpec,
                             build_registry, ok_result)
 from geoagent.workspace import Workspace
 
@@ -53,8 +53,8 @@ class TestScriptedEpisodes:
             answer_text="34.82", answer_value=34.82)
         traj = run_episode(GOAL, policy, registry)
         assert traj.stop_reason == "final_answer"
-        assert traj.tool_names == ["lst_multi_channel", "get_filelist",
-                                   "kelvin_to_celsius"]
+        assert [a.tool for a in traj.actions] == ["lst_multi_channel", "get_filelist",
+                                                  "kelvin_to_celsius"]
         assert traj.answer_value == 34.82
         assert all(not a.output.is_error for a in traj.actions)
 
@@ -110,7 +110,7 @@ class TestScriptedEpisodes:
                  ("celsius_to_kelvin", {"celsius": 6.85})]
         t1 = run_episode(GOAL, replay_policy(steps, answer_text="x"), registry)
         t2 = run_episode(GOAL, replay_policy(steps, answer_text="x"), registry)
-        assert t1.tool_names == t2.tool_names
+        assert [a.tool for a in t1.actions] == [a.tool for a in t2.actions]
         assert [a.input for a in t1.actions] == [a.input for a in t2.actions]
         assert [a.output.to_json() for a in t1.actions] == \
             [a.output.to_json() for a in t2.actions]
@@ -232,7 +232,7 @@ class TestLLMPolicy:
                            transport=transport)
         traj = run_episode(GOAL, policy, registry, model_tag="fake-llm")
         assert traj.stop_reason == "final_answer"
-        assert traj.tool_names == ["kelvin_to_celsius"]
+        assert [a.tool for a in traj.actions] == ["kelvin_to_celsius"]
         assert traj.answer_value == 34.82
         # second request replayed the observation back to the model
         msgs = transport.requests[1]["body"]["messages"]
@@ -268,7 +268,7 @@ class TestRequestBytes:
         ("m", "mean LST please", {"no_tool_mode": True}),
         ("m", "mean LST please", {"api_key": "secret"}),
         ("m", "mean LST please", {"registry": None}),
-        ("m", "mean LST please", {"registry": ToolRegistry()}),
+        ("m", "mean LST please", {"registry": ToolRegistry([])}),
         ("modèle-東京", "Température moyenne à Zürich ☀?", {}),
     ], ids=["tools", "no_tool_mode", "api_key", "no_registry", "empty_registry",
             "non_ascii"])
@@ -296,19 +296,6 @@ class TestRequestBytes:
         feedback = second["body"]["messages"][-1]
         assert "could not be used" in feedback["content"]
         assert second["payload"] == oracle_payload("m", messages + [feedback], registry)
-
-    def test_tool_registered_later_is_sent(self, registry):
-        transport = FakeTransport([text_reply("1"), text_reply("2")])
-        policy = LLMPolicy("http://llm.test/v1", "m", registry=registry,
-                           transport=transport)
-        policy.next(GOAL, [])
-        registry.register(ToolSpec("zz_added_later", "Registered after a request.",
-                                   (ParamSpec("x", "number"),)), lambda args: args["x"])
-        policy.next(GOAL, [])
-        first, second = transport.requests
-        assert "zz_added_later" not in [t["function"]["name"] for t in first["body"]["tools"]]
-        assert second["body"]["tools"][-1]["function"]["name"] == "zz_added_later"
-        assert second["payload"] == oracle_payload("m", render_memory(GOAL, []), registry)
 
     def test_schemas_built_once_per_registry(self, registry, monkeypatch):
         built = []

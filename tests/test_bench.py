@@ -22,8 +22,9 @@ from geoagent.bench import (
     run_task,
     save_task,
 )
+from geoagent.evaluation import accuracy
 from geoagent.kits.perception import MockExpertBackend
-from geoagent.tools import ToolContext, build_registry, ok_result
+from geoagent.tools import ToolContext, ToolRegistry, build_registry, ok_result
 from geoagent.workspace import Workspace
 
 from conftest import write_raster
@@ -143,6 +144,25 @@ class TestSchemas:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="unknown tools"):
             load_task(path, registry=registry)
+
+    def test_unknown_answer_rule_rejected(self, suite, tmp_path):
+        root, tasks, registry, _ = suite
+        doc = tasks[0].as_json()
+        doc["answer_rule"] = {"kind": "regex"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="unknown answer rule 'regex'"):
+            load_task(path)
+
+    def test_answer_rule_without_kind_is_numeric(self, suite, tmp_path):
+        root, tasks, registry, _ = suite
+        doc = tasks[0].as_json()
+        doc["answer_rule"] = {}
+        path = tmp_path / "plain.json"
+        path.write_text(json.dumps(doc))
+        task = load_task(path)
+        assert accuracy(None, 1.0, 1.0, task.answer_rule) == 1
+        assert accuracy("2", None, 1.0, task.answer_rule) == 0
 
 
 class TestAnnotate:
@@ -414,6 +434,24 @@ class TestCli:
         assert main(["bench", "--tasks-dir", str(root / "tasks"),
                      "--workspace", str(root), "--parallelism", "0"]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+    def test_run_refuses_unknown_answer_rule_before_any_step(self, suite, tmp_path,
+                                                                 capsys, monkeypatch):
+        from geoagent.cli import main
+
+        root, tasks, _, _ = suite
+        doc = tasks[0].as_json()
+        doc["answer_rule"] = {"kind": "regex"}
+        path = tmp_path / "regex.json"
+        path.write_text(json.dumps(doc))
+        calls = []
+        monkeypatch.setattr(ToolRegistry, "call_tool",
+                            lambda self, name, args: calls.append(name))
+        assert main(["run", "--task", str(path), "--workspace", str(root),
+                     "--out", str(tmp_path / "t.json")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "SchemaError", "message": "unknown answer rule 'regex'"}
+        assert calls == [] and not (tmp_path / "t.json").exists()
 
     def test_no_tools_run(self, tmp_path, capsys):
         from geoagent.cli import main

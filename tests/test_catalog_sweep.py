@@ -214,7 +214,7 @@ def sweep_outputs(sweep_env):
 
 
 def build_args(registry, name: str, optional: bool = False) -> dict:
-    spec = registry.spec(name)
+    spec = next(s for s in registry.list_specs() if s.name == name)
     args = {}
     for param in spec.params:
         if not param.required and not optional:

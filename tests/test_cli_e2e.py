@@ -46,6 +46,25 @@ class TestBatchItemErrors:
                             "be saved as ndvi_a.tif")
         assert not (tmp_path / "out").exists()
 
+    def test_unequal_band_lists_refused_before_any_write(self, tmp_path):
+        from geoagent.kits.perception import MockExpertBackend
+        from geoagent.tools import ToolContext, build_registry
+        from geoagent.workspace import Workspace
+
+        ws = Workspace(tmp_path)
+        for name in ("src/a.tif", "src/b.tif", "src/r.tif"):
+            write_raster(tmp_path / name, [[0.5]])
+        registry = build_registry(ToolContext(
+            workspace=ws, perception=MockExpertBackend([], ws)))
+        res = registry.call_tool("calculate_batch_ndvi", {
+            "nir_paths": ["src/a.tif", "src/b.tif"],
+            "red_paths": ["src/r.tif"],
+            "output_dir": "out"})
+        assert res.error_class == "InvalidParameters"
+        assert res.text == ("calculate_batch_ndvi: band path lists must have equal "
+                            "lengths, got [1, 2]")
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigFile:
     def test_workspace_from_config(self, tmp_path, capsys):

@@ -81,7 +81,7 @@ def test_full_episode_over_http(tmp_path, chat_server):
 
     assert trajectory.stop_reason == "final_answer"
     assert trajectory.answer_value == 2.0
-    assert trajectory.tool_names == ["count_above_threshold"]
+    assert [a.tool for a in trajectory.actions] == ["count_above_threshold"]
     assert trajectory.actions[0].output.value == 2
 
     first, second = handler.requests

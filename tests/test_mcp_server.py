@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from geoagent.kits.perception import MockExpertBackend
 from geoagent.tools import ToolContext, build_registry
+from geoagent.tools import mcp
 from geoagent.tools.mcp import McpClient, McpServer, serve_stream, serve_tcp
 from geoagent.workspace import Workspace
 
@@ -68,8 +69,9 @@ class TestGoldenWire:
     def test_schema_round_trips_through_listing(self, server):
         listing = server.handle_line(json.dumps(
             {"jsonrpc": "2.0", "id": 1, "method": "tools/list"}))
-        for tool in listing["result"]["tools"]:
-            spec = server.registry.spec(tool["name"])
+        specs = server.registry.list_specs()
+        assert [t["name"] for t in listing["result"]["tools"]] == [s.name for s in specs]
+        for tool, spec in zip(listing["result"]["tools"], specs):
             assert spec.input_schema() == tool["inputSchema"]
 
 
@@ -201,3 +203,23 @@ class TestHostileLines:
         assert replies[1]["error"]["code"] == -32603
         assert "tools" in replies[0]["result"]
         assert replies[2]["result"]["serverInfo"]["name"] == "geoagent"
+
+    def serve_bytes(self, server, data):
+        out = io.BytesIO()
+        serve_stream(server, io.BytesIO(data), out)
+        return [json.loads(r) for r in out.getvalue().splitlines()]
+
+    def test_overlong_line_refused_and_serving_goes_on(self, shared_server, monkeypatch):
+        monkeypatch.setattr(mcp, "MAX_LINE_BYTES", 64)
+        fits = request("tools/list").ljust(63).encode() + b"\n"  # 64 bytes with its newline
+        over = request("tools/list").ljust(64).encode() + b"\n"
+        replies = self.serve_bytes(shared_server,
+                                   b"x" * 300 + b"\n" + fits + over + fits)
+        assert [r.get("error", {}).get("code") for r in replies] == [-32700, None, -32700, None]
+        assert "line longer than 64 bytes" in replies[0]["error"]["message"]
+        assert "tools" in replies[1]["result"] and "tools" in replies[3]["result"]
+
+    def test_overlong_line_at_end_of_stream(self, shared_server, monkeypatch):
+        monkeypatch.setattr(mcp, "MAX_LINE_BYTES", 64)
+        replies = self.serve_bytes(shared_server, request("tools/list").encode() * 5)
+        assert len(replies) == 1 and replies[0]["error"]["code"] == -32700

@@ -48,11 +48,10 @@ class TestRegistration:
         assert names == sorted(names)
 
     def test_duplicate_name_rejected(self):
-        reg = ToolRegistry()
         spec = ToolSpec(name="x", description="", params=())
-        reg.register(spec, lambda a: ok_result(value=1))
         with pytest.raises(ValueError):
-            reg.register(spec, lambda a: ok_result(value=2))
+            ToolRegistry([(spec, lambda a: ok_result(value=1)),
+                          (spec, lambda a: ok_result(value=2))])
 
     def test_expected_tools_present(self, registry):
         for name in ("calculate_batch_ndvi", "lst_multi_channel", "mann_kendall_test",
