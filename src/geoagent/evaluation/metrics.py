@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -116,10 +117,17 @@ ANSWER_RULES: dict[str, Callable[..., int]] = {
 
 
 def answer_matcher(rule: dict) -> Callable[..., int]:
-    """The matcher of a task's answer rule; a rule with no kind is numeric."""
+    """The matcher of a task's answer rule; a rule with no kind is numeric.
+    Tolerances must be finite numbers >= 0."""
     kind = rule.get("kind", "numeric")
     if kind not in ANSWER_RULES:
         raise SchemaError(f"unknown answer rule {kind!r}")
+    for key in ("rel_tol", "abs_tol"):
+        tol = rule.get(key, 0.0)
+        if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+                or not 0 <= tol <= sys.float_info.max):
+            raise SchemaError(f"answer rule {key} must be a finite number >= 0, "
+                              f"got {tol!r}")
     return ANSWER_RULES[kind]
 
 

@@ -262,10 +262,15 @@ def stl_decompose(values, period: int) -> Decomposition:
 MIN_SEGMENT = 2
 
 
+def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative sums of x and of x*x, each led by a 0."""
+    return (np.concatenate(([0.0], np.cumsum(x))),
+            np.concatenate(([0.0], np.cumsum(x * x))))
+
+
 def _segment_cost_fn(x: np.ndarray):
     """L2 cost of x[s:t] around its own mean, via cumulative sums."""
-    c1 = np.concatenate(([0.0], np.cumsum(x)))
-    c2 = np.concatenate(([0.0], np.cumsum(x * x)))
+    c1, c2 = _prefix_sums(x)
 
     def cost(s: int, t: int) -> float:
         n = t - s
@@ -281,6 +286,9 @@ def detect_change_points(values, penalty: float) -> list[int]:
     Pruning honors the minimum segment length: a candidate dominated at time
     t is only discarded from time t + MIN_SEGMENT on, because the dominating
     split point is not itself admissible before then.
+
+    Each step scores all admissible candidates at once from the prefix sums
+    and keeps the first strict minimum below inf, so NaN costs never win.
     """
     x = _valid(values)
     n = x.size
@@ -288,33 +296,56 @@ def detect_change_points(values, penalty: float) -> list[int]:
         raise InvalidInputError("penalty must be positive")
     if n < 2 * MIN_SEGMENT:
         return []
-    cost = _segment_cost_fn(x)
-
-    f = {0: -penalty}
-    last = {0: 0}
-    candidates = [0]
-    kill_at: dict[int, int] = {}
-    for t in range(MIN_SEGMENT, n + 1):
-        candidates = [s for s in candidates if kill_at.get(s, n + 1) > t]
-        best_val = math.inf
-        best_s = 0
-        usable = [s for s in candidates if t - s >= MIN_SEGMENT]
-        for s in usable:
-            val = f[s] + cost(s, t) + penalty
-            if val < best_val:
-                best_val = val
-                best_s = s
-        f[t] = best_val
-        last[t] = best_s
-        for s in usable:
-            if s not in kill_at and f[s] + cost(s, t) > f[t]:
-                kill_at[s] = t + MIN_SEGMENT
-        candidates.append(t)
+    penalty = float(penalty)
+    # rows: prefix sums of x and x*x, and the positions, so that one
+    # difference of columns t and s gives a segment's sums and length
+    sums = np.vstack((*_prefix_sums(x), np.arange(n + 1, dtype=np.float64)))
+    f = np.empty(n + 1)
+    f[0] = -penalty
+    last = np.zeros(n + 1, dtype=np.int64)
+    # the admissible split points s (t - s >= MIN_SEGMENT; no segment starts
+    # inside the first MIN_SEGMENT values) still alive at t, ascending
+    cands = np.empty(n + 1, dtype=np.int64)
+    m = 0
+    # a candidate pruned at t leaves the scan at kill_at = t + MIN_SEGMENT;
+    # `alive` (past every kill time) marks one not pruned yet, and `expires`
+    # the steps at which some candidate leaves
+    alive = n + MIN_SEGMENT + 1
+    kill_at = np.full(n + 1, alive, dtype=np.int64)
+    expires = [False] * (n + MIN_SEGMENT + 1)
+    with np.errstate(all="ignore"):
+        for t in range(MIN_SEGMENT, n + 1):
+            new_s = t - MIN_SEGMENT
+            if new_s == 0 or new_s >= MIN_SEGMENT:
+                cands[m] = new_s
+                m += 1
+            if expires[t]:
+                live = cands[:m]
+                live = live[kill_at[live] > t]
+                m = live.size
+                cands[:m] = live
+            s = cands[:m]
+            sm, sq, length = sums[:, t, np.newaxis] - sums[:, s]
+            fc = f[s] + (sq - sm * sm / length)
+            vals = fc + penalty
+            i = vals.argmin()  # the first NaN, if there is one
+            if vals[i] != vals[i]:
+                i = np.where(vals < math.inf, vals, math.inf).argmin()
+            best = vals[i]
+            if best < math.inf:
+                f[t], last[t] = best, s[i]
+            else:
+                best = f[t] = math.inf  # last[t] stays 0
+            pruned = s[fc > best]
+            if pruned.size:
+                pruned = pruned[kill_at[pruned] == alive]
+                kill_at[pruned] = t + MIN_SEGMENT
+                expires[t + MIN_SEGMENT] = True
 
     bkps = []
     t = n
     while t > 0:
-        s = last[t]
+        s = int(last[t])
         if s == 0:
             break
         bkps.append(s)
@@ -406,19 +437,20 @@ def gi_star_zscores(band: np.ndarray, kernel_radius: int = 1) -> np.ndarray:
 
     filled = np.where(valid, band, 0.0)
     ones = valid.astype(np.float64)
-    k = kernel_radius
+
+    # a radius past the raster's side gives the same (whole-raster) windows
+    k = min(kernel_radius, max(h, w))
+    rows, cols = np.arange(h), np.arange(w)
+    r0 = np.maximum(rows - k, 0)[:, np.newaxis]
+    r1 = np.minimum(rows + k + 1, h)[:, np.newaxis]
+    c0 = np.maximum(cols - k, 0)[np.newaxis, :]
+    c1 = np.minimum(cols + k + 1, w)[np.newaxis, :]
 
     def window_sum(a: np.ndarray) -> np.ndarray:
         integral = np.zeros((h + 1, w + 1))
         integral[1:, 1:] = np.cumsum(np.cumsum(a, axis=0), axis=1)
-        out_arr = np.empty((h, w))
-        for i in range(h):
-            for j in range(w):
-                r0, r1 = max(0, i - k), min(h, i + k + 1)
-                c0, c1 = max(0, j - k), min(w, j + k + 1)
-                out_arr[i, j] = (integral[r1, c1] - integral[r0, c1]
-                                 - integral[r1, c0] + integral[r0, c0])
-        return out_arr
+        return (integral[r1, c1] - integral[r0, c1]
+                - integral[r1, c0] + integral[r0, c0])
 
     wsum = window_sum(filled)
     wcount = window_sum(ones)
@@ -443,16 +475,14 @@ def hotspot_direction(binary_map: Raster) -> tuple[str, dict[str, int]]:
     band = as_binary(binary_map.band(), "hotspot map")
     h, w = band.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    counts = {d: 0 for d in CARDINALS}
     ys, xs = np.nonzero(band == 1.0)
-    for y, x in zip(ys, xs):
-        dy, dx = y - cy, x - cx
-        if dy == 0 or dx == 0:
-            continue
-        if abs(dy) >= abs(dx):
-            counts["N" if dy < 0 else "S"] += 1
-        else:
-            counts["E" if dx > 0 else "W"] += 1
+    dy, dx = ys - cy, xs - cx
+    off_axes = (dy != 0) & (dx != 0)
+    vertical = off_axes & (np.abs(dy) >= np.abs(dx))
+    horizontal = off_axes & ~vertical
+    sectors = {"N": vertical & (dy < 0), "E": horizontal & (dx > 0),
+               "S": vertical & (dy > 0), "W": horizontal & (dx < 0)}
+    counts = {d: int(np.count_nonzero(sectors[d])) for d in CARDINALS}
     best = max(counts.values())
     if best == 0:
         return "center-balanced", counts

@@ -97,6 +97,8 @@ def fit_tvdi_edges(ndvi: np.ndarray, lst: np.ndarray, bins: int):
     Bins with fewer than TVDI_MIN_BIN_PIXELS pixels are skipped; fewer than two
     usable bins is an error.
     """
+    if bins < 1:
+        raise InvalidInputError(f"TVDI: bins must be at least 1, got {bins}")
     ok = ~(np.isnan(ndvi) | np.isnan(lst))
     x, y = ndvi[ok], lst[ok]
     if x.size == 0:

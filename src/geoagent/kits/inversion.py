@@ -107,6 +107,8 @@ def emissivity_corrected_bt(bt: np.ndarray, emissivity: np.ndarray,
 def single_channel_lst(bt: np.ndarray, red: np.ndarray, nir: np.ndarray,
                        wavelength: float = SINGLE_CHANNEL_WAVELENGTH) -> np.ndarray:
     """Single-channel LST with NDVI-threshold emissivity from red/NIR bands."""
+    if wavelength <= 0:
+        raise InvalidInputError(f"wavelength must be positive, got {wavelength}")
     ndvi = normalized_difference(nir, red)
     emis = emissivity_from_ndvi(ndvi)
     return emissivity_corrected_bt(bt, emis, wavelength)

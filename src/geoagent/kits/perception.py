@@ -165,6 +165,13 @@ def expand_bbox(box: BBox, radius: float,
     return BBox(x0, y0, x1, y1)
 
 
+def centroid_from_list(vals) -> tuple[float, float]:
+    if len(vals) != 2 or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
+        raise InvalidInputError(f"a centroid needs 2 numbers, got {vals!r}")
+    return float(vals[0]), float(vals[1])
+
+
 def bboxes_to_centroids(boxes: list[BBox]) -> list[tuple[float, float]]:
     return [((b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0) for b in boxes]
 

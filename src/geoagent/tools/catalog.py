@@ -531,7 +531,7 @@ def _perception_tools(ctx: ToolContext) -> list[Tool]:
              "and distances.",
              (P("centroids", "array", items="array"),),
              lambda pts: perc.centroid_distance_extremes(
-                 [(float(p[0]), float(p[1])) for p in pts])),
+                 [perc.centroid_from_list(p) for p in pts])),
         Tool("calculate_bbox_area",
              "Total area of boxes given in [x, y, width, height] form.",
              (P("bboxes", "array", items="array"),),

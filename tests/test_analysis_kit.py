@@ -227,6 +227,119 @@ class TestPelt:
             assert got_cost <= an.segmentation_cost(x, cut, penalty) + 1e-9
 
 
+def pelt_loop(values, penalty):
+    """The former dict-and-loop PELT: one cost() call per candidate per t."""
+    x = an._valid(values)
+    n = x.size
+    if penalty <= 0:
+        raise InvalidInputError("penalty must be positive")
+    if n < 2 * an.MIN_SEGMENT:
+        return []
+    c1 = np.concatenate(([0.0], np.cumsum(x)))
+    c2 = np.concatenate(([0.0], np.cumsum(x * x)))
+
+    def cost(s, t):
+        n = t - s
+        sm = c1[t] - c1[s]
+        return float(c2[t] - c2[s] - sm * sm / n)
+
+    f = {0: -penalty}
+    last = {0: 0}
+    candidates = [0]
+    kill_at = {}
+    for t in range(an.MIN_SEGMENT, n + 1):
+        candidates = [s for s in candidates if kill_at.get(s, n + 1) > t]
+        best_val = math.inf
+        best_s = 0
+        usable = [s for s in candidates if t - s >= an.MIN_SEGMENT]
+        for s in usable:
+            val = f[s] + cost(s, t) + penalty
+            if val < best_val:
+                best_val = val
+                best_s = s
+        f[t] = best_val
+        last[t] = best_s
+        for s in usable:
+            if s not in kill_at and f[s] + cost(s, t) > f[t]:
+                kill_at[s] = t + an.MIN_SEGMENT
+        candidates.append(t)
+
+    bkps = []
+    t = n
+    while t > 0:
+        s = last[t]
+        if s == 0:
+            break
+        bkps.append(s)
+        t = s
+    return sorted(bkps)
+
+
+def outcome(fn, *args):
+    """A call's result, or its InvalidInputError message."""
+    try:
+        return fn(*args)
+    except InvalidInputError as exc:
+        return "InvalidInputError", str(exc)
+
+
+pelt_value = st.one_of(
+    st.floats(-10, 10, allow_nan=False),
+    st.integers(-3, 3).map(float),  # ties between candidate costs
+    st.sampled_from([0.0, 1e153, 2e153, 1e308, -1e308, math.inf, -math.inf, None]))
+
+
+@st.composite
+def pelt_series(draw):
+    """Free series, or constant runs, of 0 to 400 values with ties and gaps."""
+    if draw(st.booleans()):
+        return draw(st.lists(pelt_value, max_size=400))
+    runs = draw(st.lists(st.tuples(pelt_value, st.integers(1, 60)), max_size=20))
+    return [v for v, k in runs for _ in range(k)][:400]
+
+
+class TestPeltMatchesLoop:
+    """The vectorised candidate scan gives the former loop's breakpoints."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=pelt_series(),
+           penalty=st.one_of(st.floats(1e-9, 1e308), st.integers(1, 10**6)))
+    def test_property(self, x, penalty):
+        with np.errstate(all="ignore"):
+            assert (outcome(an.detect_change_points, x, penalty)
+                    == outcome(pelt_loop, x, penalty))
+
+    @pytest.mark.parametrize("x", [
+        [],
+        [1.0, 2.0, 3.0],
+        [3.0] * 40,
+        [0.0] * 10 + [5.0] * 10 + [0.0] * 10,
+        [1e308, -1e308] * 15,
+        [0.0, math.inf, 1.0, 2.0, -math.inf, 3.0, 4.0, 5.0],
+        [math.inf] * 6,
+    ], ids=["empty", "too-short", "constant", "two-steps", "huge", "infinities",
+            "all-inf"])
+    @pytest.mark.parametrize("penalty", [1e-9, 0.5, 5.0, 1e308])
+    def test_cases(self, x, penalty):
+        with np.errstate(all="ignore"):
+            assert an.detect_change_points(x, penalty) == pelt_loop(x, penalty)
+
+    def test_tie_goes_to_first_candidate(self):
+        x = [0.0, -2.0, -2.0, -3.0, 3.0, 0.0, -2.0, 2.0, 3.0, -1.0, 3.0, 2.0, 2.0,
+             0.0, 3.0, -2.0, -3.0, 3.0, 0.0, -1.0, 2.0]
+        assert an.detect_change_points(x, 1.0) == pelt_loop(x, 1.0) == [2, 4, 7, 9, 15, 17]
+
+    def test_candidate_pruned_once_and_dropped_two_steps_later(self):
+        # rounding at this scale makes a pruned candidate win again if it is
+        # kept one step longer, or re-pruned later than its first time
+        a, b = 1e153, 2e153
+        x = [b, b, 0, 0, a, b, b, b, b, 0, b, 0, 0, b, a, a, a, 0, b, b, a, 0, 0, a, b,
+             a, a, a, 0, a, a, a, b]
+        want = [2, 4, 6, 9, 11, 13, 15, 18, 20, 23, 25, 27, 29, 31]
+        with np.errstate(all="ignore"):
+            assert an.detect_change_points(x, 2.0) == pelt_loop(x, 2.0) == want
+
+
 def acf_oracle(x, max_lag):
     n = len(x)
     mean = sum(x) / n
@@ -346,6 +459,79 @@ class TestGetisOrd:
         assert abs(float(np.mean(out.data))) < 0.1
 
 
+def gi_star_loop(band, kernel_radius=1):
+    """The former Gi* with its per-pixel window_sum double loop."""
+    if kernel_radius < 1:
+        raise InvalidInputError("kernel radius must be >= 1")
+    valid = ~np.isnan(band)
+    n = int(np.count_nonzero(valid))
+    if n == 0:
+        raise InvalidInputError("raster has no valid pixels")
+    vals = band[valid]
+    mean = float(vals.mean())
+    s = float(math.sqrt(max(np.mean(vals * vals) - mean * mean, 0.0)))
+
+    h, w = band.shape
+    if s == 0.0 or n < 2:
+        return np.where(valid, 0.0, np.nan)
+
+    filled = np.where(valid, band, 0.0)
+    ones = valid.astype(np.float64)
+    k = kernel_radius
+
+    def window_sum(a):
+        integral = np.zeros((h + 1, w + 1))
+        integral[1:, 1:] = np.cumsum(np.cumsum(a, axis=0), axis=1)
+        out_arr = np.empty((h, w))
+        for i in range(h):
+            for j in range(w):
+                r0, r1 = max(0, i - k), min(h, i + k + 1)
+                c0, c1 = max(0, j - k), min(w, j + k + 1)
+                out_arr[i, j] = (integral[r1, c1] - integral[r0, c1]
+                                 - integral[r1, c0] + integral[r0, c0])
+        return out_arr
+
+    wsum = window_sum(filled)
+    wcount = window_sum(ones)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = wsum - mean * wcount
+        den = s * np.sqrt(np.maximum(n * wcount - wcount * wcount, 0.0) / (n - 1))
+        z = np.where(den > 0, num / den, 0.0)
+    return np.where(valid, z, np.nan)
+
+
+@st.composite
+def gi_rasters(draw):
+    """1x1 up to 10x10 rasters: free values with NaN and ties, or constant."""
+    h, w = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        return np.full((h, w), draw(st.floats(-1e6, 1e6)))
+    cells = draw(st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, 1.0])),
+                          min_size=h * w, max_size=h * w))
+    return np.asarray(cells, dtype=np.float64).reshape(h, w)
+
+
+class TestGiStarMatchesLoop:
+    """The gathered window sums give the former loop's z-scores byte for byte."""
+
+    @staticmethod
+    def same(band, radius):
+        got = outcome(lambda: an.gi_star_zscores(band, radius).tobytes())
+        assert got == outcome(lambda: gi_star_loop(band, radius).tobytes())
+
+    @settings(max_examples=80, deadline=None)
+    @given(band=gi_rasters(), radius=st.one_of(st.integers(1, 12), st.just(10**19)))
+    def test_property(self, band, radius):
+        self.same(band, radius)
+
+    @pytest.mark.parametrize("radius", [1, 2, 3, 7, 64, 65, 10**19])
+    def test_64_square_with_gaps(self, radius):
+        band = np.random.default_rng(radius % 97).normal(size=(64, 64))
+        band[::7, ::5] = np.nan
+        self.same(band, radius)
+
+
 class TestHotspotDirection:
     def test_due_north(self):
         grid = np.zeros((9, 9))
@@ -384,3 +570,45 @@ class TestHotspotDirection:
     def test_non_binary_rejected(self):
         with pytest.raises(InvalidInputError):
             an.hotspot_direction(from_array([[0, 7]], dtype="u8"))
+
+
+def hotspot_direction_loop(binary_map):
+    """The former per-pixel sector count of analysis.hotspot_direction."""
+    band = binary_map.band()
+    h, w = band.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    counts = {d: 0 for d in an.CARDINALS}
+    ys, xs = np.nonzero(band == 1.0)
+    for y, x in zip(ys, xs):
+        dy, dx = y - cy, x - cx
+        if dy == 0 or dx == 0:
+            continue
+        if abs(dy) >= abs(dx):
+            counts["N" if dy < 0 else "S"] += 1
+        else:
+            counts["E" if dx > 0 else "W"] += 1
+    best = max(counts.values())
+    if best == 0:
+        return "center-balanced", counts
+    winner = min(d for d in an.CARDINALS if counts[d] == best)
+    return winner, counts
+
+
+class TestHotspotDirectionMatchesLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.integers(1, 12), w=st.integers(1, 12), data=st.data())
+    def test_property(self, h, w, data):
+        cells = data.draw(st.lists(st.sampled_from([0, 1]), min_size=h * w, max_size=h * w))
+        binary_map = from_array(np.asarray(cells).reshape(h, w), dtype="u8")
+        got = an.hotspot_direction(binary_map)
+        assert got == hotspot_direction_loop(binary_map)
+        assert list(got[1]) == list(an.CARDINALS)
+        assert all(type(v) is int for v in got[1].values())
+
+    @pytest.mark.parametrize("shape", [(9, 9), (8, 8), (9, 8), (8, 9), (1, 1), (2, 2)],
+                             ids=["odd", "even", "odd-even", "even-odd", "1x1", "2x2"])
+    @pytest.mark.parametrize("fill", ["full", "empty"])
+    def test_odd_even_empty(self, shape, fill):
+        grid = np.ones(shape) if fill == "full" else np.zeros(shape)
+        binary_map = from_array(grid, dtype="u8")
+        assert an.hotspot_direction(binary_map) == hotspot_direction_loop(binary_map)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,30 @@ class TestSchemas:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="unknown answer rule 'regex'"):
             load_task(path)
+
+    @pytest.mark.parametrize("key", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("tol", ["0.01", -0.01, None, True, [0.01], math.nan,
+                                     math.inf, 10**400],
+                             ids=["string", "negative", "null", "bool", "list", "nan",
+                                  "inf", "past-float"])
+    def test_bad_tolerance_rejected(self, suite, tmp_path, key, tol):
+        root, tasks, registry, _ = suite
+        doc = tasks[0].as_json()
+        doc["answer_rule"] = {"kind": "numeric", key: tol}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"answer rule {key} must be a finite "
+                                              "number >= 0"):
+            load_task(path)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, 5, 1e-2])
+    def test_tolerance_accepted(self, suite, tmp_path, tol):
+        root, tasks, registry, _ = suite
+        doc = tasks[0].as_json()
+        doc["answer_rule"] = {"kind": "numeric", "rel_tol": tol, "abs_tol": tol}
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(doc))
+        assert load_task(path).answer_rule["rel_tol"] == tol
 
     def test_answer_rule_without_kind_is_numeric(self, suite, tmp_path):
         root, tasks, registry, _ = suite
@@ -451,6 +476,25 @@ class TestCli:
                      "--out", str(tmp_path / "t.json")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "SchemaError", "message": "unknown answer rule 'regex'"}
+        assert calls == [] and not (tmp_path / "t.json").exists()
+
+    def test_run_refuses_string_tolerance_before_any_step(self, suite, tmp_path,
+                                                          capsys, monkeypatch):
+        from geoagent.cli import main
+
+        root, tasks, _, _ = suite
+        doc = tasks[0].as_json()
+        doc["answer_rule"] = {"kind": "numeric", "rel_tol": "0.01"}
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps(doc))
+        calls = []
+        monkeypatch.setattr(ToolRegistry, "call_tool",
+                            lambda self, name, args: calls.append(name))
+        assert main(["run", "--task", str(path), "--workspace", str(root),
+                     "--out", str(tmp_path / "t.json")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "SchemaError", "message":
+                       "answer rule rel_tol must be a finite number >= 0, got '0.01'"}
         assert calls == [] and not (tmp_path / "t.json").exists()
 
     def test_no_tools_run(self, tmp_path, capsys):

@@ -9,6 +9,8 @@ from geoagent.errors import InvalidInputError
 from geoagent.kits import index
 from geoagent.raster import from_array
 
+from conftest import write_raster
+
 
 def single(value: float):
     return from_array([[value]])
@@ -179,3 +181,15 @@ class TestTvdi:
         with pytest.raises(InvalidInputError):
             index.compute_tvdi(from_array(np.full((2, 2), 0.4)),
                                from_array(np.full((2, 2), 300.0)))
+
+    @pytest.mark.parametrize("bins", [0, -1, -10**6])
+    def test_bins_below_one_refused(self, tool_registry, workspace, bins):
+        ndvi, lst, _ = tvdi_fixture()
+        write_raster(workspace.root / "ndvi.tif", ndvi)
+        write_raster(workspace.root / "lst.tif", lst)
+        result = tool_registry.call_tool("compute_tvdi", {
+            "ndvi_path": "ndvi.tif", "lst_path": "lst.tif",
+            "output_path": "tvdi.tif", "bins": bins})
+        assert result.error_class == "InvalidParameters"
+        assert f"bins must be at least 1, got {bins}" in result.text
+        assert not (workspace.root / "tvdi.tif").exists()

@@ -9,6 +9,8 @@ from geoagent.errors import InvalidInputError
 from geoagent.kits import inversion as inv
 from geoagent.raster import from_array
 
+from conftest import write_raster
+
 
 def arr(*values):
     return np.asarray(values, dtype=np.float64)
@@ -67,6 +69,19 @@ class TestSingleChannel:
         bt = arr(285.0)
         out = inv.emissivity_corrected_bt(bt, np.asarray(1.0), 10.9e-6)
         assert abs(out[0] - 285.0) < 1e-9
+
+
+@pytest.mark.parametrize("wavelength", [0, 0.0, -10.9e-6])
+def test_lst_single_channel_refuses_non_positive_wavelength(tool_registry, workspace,
+                                                            wavelength):
+    for name, value in (("bt", 300.0), ("red", 0.1), ("nir", 0.5)):
+        write_raster(workspace.root / f"{name}.tif", np.full((2, 2), value))
+    result = tool_registry.call_tool("lst_single_channel", {
+        "bt_path": "bt.tif", "red_path": "red.tif", "nir_path": "nir.tif",
+        "output_path": "lst.tif", "wavelength": wavelength})
+    assert result.error_class == "InvalidParameters"
+    assert "wavelength must be positive" in result.text
+    assert not (workspace.root / "lst.tif").exists()
 
 
 class TestSplitWindow:

@@ -154,6 +154,20 @@ class TestBBoxOps:
         with pytest.raises(InvalidInputError):
             perc.centroid_distance_extremes([(0.0, 0.0)])
 
+    @pytest.mark.parametrize("bad", [[], [1.0], [1, 2, 3], ["1", 2], [None, 2], [True, 2]],
+                             ids=["empty", "one", "three", "string", "null", "bool"])
+    def test_extremes_tool_refuses_centroid_not_two_numbers(self, tool_registry, bad):
+        result = tool_registry.call_tool("centroid_distance_extremes",
+                                         {"centroids": [[0, 0], bad]})
+        assert result.error_class == "InvalidParameters"
+        assert "a centroid needs 2 numbers" in result.text
+
+    def test_extremes_tool_takes_integer_centroids(self, tool_registry):
+        result = tool_registry.call_tool("centroid_distance_extremes",
+                                         {"centroids": [[0, 0], [3, 4]]})
+        assert not result.is_error, result.text
+        assert result.value["closest"] == {"indices": [0, 1], "distance": 5.0}
+
     def test_total_area_xywh(self):
         assert perc.total_bbox_area([[0, 0, 4, 5], [10, 10, 2, 3]]) == 26.0
 
