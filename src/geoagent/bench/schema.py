@@ -94,7 +94,7 @@ class TaskSpec:
             raise SchemaError("both query regimes must be present")
         if not self.ground_truth.steps:
             raise SchemaError("ground truth needs at least one step")
-        answer_matcher(self.answer_rule)
+        answer_matcher(self.answer_rule, self.ground_truth.answer_value)
 
     def query(self, regime: str) -> str:
         if regime not in REGIMES:

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..agent.types import Trajectory
 from ..errors import SchemaError
+from ..finite_json import is_finite_number
 from ..workspace import WORKSPACE_TOKEN, Workspace
 from .taxonomy import count_errors
 
@@ -116,25 +116,35 @@ ANSWER_RULES: dict[str, Callable[..., int]] = {
     "structured": _structured}
 
 
-def answer_matcher(rule: dict) -> Callable[..., int]:
+# answer rule kind -> (what its expected answer must be, the check)
+_EXPECTED_ANSWERS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "numeric": ("a finite number", is_finite_number),
+    "string_set": ("a list", lambda v: isinstance(v, list))}
+
+
+def answer_matcher(rule: dict, expected: Any) -> Callable[..., int]:
     """The matcher of a task's answer rule; a rule with no kind is numeric.
-    Tolerances must be finite numbers >= 0."""
+    Tolerances must be finite numbers >= 0, and the expected answer of a
+    numeric rule a finite number, of a string_set rule a list."""
     kind = rule.get("kind", "numeric")
     if kind not in ANSWER_RULES:
         raise SchemaError(f"unknown answer rule {kind!r}")
     for key in ("rel_tol", "abs_tol"):
         tol = rule.get(key, 0.0)
-        if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-                or not 0 <= tol <= sys.float_info.max):
+        if not (is_finite_number(tol) and tol >= 0):
             raise SchemaError(f"answer rule {key} must be a finite number >= 0, "
                               f"got {tol!r}")
+    what, check = _EXPECTED_ANSWERS.get(kind, ("", None))
+    if check is not None and not check(expected):
+        raise SchemaError(f"the expected answer of a {kind} rule must be {what}, "
+                          f"got {expected!r}")
     return ANSWER_RULES[kind]
 
 
 def accuracy(answer_text: str | None, answer_value: Any, expected: Any,
              rule: dict, roots: Sequence[str] = ()) -> int:
     """Final-answer indicator under the task's declared matching rule."""
-    matcher = answer_matcher(rule)
+    matcher = answer_matcher(rule, expected)
     if answer_text is None and answer_value is None:
         return 0
     return matcher(answer_text, answer_value, expected, rule, roots)

@@ -3,13 +3,15 @@ and no reply body is read past `MAX_REPLY_BYTES`.
 
 `NaN`, `Infinity`, numbers that overflow a float (`1e999`) and a body over
 the bound raise ValueError, which callers treat like any other undecodable
-reply.
+reply. `is_finite_number` is the same test for a value already decoded: tool
+arguments, condition and tie-point objects, and task answer rules use it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Any, BinaryIO
 
 MAX_REPLY_BYTES = 16 * 2**20
@@ -20,6 +22,12 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text}")
     return value
+
+
+def is_finite_number(v: Any) -> bool:
+    """Whether `v` is an int or float (not a bool) that a float64 holds finitely."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def loads(text: str | bytes) -> Any:

@@ -17,19 +17,14 @@ from ..raster import Raster
 from .common import as_binary
 
 
-def _clean_series(values) -> np.ndarray:
-    arr = np.asarray([np.nan if v is None else float(v) for v in values], dtype=np.float64)
-    return arr
-
-
 def _valid(values) -> np.ndarray:
     """The series' valid values, gaps dropped."""
-    x = _clean_series(values)
+    x = np.asarray(values, np.float64)
     return x[~np.isnan(x)]
 
 
 def _valid_with_positions(values) -> tuple[np.ndarray, np.ndarray]:
-    arr = _clean_series(values)
+    arr = np.asarray(values, np.float64)
     pos = np.flatnonzero(~np.isnan(arr))
     return arr[pos], pos.astype(np.float64)
 
@@ -69,6 +64,8 @@ def linear_trend(values, timestamps=None) -> LinearTrend:
         raise InvalidInputError("linear trend needs at least 2 distinct x positions")
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
+    if sxx == 0.0:  # distinct x positions whose squared spread underflows
+        raise InvalidInputError("linear trend: x positions too close to fit a line")
     sxy = float(np.sum((x - xm) * (y - ym)))
     slope = sxy / sxx
     return LinearTrend(slope=slope, intercept=float(ym - slope * xm))
@@ -205,7 +202,7 @@ def stl_decompose(values, period: int) -> Decomposition:
     component is the low-pass-filtered cycle-subseries smooth, so it averages
     to ~0 over each full cycle.
     """
-    x = _clean_series(values)
+    x = np.asarray(values, np.float64)
     if np.isnan(x).any():
         raise InvalidInputError("decomposition requires a gap-free series")
     n = x.size

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from ..errors import InvalidInputError
+from ..finite_json import is_finite_number
 from ..raster import Raster, require_same_grid
 from .common import lookup
 from .index import normalized_difference
@@ -117,9 +118,8 @@ def single_channel_lst(bt: np.ndarray, red: np.ndarray, nir: np.ndarray,
 def modis_day_night_lst(day_bt: np.ndarray, night_bt: np.ndarray,
                         emissivity: float = 0.97) -> np.ndarray:
     """Diurnal-mean LST: single-channel correction of day and night BT, averaged."""
-    e = np.asarray(emissivity)
-    day = emissivity_corrected_bt(day_bt, e, SINGLE_CHANNEL_WAVELENGTH)
-    night = emissivity_corrected_bt(night_bt, e, SINGLE_CHANNEL_WAVELENGTH)
+    day = emissivity_corrected_bt(day_bt, emissivity, SINGLE_CHANNEL_WAVELENGTH)
+    night = emissivity_corrected_bt(night_bt, emissivity, SINGLE_CHANNEL_WAVELENGTH)
     return 0.5 * (day + night)
 
 
@@ -284,9 +284,16 @@ def nasa_team_sic(t19v: np.ndarray, t19h: np.ndarray, t37v: np.ndarray,
 
     Solves the two-ice-type mixing model through the PR/GR ratios against the
     open-water, first-year and multi-year tie points; the result is total ice
-    fraction clamped to [0, 100].
+    fraction clamped to [0, 100]. `tie_points`, unless None or empty, gives
+    all three surfaces, each as three finite numbers.
     """
     tp = tie_points or NASA_TEAM_TIE_POINTS
+    if tp.keys() != NASA_TEAM_TIE_POINTS.keys() or not all(
+            isinstance(v, (list, tuple)) and len(v) == 3 and all(map(is_finite_number, v))
+            for v in tp.values()):
+        raise InvalidInputError(
+            f"tie_points needs {', '.join(NASA_TEAM_TIE_POINTS)}, each as 3 finite "
+            f"numbers [19V, 19H, 37V], got {tie_points!r}")
     w = np.asarray(tp["open_water"], dtype=float)
     f = np.asarray(tp["first_year"], dtype=float)
     m = np.asarray(tp["multi_year"], dtype=float)

@@ -39,12 +39,6 @@ class BBox:
     def as_list(self) -> list[float]:
         return [self.x_min, self.y_min, self.x_max, self.y_max]
 
-    @staticmethod
-    def from_list(vals) -> "BBox":
-        if len(vals) != 4:
-            raise InvalidInputError(f"bounding box needs 4 coordinates, got {len(vals)}")
-        return BBox(*(float(v) for v in vals))
-
 
 # ---------------------------------------------------------------------------
 # expert-model adapters
@@ -165,19 +159,14 @@ def expand_bbox(box: BBox, radius: float,
     return BBox(x0, y0, x1, y1)
 
 
-def centroid_from_list(vals) -> tuple[float, float]:
-    if len(vals) != 2 or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
-        raise InvalidInputError(f"a centroid needs 2 numbers, got {vals!r}")
-    return float(vals[0]), float(vals[1])
-
-
 def bboxes_to_centroids(boxes: list[BBox]) -> list[tuple[float, float]]:
     return [((b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0) for b in boxes]
 
 
-def centroid_distance_extremes(points: list[tuple[float, float]]) -> dict:
-    """Closest and farthest point pairs with indices and distances."""
+def centroid_distance_extremes(points) -> dict:
+    """Closest and farthest pairs of (x, y) points with indices and distances."""
+    # math.dist copies any point that is not a tuple on every call
+    points = list(map(tuple, np.asarray(points, np.float64).tolist()))
     if len(points) < 2:
         raise InvalidInputError("need at least 2 centroids for pairwise distances")
     best = (math.inf, -1, -1)
@@ -195,16 +184,13 @@ def centroid_distance_extremes(points: list[tuple[float, float]]) -> dict:
     }
 
 
-def total_bbox_area(boxes_xywh: list[list[float]]) -> float:
-    """Total area of boxes given as [x, y, w, h]."""
+def total_bbox_area(boxes_xywh) -> float:
+    """Total area of boxes given as [x, y, w, h] rows, summed in order."""
     total = 0.0
-    for b in boxes_xywh:
-        if len(b) != 4:
-            raise InvalidInputError(f"[x, y, w, h] box needs 4 values, got {len(b)}")
-        w, h = float(b[2]), float(b[3])
-        if w < 0 or h < 0:
+    for b in np.asarray(boxes_xywh, np.float64).tolist():
+        if b[2] < 0 or b[3] < 0:
             raise InvalidInputError(f"negative box extent in {b}")
-        total += w * h
+        total += b[2] * b[3]
     return total
 
 

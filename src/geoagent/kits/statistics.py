@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import InvalidInputError, MissingFileError
+from ..finite_json import is_finite_number
 from ..raster import Raster, like, mask_like, require_same_grid
 from .common import lookup, nonempty
 
@@ -144,24 +145,33 @@ def threshold_ratio(rasters: list[Raster], threshold: float, band: int = 1,
     return float(np.mean(hotspot_percentages(rasters, threshold, comparator, band)))
 
 
+def _condition(cond: dict) -> tuple[int, str, float]:
+    """A condition's band (1 if left out), comparator (">") and value; the
+    value must be a finite number and the band an integer."""
+    band, comparator, value = cond.get("band", 1), cond.get("comparator", ">"), cond.get("value")
+    if not (is_finite_number(value) and isinstance(band, int) and not isinstance(band, bool)
+            and isinstance(comparator, str) and comparator in COMPARATORS):
+        raise InvalidInputError(
+            "a condition needs a finite number value, an optional integer band and "
+            f"an optional comparator in {', '.join(COMPARATORS)}, got {cond!r}")
+    return band, comparator, value
+
+
 def multi_band_condition_mask(r: Raster, conditions: list[dict]) -> np.ndarray:
     """Joint boolean mask of pixels satisfying every (band, comparator, value)."""
     if not conditions:
         raise InvalidInputError("at least one condition required")
     mask = None
-    for cond in conditions:
-        band_idx = int(cond.get("band", 1))
-        comparator = cond.get("comparator", ">")
-        value = float(cond["value"])
-        b = r.band(band_idx)
-        this = _compare(b, comparator, value) & ~np.isnan(b)
+    for band, comparator, value in map(_condition, conditions):
+        b = r.band(band)
+        this = COMPARATORS[comparator](b, value) & ~np.isnan(b)
         mask = this if mask is None else (mask & this)
     return mask
 
 
 def multi_band_threshold_ratio(r: Raster, conditions: list[dict]) -> float:
     mask = multi_band_condition_mask(r, conditions)
-    valid = ~np.isnan(r.band(int(conditions[0].get("band", 1))))
+    valid = ~np.isnan(r.band(conditions[0].get("band", 1)))
     total = int(np.count_nonzero(valid))
     if total == 0:
         raise InvalidInputError("image has no valid pixels")
@@ -325,16 +335,16 @@ def celsius_to_kelvin(c: float) -> float:
 
 
 def max_with_index(values) -> tuple[float, int]:
-    arr = list(values)
-    if not arr:
+    arr = np.asarray(values, np.float64)
+    if arr.size == 0:
         raise InvalidInputError("empty list")
     idx = int(np.argmax(arr))
     return float(arr[idx]), idx
 
 
 def min_with_index(values) -> tuple[float, int]:
-    arr = list(values)
-    if not arr:
+    arr = np.asarray(values, np.float64)
+    if arr.size == 0:
         raise InvalidInputError("empty list")
     idx = int(np.argmin(arr))
     return float(arr[idx]), idx
@@ -345,7 +355,7 @@ def list_select(items: list, indexes: list[int]) -> list:
     for i in indexes:
         if not -len(items) <= i < len(items):
             raise InvalidInputError(f"index {i} out of range for list of {len(items)}")
-        out.append(items[int(i)])
+        out.append(items[i])
     return out
 
 

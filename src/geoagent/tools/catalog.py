@@ -3,10 +3,12 @@ public name with a strict parameter schema.
 
 Each tool is one `Tool` row naming a kit function, served by one of two
 generic handlers (`_raster_handler`, `_batch_handler`); the few rows that do
-not fit carry a handler of their own. Each parameter's path kind is derived
-from its name once, in `P`; `build_registry` resolves every path argument
-by its kind with `Workspace.resolve` before any handler runs, so handlers
-see resolved paths only. Outputs are confined to the workspace and
+not fit carry a handler of their own. Each parameter's path kind and row
+width are derived from its name once, in `P`. Handlers get their arguments
+as the registry converts them (a number array as one float64 array, a list
+of number rows as one 2-D array), and `build_registry` resolves every path
+argument by its kind with `Workspace.resolve` before any handler runs, so
+handlers see resolved paths only. Outputs are confined to the workspace and
 reported as "Result saved at <path>".
 """
 
@@ -27,7 +29,7 @@ from ..kits import statistics as st
 from ..raster import Raster, like, load_raster, require_same_grid, save_raster
 from ..workspace import Workspace
 from ..errors import GeoAgentError, InvalidInputError
-from .registry import ParamSpec, ToolRegistry, ToolResult, ToolSpec, ok_result
+from .registry import NOT_FINITE, ParamSpec, ToolRegistry, ToolResult, ToolSpec, ok_result
 
 
 @dataclass
@@ -47,13 +49,18 @@ def _path_kind(name: str, type_: str, items: str | None) -> str | None:
     return named.get(name, "file" if "path" in name else None)
 
 
+# an array of number rows, by parameter name -> the row length
+ROW_WIDTHS = {"bboxes": 4, "centroids": 2}
+
+
 def P(name: str, type_: str, required: bool = True, desc: str = "",
       enum: tuple | None = None, items: str | None = None,
       nullable_items: bool = False) -> ParamSpec:
     return ParamSpec(name=name, type=type_, required=required,
                      description=desc, enum=enum, item_type=items,
                      item_nullable=nullable_items,
-                     kind=_path_kind(name, type_, items))
+                     kind=_path_kind(name, type_, items),
+                     width=ROW_WIDTHS.get(name) if items == "array" else None)
 
 
 COMPARATOR_ENUM = tuple(st.COMPARATORS)
@@ -288,16 +295,12 @@ def _index_tools() -> list[Tool]:
 def _inversion_tools() -> list[Tool]:
     def ttm(args: dict) -> ToolResult:
         rasters = [load_raster(p) for p in args["band_paths"]]
+        require_same_grid(*rasters)
         out, failures = inv.ttm_lst([r.band() for r in rasters])
         result = _save(like(rasters[0], out), args["output_path"])
         if failures:
             result.text += f"\n{failures} pixel(s) did not converge and are nodata"
         return result
-
-    def nasa_team(*tb, **kwargs):
-        if "tie_points" in kwargs:
-            kwargs["tie_points"] = {k: tuple(v) for k, v in kwargs["tie_points"].items()}
-        return inv.nasa_team_sic(*tb, **kwargs)
 
     return [
         Tool("band_ratio",
@@ -427,7 +430,7 @@ def _inversion_tools() -> list[Tool]:
               P("tie_points", "object", False,
                 "override tie points: open_water/first_year/multi_year, "
                 "each [19V, 19H, 37V]")),
-             nasa_team, like="tb_19v_path"),
+             inv.nasa_team_sic, like="tb_19v_path"),
         Tool("dual_polarization_ratio",
              "Polarization ratio (V - H) / (V + H) of two "
              "brightness-temperature rasters.",
@@ -464,8 +467,8 @@ def _perception_tools(ctx: ToolContext) -> list[Tool]:
         size = None
         if "image_width" in args and "image_height" in args:
             size = (args["image_width"], args["image_height"])
-        out = [perc.expand_bbox(perc.BBox.from_list(b), args["radius"], size).as_list()
-               for b in args["bboxes"]]
+        out = [perc.expand_bbox(perc.BBox(*b), args["radius"], size).as_list()
+               for b in args["bboxes"].tolist()]
         return ok_result(value=out)
 
     # (tool name, task, image params, has prompt, description)
@@ -525,13 +528,12 @@ def _perception_tools(ctx: ToolContext) -> list[Tool]:
              "Centers (x, y) of [x_min, y_min, x_max, y_max] boxes.",
              (P("bboxes", "array", items="array"),),
              lambda boxes: [list(c) for c in perc.bboxes_to_centroids(
-                 [perc.BBox.from_list(b) for b in boxes])]),
+                 [perc.BBox(*b) for b in boxes.tolist()])]),
         Tool("centroid_distance_extremes",
              "Closest and farthest centroid pairs with their indices "
              "and distances.",
              (P("centroids", "array", items="array"),),
-             lambda pts: perc.centroid_distance_extremes(
-                 [perc.centroid_from_list(p) for p in pts])),
+             perc.centroid_distance_extremes),
         Tool("calculate_bbox_area",
              "Total area of boxes given in [x, y, width, height] form.",
              (P("bboxes", "array", items="array"),),
@@ -547,6 +549,8 @@ def _perception_tools(ctx: ToolContext) -> list[Tool]:
 def _analysis_tools() -> list[Tool]:
     def stl(args: dict) -> ToolResult:
         dec = an.stl_decompose(args["values"], period=args["period"])
+        if not np.isfinite([dec.trend, dec.seasonal, dec.residual]).all():
+            raise InvalidInputError(NOT_FINITE)
         return ok_result(value={
             "trend": dec.trend.tolist(),
             "seasonal": dec.seasonal.tolist(),

@@ -31,6 +31,14 @@ INTERNAL_ERROR = -32603
 MAX_LINE_BYTES = 16 * 2**20
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+# standard JSON only: the NaN, Infinity and -Infinity literals are parse errors
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def _rpc_error(request_id: Any, code: int, message: str) -> dict:
     return {"jsonrpc": "2.0", "id": request_id,
             "error": {"code": code, "message": message}}
@@ -48,7 +56,7 @@ class McpServer:
 
     def handle_line(self, line: str) -> dict | None:
         try:
-            request = json.loads(line)
+            request = _DECODER.decode(line)
         except (ValueError, RecursionError) as exc:  # nesting too deep, integer too long
             return _rpc_error(None, PARSE_ERROR, f"parse error: {exc}")
         if not isinstance(request, dict) or not isinstance(request.get("method"), str):
@@ -115,7 +123,8 @@ def _reply(server: McpServer, raw: bytes) -> str | None:
     line = raw.decode("utf-8", "replace").strip()
     try:
         response = server.handle_line(line) if line else None
-        return None if response is None else json.dumps(response, sort_keys=True)
+        return (None if response is None
+                else json.dumps(response, sort_keys=True, allow_nan=False))
     except Exception as exc:  # one request must not end the session
         traceback.print_exc()
         return json.dumps(_rpc_error(None, INTERNAL_ERROR,

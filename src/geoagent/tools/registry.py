@@ -1,5 +1,12 @@
-"""Tool contract registry: specs, strict argument validation, dispatch, and
-failure classification.
+"""Tool contract registry: specs, argument conversion, dispatch, and failure
+classification.
+
+`ToolRegistry.validate_args` is the one place where a JSON argument becomes
+the value a kernel takes: a number stays an int inside int64 and must be
+finite, an array of numbers becomes one float64 array (null as NaN where
+the parameter allows gaps), a list of fixed-width number rows one 2-D
+array. What no kernel can take is refused there, so kits do not convert or
+re-check what it hands them.
 
 Every failure surfaced to an agent carries exactly one of four runtime
 classes; classification is a pure function of the registry state, the
@@ -13,7 +20,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+import numpy as np
+
 from ..errors import InvalidInputError, MissingFileError
+from ..finite_json import is_finite_number
 
 TOOL_HALLUCINATION = "ToolHallucination"
 FILE_HALLUCINATION = "FileHallucination"
@@ -23,21 +33,95 @@ SYSTEM_ERROR = "SystemError"
 ERROR_CLASSES = (TOOL_HALLUCINATION, FILE_HALLUCINATION, INVALID_PARAMETERS,
                  SYSTEM_ERROR)
 
-_JSON_TYPES = ("string", "number", "integer", "boolean", "array", "object")
+_INT64_BOUND = 2**63
 
 
-def _type_check(type_name: str, value: Any) -> bool:
-    if type_name == "string":
-        return isinstance(value, str)
-    if type_name == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if type_name == "integer":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if type_name == "boolean":
-        return isinstance(value, bool)
-    if type_name == "array":
-        return isinstance(value, list)
-    return isinstance(value, dict)
+class _Refused(Exception):
+    """An argument its kernel cannot take. `expected` says what it takes,
+    or is None where the JSON type or the enum alone is wrong."""
+
+    def __init__(self, expected: str | None = None):
+        self.expected = expected
+
+
+def _instance_of(cls: type) -> Callable[[Any], Any]:
+    def convert(v):
+        if isinstance(v, cls):
+            return v
+        raise _Refused()
+
+    return convert
+
+
+def _integer(v):
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise _Refused()
+    if -_INT64_BOUND < v < _INT64_BOUND:
+        return v
+    raise _Refused("an integer of magnitude below 2**63")
+
+
+def _number(v):
+    """A finite float as it is; an int as it is inside int64, else as the
+    float it rounds to."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise _Refused()
+    if not is_finite_number(v):
+        raise _Refused("a finite number")
+    return v if isinstance(v, float) or -_INT64_BOUND <= v < _INT64_BOUND else float(v)
+
+
+# JSON type -> the converter of one value of it
+_SCALARS = {"string": _instance_of(str), "number": _number, "integer": _integer,
+            "boolean": _instance_of(bool), "object": _instance_of(dict),
+            "array": _instance_of(list)}
+_NUMBER_TYPES = frozenset({int, float})
+_NUMBER_OR_NULL_TYPES = frozenset({int, float, type(None)})
+
+
+def _floats(v: list, nullable: bool) -> np.ndarray:
+    """A list of numbers (and nulls, where `nullable`) as one float64
+    array, a null as NaN."""
+    if not set(map(type, v)) <= (_NUMBER_OR_NULL_TYPES if nullable else _NUMBER_TYPES):
+        # subclasses, such as numpy floats from in-process callers, item by item
+        if not all((x is None and nullable)
+                   or (isinstance(x, (int, float)) and not isinstance(x, bool)) for x in v):
+            raise _Refused()
+    try:
+        arr = np.asarray(v, np.float64)
+    except OverflowError:
+        raise _Refused("finite numbers") from None
+    finite = np.isfinite(arr)
+    if not finite.all() and finite.size - np.count_nonzero(finite) != v.count(None):
+        raise _Refused("finite numbers")
+    return arr
+
+
+def _rows(v: list, width: int) -> np.ndarray:
+    """A list of number rows of length `width` as one (n, width) float64 array."""
+    if not all(isinstance(row, list) for row in v):
+        raise _Refused()
+    try:
+        if all(len(row) == width for row in v):
+            return _floats([x for row in v for x in row], False).reshape(-1, width)
+    except _Refused:
+        pass
+    raise _Refused(f"rows of {width} finite numbers")
+
+
+def _array(p: ParamSpec, v):
+    if not isinstance(v, list):
+        raise _Refused()
+    if p.width is not None:
+        return _rows(v, p.width)
+    if p.item_type == "number":
+        return _floats(v, p.item_nullable)
+    if p.item_type is not None:
+        item = _SCALARS[p.item_type]
+        for x in v:
+            if x is not None or not p.item_nullable:
+                item(x)
+    return v
 
 
 @dataclass(frozen=True)
@@ -50,23 +134,13 @@ class ParamSpec:
     item_type: str | None = None  # element type for arrays
     item_nullable: bool = False   # arrays that mark gaps with null
     kind: str | None = None       # path kind (see `Workspace.resolve`), None for a non-path
+    width: int | None = None      # row length of an array of number rows
 
     def __post_init__(self):
-        if self.type not in _JSON_TYPES:
+        if self.type not in _SCALARS:
             raise ValueError(f"bad parameter type {self.type!r} for {self.name}")
-        if self.item_type is not None and self.item_type not in _JSON_TYPES:
+        if self.item_type is not None and self.item_type not in _SCALARS:
             raise ValueError(f"bad item type {self.item_type!r} for {self.name}")
-
-    def accepts(self, value: Any) -> bool:
-        ok = _type_check(self.type, value)
-        if ok and self.type == "array" and self.item_type is not None:
-            ok = all(
-                (v is None and self.item_nullable) or _type_check(self.item_type, v)
-                for v in value
-            )
-        if ok and self.enum is not None:
-            ok = value in self.enum
-        return ok
 
 
 @dataclass(frozen=True)
@@ -143,10 +217,20 @@ class ToolResult:
         return result
 
 
+NOT_FINITE = "result is not finite"
+
+
 def ok_result(value: Any = None, text: str | None = None,
               files: list[str] | None = None) -> ToolResult:
+    """An ok result, its text the JSON of `value` unless given; a value
+    that standard JSON cannot carry (NaN, an infinity) raises
+    InvalidInputError."""
     if text is None:
-        text = json.dumps(value, sort_keys=True) if value is not None else "ok"
+        try:
+            text = (json.dumps(value, sort_keys=True, allow_nan=False)
+                    if value is not None else "ok")
+        except ValueError:
+            raise InvalidInputError(NOT_FINITE) from None
     return ToolResult(text=text, value=value, files=files or [])
 
 
@@ -185,8 +269,9 @@ class ToolRegistry:
     def list_specs(self) -> tuple[ToolSpec, ...]:
         return self._sorted
 
-    def validate_args(self, spec: ToolSpec, args: dict) -> str | None:
-        """Return a problem description for a bad argument map, else None."""
+    def validate_args(self, spec: ToolSpec, args: dict) -> dict | str:
+        """The argument map the handler receives, each value as its kernel
+        takes it, or a description of the problem. `args` is left as it is."""
         if not isinstance(args, dict):
             return f"arguments must be an object, got {type(args).__name__}"
         known = {p.name: p for p in spec.params}
@@ -196,25 +281,31 @@ class ToolRegistry:
         missing = sorted(p.name for p in spec.params if p.required and p.name not in args)
         if missing:
             return f"missing required argument(s) {missing} for tool {spec.name}"
+        checked = {}
         for key, value in args.items():
             p = known[key]
-            if not p.accepts(value):
-                expected = p.type if p.enum is None else f"one of {list(p.enum)}"
+            try:
+                checked[key] = (_array(p, value) if p.type == "array"
+                                else _SCALARS[p.type](value))
+                if p.enum is not None and value not in p.enum:
+                    raise _Refused()
+            except _Refused as refused:
+                expected = refused.expected or (
+                    p.type if p.enum is None else f"one of {list(p.enum)}")
                 return (f"argument {key!r} of tool {spec.name} expects {expected}, "
                         f"got {json.dumps(value, default=str)}")
-        return None
+        return checked
 
     def call_tool(self, name: str, args: Any) -> ToolResult:
+        """The tool's result. An ok value that is not finite is refused as
+        InvalidParameters, as a non-finite argument is."""
         if name not in self._specs:
             return error_result(TOOL_HALLUCINATION, f"unknown tool: {name}")
-        spec = self._specs[name]
-        problem = self.validate_args(spec, args)
-        if problem is not None:
-            return error_result(INVALID_PARAMETERS, problem)
+        checked = self.validate_args(self._specs[name], args)
+        if isinstance(checked, str):
+            return error_result(INVALID_PARAMETERS, checked)
         try:
-            outcome = self._handlers[name](args)
+            outcome = self._handlers[name](checked)
+            return outcome if isinstance(outcome, ToolResult) else ok_result(value=outcome)
         except Exception as exc:  # errors are data, never crashes
             return error_result(classify_exception(exc), f"{name}: {exc}")
-        if isinstance(outcome, ToolResult):
-            return outcome
-        return ok_result(value=outcome)

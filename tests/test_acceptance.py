@@ -388,7 +388,7 @@ def test_criterion_6_error_taxonomy(tmp_path):
                         query_if="break things", data_dir=".", answer_rule={},
                         ground_truth=GroundTruth(
                             steps=(GtStep("calculate_area", {"image_path": "ok.tif"}, {}),),
-                            answer_text="", answer_value=None))
+                            answer_text="0", answer_value=0.0))
         save_record(trajectory, tmp_path / "adversarial.json")
         stored = load_record(tmp_path / "adversarial.json")
         for histogram in (count_errors(trajectory),

@@ -612,3 +612,8 @@ class TestHotspotDirectionMatchesLoop:
         grid = np.ones(shape) if fill == "full" else np.zeros(shape)
         binary_map = from_array(grid, dtype="u8")
         assert an.hotspot_direction(binary_map) == hotspot_direction_loop(binary_map)
+
+
+def test_linear_trend_refuses_positions_too_close_to_fit():
+    with pytest.raises(InvalidInputError, match="too close to fit a line"):
+        an.linear_trend([1.0, 2.0], [0.0, 1e-320])

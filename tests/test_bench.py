@@ -179,6 +179,25 @@ class TestSchemas:
         path.write_text(json.dumps(doc))
         assert load_task(path).answer_rule["rel_tol"] == tol
 
+    @pytest.mark.parametrize("kind,expected,what", [
+        ("numeric", "5", "a finite number"), ("numeric", None, "a finite number"),
+        ("numeric", True, "a finite number"), ("numeric", math.inf, "a finite number"),
+        ("numeric", 10**400, "a finite number"), ("numeric", [5], "a finite number"),
+        ("string_set", "a, b", "a list"), ("string_set", None, "a list"),
+    ], ids=["numeric-string", "numeric-null", "numeric-bool", "numeric-inf",
+            "numeric-past-float", "numeric-list", "string_set-string", "string_set-null"])
+    def test_bad_expected_answer_rejected_at_load(self, suite, tmp_path, kind, expected,
+                                                  what):
+        root, tasks, registry, _ = suite
+        doc = tasks[0].as_json()
+        doc["answer_rule"] = {"kind": kind}
+        doc["ground_truth"]["answer"]["value"] = expected
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"the expected answer of a {kind} rule "
+                                              f"must be {what}"):
+            load_task(path)
+
     def test_answer_rule_without_kind_is_numeric(self, suite, tmp_path):
         root, tasks, registry, _ = suite
         doc = tasks[0].as_json()

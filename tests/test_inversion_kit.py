@@ -275,3 +275,34 @@ class TestLstStatByNdvi:
     def test_pair_count_mismatch(self):
         with pytest.raises(InvalidInputError):
             inv.lst_stat_by_ndvi(np.mean, [from_array([[1.0]])], [], 0.5)
+
+
+@pytest.mark.parametrize("tie_points", [
+    {"open_water": 5}, {"open_water": [1, 2, 3]}, {"open_water": ["a", 1, 2]},
+    {**inv.NASA_TEAM_TIE_POINTS, "open_water": [1, 2, float("nan")]},
+    {**inv.NASA_TEAM_TIE_POINTS, "open_water": [1, 2]},
+    {**inv.NASA_TEAM_TIE_POINTS, "extra": [1, 2, 3]},
+], ids=["scalar", "one_key", "string", "nan", "two_numbers", "extra_key"])
+def test_malformed_tie_points_are_invalid_parameters(tool_registry, workspace, tie_points):
+    for name in ("v19", "h19", "v37"):
+        write_raster(workspace.root / f"{name}.tif", np.full((2, 2), 200.0))
+    result = tool_registry.call_tool("nasa_team_sea_ice_concentration", {
+        "tb_19v_path": "v19.tif", "tb_19h_path": "h19.tif", "tb_37v_path": "v37.tif",
+        "output_path": "sic.tif", "tie_points": tie_points})
+    assert result.error_class == "InvalidParameters"
+    assert "tie_points needs open_water, first_year, multi_year" in result.text
+
+
+def test_tie_points_given_as_lists_equal_the_defaults():
+    tb = [arr(230.0), arr(200.0), arr(220.0)]
+    given = {k: list(v) for k, v in inv.NASA_TEAM_TIE_POINTS.items()}
+    assert np.array_equal(inv.nasa_team_sic(*tb, tie_points=given), inv.nasa_team_sic(*tb))
+
+
+def test_ttm_refuses_mismatched_grids(tool_registry, workspace):
+    write_raster(workspace.root / "t1.tif", np.full((2, 2), 300.0))
+    write_raster(workspace.root / "t2.tif", np.full((2, 3), 300.0))
+    result = tool_registry.call_tool("ttm_lst", {
+        "band_paths": ["t1.tif", "t1.tif", "t2.tif"], "output_path": "lst.tif"})
+    assert result.error_class == "InvalidParameters"
+    assert "grids differ" in result.text

@@ -166,8 +166,11 @@ class TestHostileLines:
         (json.dumps({"jsonrpc": "2.0", "id": 3, "method": 5}), -32600),
         (request("initialize", [1, 2]), -32602),
         (request("initialize", "2025-06-18"), -32602),
+        (request("tools/call", {"name": "multiply", "arguments": {"a": float("nan"), "b": 1}}),
+         -32700),
+        ('{"jsonrpc": "2.0", "id": 7, "method": "tools/list", "x": [-Infinity]}', -32700),
     ], ids=["deep_nesting", "long_integer", "method_not_str", "initialize_list_params",
-            "initialize_str_params"])
+            "initialize_str_params", "nan_literal", "infinity_literal"])
     def test_rejected_with_rpc_error(self, shared_server, line, code):
         assert shared_server.handle_line(line)["error"]["code"] == code
 
@@ -184,7 +187,24 @@ class TestHostileLines:
     def test_any_line_gets_json_or_nothing(self, shared_server, line):
         response = shared_server.handle_line(line)
         assert response is None or isinstance(response, dict)
-        json.dumps(response)
+        json.dumps(response, allow_nan=False)
+
+    def test_overflowing_number_is_invalid_parameters(self, shared_server):
+        # 1e999 is standard JSON; it decodes to inf, which no tool takes
+        response = shared_server.handle_line(
+            '{"jsonrpc": "2.0", "id": 8, "method": "tools/call", '
+            '"params": {"name": "multiply", "arguments": {"a": 1e999, "b": 1}}}')
+        result = response["result"]
+        assert result["isError"]
+        assert result["structured"] == {"error_class": "InvalidParameters"}
+        assert result["content"][0]["text"] == (
+            "argument 'a' of tool multiply expects a finite number, got Infinity")
+
+    def test_reply_is_standard_json(self, shared_server, monkeypatch):
+        # a value no tool should return ends in an internal error, not in NaN
+        monkeypatch.setattr(shared_server, "handle_line", lambda line: {"x": float("nan")})
+        replies = self.serve_bytes(shared_server, request("tools/list").encode() + b"\n")
+        assert replies[0]["error"]["code"] == -32603
 
     def test_stream_survives_unforeseen_failure(self, shared_server, monkeypatch):
         handle = shared_server.handle_line

@@ -160,7 +160,7 @@ class TestBBoxOps:
         result = tool_registry.call_tool("centroid_distance_extremes",
                                          {"centroids": [[0, 0], bad]})
         assert result.error_class == "InvalidParameters"
-        assert "a centroid needs 2 numbers" in result.text
+        assert "expects rows of 2 finite numbers" in result.text
 
     def test_extremes_tool_takes_integer_centroids(self, tool_registry):
         result = tool_registry.call_tool("centroid_distance_extremes",

@@ -226,3 +226,116 @@ class TestDispatch:
             "image_a_path": "sa.tif", "image_b_path": "sb.tif",
             "output_path": "d/tifd.tif"})
         assert load_raster(tifd.files[0]).data.ravel()[0] == -3.0
+
+
+class TestArgumentBoundary:
+    """`validate_args` hands each handler its arguments as the kernels take
+    them, and refuses what no kernel can take."""
+
+    def spec(self, registry, name):
+        return next(s for s in registry.list_specs() if s.name == name)
+
+    def test_in_range_integer_stays_an_integer(self, registry):
+        res = registry.call_tool("multiply", {"a": 2, "b": 3})
+        assert res.value == 6 and res.text == "6"
+
+    def test_integer_past_int64_arrives_as_a_float(self, registry):
+        checked = registry.validate_args(self.spec(registry, "multiply"),
+                                         {"a": 2**63, "b": -2**63 - 1})
+        assert checked == {"a": 2.0**63, "b": -(2.0**63)}
+        assert type(checked["a"]) is float and type(checked["b"]) is float
+        assert type(registry.validate_args(self.spec(registry, "multiply"),
+                                           {"a": 2**63 - 1, "b": -2**63})["a"]) is int
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
+                             ids=["nan", "inf", "-inf", "10**400"])
+    def test_non_finite_number_refused(self, registry, value):
+        res = registry.call_tool("kelvin_to_celsius", {"kelvin": value})
+        assert res.error_class == INVALID_PARAMETERS
+        assert "expects a finite number" in res.text
+
+    @pytest.mark.parametrize("value", [2**63, -2**63, 10**400, True])
+    def test_integer_out_of_int64_refused(self, registry, value):
+        res = registry.call_tool("autocorrelation_function",
+                                 {"values": [1.0, 2.0, 4.0], "max_lag": value})
+        assert res.error_class == INVALID_PARAMETERS
+        assert res.text.startswith("argument 'max_lag' of tool autocorrelation_function "
+                                   "expects ")
+
+    def test_number_array_becomes_one_float64_array(self, registry):
+        spec = self.spec(registry, "sens_slope")
+        args = {"values": [1, None, 5.0], "timestamps": [0, 1, 2]}
+        checked = registry.validate_args(spec, args)
+        assert args == {"values": [1, None, 5.0], "timestamps": [0, 1, 2]}
+        for key in args:
+            assert checked[key].dtype == np.float64
+        assert np.array_equal(checked["values"], [1.0, np.nan, 5.0], equal_nan=True)
+
+    def test_numpy_scalars_still_accepted(self, registry):
+        res = registry.call_tool("mean", {"data": [np.float64(1.0), 3.0]})
+        assert res.value == 2.0
+
+    @pytest.mark.parametrize("values", [[1.0, float("nan")], [1.0, float("inf")],
+                                        [None, float("nan")], [1, 10**400]],
+                             ids=["nan", "inf", "null_and_nan", "10**400"])
+    def test_non_finite_array_element_refused(self, registry, values):
+        res = registry.call_tool("sens_slope", {"values": values})
+        assert res.error_class == INVALID_PARAMETERS
+        assert "expects finite numbers" in res.text
+
+    def test_type_refusal_text_unchanged(self, registry):
+        res = registry.call_tool("mean", {"data": [1.0, "two", 3.0]})
+        assert res.text == ("argument 'data' of tool mean expects array, "
+                            'got [1.0, "two", 3.0]')
+
+    def test_rows_become_one_array(self, registry):
+        checked = registry.validate_args(self.spec(registry, "calculate_bbox_area"),
+                                         {"bboxes": [[0, 0, 4, 5], [1, 1, 2, 3]]})
+        assert checked["bboxes"].shape == (2, 4)
+        assert registry.validate_args(self.spec(registry, "calculate_bbox_area"),
+                                      {"bboxes": []})["bboxes"].shape == (0, 4)
+
+    @pytest.mark.parametrize("tool", ["bboxes2centroids", "calculate_bbox_area",
+                                      "bbox_expansion"])
+    @pytest.mark.parametrize("box", [["a", 1, 2, 3], [None, 1, 2, 3], [1, 2, 3],
+                                     [0, 0, 1, float("inf")], [True, 0, 1, 1]],
+                             ids=["string", "null", "short", "inf", "bool"])
+    def test_malformed_box_refused(self, registry, tool, box):
+        args = {"bboxes": [[0, 0, 1, 1], box]}
+        if tool == "bbox_expansion":
+            args["radius"] = 1
+        res = registry.call_tool(tool, args)
+        assert res.error_class == INVALID_PARAMETERS
+        assert "expects rows of 4 finite numbers" in res.text
+
+    def test_huge_image_width_refused(self, registry):
+        res = registry.call_tool("bbox_expansion", {
+            "bboxes": [[0, 0, 1, 1]], "radius": 1, "image_width": 10**400,
+            "image_height": 10})
+        assert res.error_class == INVALID_PARAMETERS
+
+    def test_box_tools_keep_their_values(self, registry):
+        boxes = [[0, 0, 4, 4], [10, 10, 20, 21]]
+        assert registry.call_tool("bboxes2centroids", {"bboxes": boxes}).value == \
+            [[2.0, 2.0], [15.0, 15.5]]
+        assert registry.call_tool("calculate_bbox_area", {"bboxes": boxes}).value == 436.0
+        assert registry.call_tool("bbox_expansion", {
+            "bboxes": boxes, "radius": 2, "image_width": 21, "image_height": 30}).value == \
+            [[0.0, 0.0, 6.0, 6.0], [8.0, 8.0, 21.0, 23.0]]
+
+
+class TestNonFiniteResults:
+    """An ok result that standard JSON cannot carry is InvalidParameters."""
+
+    @pytest.mark.parametrize("name,args", [
+        ("mean", {"data": [1e308, 1e308]}),
+        ("division", {"a": 1, "b": 1e-320}),
+        ("percentage_change", {"old": 1e-320, "new": 1}),
+        ("centroid_distance_extremes", {"centroids": [[1e308, 0], [-1e308, 0]]}),
+        ("stl_decompose", {"values": [1e308, -1e308] * 4, "period": 2}),
+    ], ids=["mean", "division", "percentage_change", "centroid_distance_extremes",
+            "stl_decompose"])
+    def test_refused(self, registry, name, args):
+        res = registry.call_tool(name, args)
+        assert res.error_class == INVALID_PARAMETERS
+        assert res.text == f"{name}: result is not finite"

@@ -326,3 +326,28 @@ class TestInvariants:
         img = from_array(rng.uniform(0, 10, (3, 3)))
         (pct,) = stats.hotspot_percentages([img], 5.0)
         assert 0.0 <= pct <= 100.0
+
+
+@pytest.mark.parametrize("tool", ["calculate_multi_band_threshold_ratio",
+                                  "count_pixels_satisfying_conditions"])
+@pytest.mark.parametrize("condition", [
+    {}, {"value": "a"}, {"value": None}, {"value": float("nan")}, {"value": 10**400},
+    {"value": True}, {"value": 1, "band": "x"}, {"value": 1, "band": 1.5},
+    {"value": 1, "band": True}, {"value": 1, "comparator": "=="},
+    {"value": 1, "comparator": [">"]},
+], ids=["empty", "str_value", "null_value", "nan_value", "huge_value", "bool_value",
+        "str_band", "float_band", "bool_band", "bad_comparator", "list_comparator"])
+def test_malformed_condition_is_invalid_parameters(tool_registry, workspace, tool,
+                                                   condition):
+    write_raster(workspace.root / "two.tif", np.ones((2, 3, 3)))
+    result = tool_registry.call_tool(tool, {"image_path": "two.tif",
+                                            "conditions": [condition]})
+    assert result.error_class == "InvalidParameters"
+    assert "a condition needs a finite number value" in result.text
+
+
+def test_condition_with_integer_value_and_band(tool_registry, workspace):
+    write_raster(workspace.root / "two.tif", np.stack([np.ones((2, 2)), 3 * np.eye(2)]))
+    result = tool_registry.call_tool("count_pixels_satisfying_conditions", {
+        "image_path": "two.tif", "conditions": [{"value": 2, "band": 2}]})
+    assert result.value == 2
