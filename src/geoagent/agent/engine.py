@@ -21,9 +21,11 @@ from .types import (
     Trajectory,
 )
 
+MAX_STEPS = 25  # the default step ceiling of an episode
+
 
 def run_episode(goal: Goal, policy: Policy, registry: ToolRegistry,
-                max_steps: int = 25, model_tag: str = "scripted") -> Trajectory:
+                max_steps: int = MAX_STEPS, model_tag: str = "scripted") -> Trajectory:
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     trajectory = Trajectory(regime=goal.regime, model_tag=model_tag)

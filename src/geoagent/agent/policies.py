@@ -20,6 +20,9 @@ from ..errors import GeoAgentError
 from ..tools.registry import ToolRegistry
 from .types import Action, Decision, FinalAnswerDecision, Goal, ToolCallDecision
 
+OBSERVATION_BUDGET = 8192  # transcript bytes kept per tool result
+LLM_TIMEOUT_S = 120.0  # seconds allowed per LLM request
+
 SYSTEM_PREAMBLE = (
     "You are a geoscience analysis agent. Solve the task by calling the "
     "available tools step by step; file outputs must use paths relative to "
@@ -63,7 +66,7 @@ def _truncate(text: str, budget: int) -> str:
 
 
 def render_memory(goal: Goal, actions: Sequence[Action],
-                  observation_budget: int = 8192) -> list[dict]:
+                  observation_budget: int = OBSERVATION_BUDGET) -> list[dict]:
     """Deterministic chat transcript: system, goal, then one assistant
     tool-call + tool-result message pair per executed action."""
     messages: list[dict] = [
@@ -169,8 +172,8 @@ class LLMPolicy:
 
     def __init__(self, endpoint: str, model: str, api_key: str = "",
                  registry: ToolRegistry | None = None, no_tool_mode: bool = False,
-                 timeout: float = 120.0, retries: int = 2,
-                 observation_budget: int = 8192,
+                 timeout: float = LLM_TIMEOUT_S, retries: int = 2,
+                 observation_budget: int = OBSERVATION_BUDGET,
                  transport: Transport = _urllib_transport):
         self.endpoint = endpoint.rstrip("/")
         self.model = model

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..kits.perception import MockExpertBackend
+from ..kits.perception import MOCK_MANIFEST, MockExpertBackend
 from ..raster import GeoRef, from_array, save_raster
 from ..tools import ToolContext, ToolRegistry, build_registry
 from ..workspace import Workspace
@@ -88,13 +88,17 @@ class _SuiteBuilder:
             raise RuntimeError(f"fixture step {tool} failed: {result.text}")
         return result.value
 
+    def rel(self, path: str) -> str:
+        """A path a step returned, relative to the suite root."""
+        return Path(path).relative_to(self.root).as_posix()
+
 
 def generate_fixture_suite(root: str | Path, seed: int = SUITE_SEED) -> list[TaskSpec]:
     b = _SuiteBuilder(Path(root).resolve(), seed)
     _write_spectrum_data(b)
     _write_products_data(b)
     _write_rgb_data(b)
-    (b.root / "mock_manifest.json").write_text(
+    (b.root / MOCK_MANIFEST).write_text(
         json.dumps(b.manifest, indent=2, sort_keys=True) + "\n")
     b.registry = build_registry(ToolContext(
         workspace=b.workspace,
@@ -205,11 +209,11 @@ def _build_spectrum_tasks(b: _SuiteBuilder) -> None:
     tid = "s1_ndvi_mean"
     nir = [f"data/{tid}/nir_t{i}.tif" for i in range(3)]
     red = [f"data/{tid}/red_t{i}.tif" for i in range(3)]
-    ndvi_out = [f"{tid}/ndvi_nir_t{i}.tif" for i in range(3)]
+    ndvi_step = ("calculate_batch_ndvi", {"nir_paths": nir, "red_paths": red, "output_dir": tid})
     plan = [
-        ("calculate_batch_ndvi",
-         {"nir_paths": nir, "red_paths": red, "output_dir": tid}),
-        ("calc_batch_image_mean_mean", {"image_paths": ndvi_out}),
+        ndvi_step,
+        ("calc_batch_image_mean_mean",
+         {"image_paths": [b.rel(p) for p in b.call(*ndvi_step)]}),
     ]
     b.finish_task(
         tid, "Spectrum",
@@ -318,11 +322,11 @@ def _build_products_tasks(b: _SuiteBuilder) -> None:
     )
 
     tid = "p2_hotspot_direction"
+    hotspot_step = ("calc_batch_image_hotspot_tif", {
+        "image_paths": [f"data/{tid}/heat.tif"], "threshold": 20.0, "output_dir": tid})
     plan = [
-        ("calc_batch_image_hotspot_tif",
-         {"image_paths": [f"data/{tid}/heat.tif"], "threshold": 20.0,
-          "output_dir": tid}),
-        ("analyze_hotspot_direction", {"image_path": f"{tid}/hotspot_heat.tif"}),
+        hotspot_step,
+        ("analyze_hotspot_direction", {"image_path": b.rel(b.call(*hotspot_step)[0])}),
     ]
     b.finish_task(
         tid, "Products",
@@ -426,11 +430,11 @@ def _build_rgb_tasks(b: _SuiteBuilder) -> None:
     )
 
     tid = "r4_change_area"
-    mask_rel = "perception/change_pre_r4.tif"
+    change_step = ("ChangeOS", {"pre_image_path": f"data/{tid}/pre_r4.tif",
+                                "post_image_path": f"data/{tid}/post_r4.tif"})
     plan = [
-        ("ChangeOS", {"pre_image_path": f"data/{tid}/pre_r4.tif",
-                      "post_image_path": f"data/{tid}/post_r4.tif"}),
-        ("calculate_area", {"image_path": mask_rel}),
+        change_step,
+        ("calculate_area", {"image_path": b.rel(b.call(*change_step)["mask"])}),
     ]
     b.finish_task(
         tid, "RGB",

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from ..agent import Goal, Trajectory, replay_policy, run_episode
+from ..agent import AUTO_PLANNING, Goal, Trajectory, replay_policy, run_episode
+from ..agent.engine import MAX_STEPS
 from ..evaluation import TaskScore, aggregate, overall, render_table, score_trajectory
 from ..tools.registry import ToolRegistry, ToolResult
 from ..workspace import Workspace
@@ -47,7 +48,7 @@ def replay_factory(task: TaskSpec, regime: str):
 
 
 def run_task(task: TaskSpec, registry: ToolRegistry, workspace: Workspace,
-             policy_factory: PolicyFactory, regime: str, max_steps: int = 25,
+             policy_factory: PolicyFactory, regime: str, max_steps: int = MAX_STEPS,
              model_tag: str = "replay") -> tuple[Trajectory, TaskScore]:
     """Run one episode and score it. The returned trajectory is the one its
     file holds: the workspace root is masked out of every step output."""
@@ -61,9 +62,9 @@ def run_task(task: TaskSpec, registry: ToolRegistry, workspace: Workspace,
 
 
 def run_benchmark(tasks: list[TaskSpec], registry: ToolRegistry,
-                  workspace: Workspace, regime: str = "AutoPlanning",
+                  workspace: Workspace, regime: str = AUTO_PLANNING,
                   policy_factory: PolicyFactory = replay_factory,
-                  parallelism: int = 1, max_steps: int = 25,
+                  parallelism: int = 1, max_steps: int = MAX_STEPS,
                   model_tag: str = "replay",
                   out_dir: str | Path | None = None) -> BenchResult:
     records: dict[str, Trajectory] = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..agent.types import REGIMES, Trajectory
+from ..agent.types import AUTO_PLANNING, REGIMES, Trajectory
 from ..errors import SchemaError
 from ..evaluation.metrics import answer_matcher
 
@@ -99,7 +99,7 @@ class TaskSpec:
     def query(self, regime: str) -> str:
         if regime not in REGIMES:
             raise SchemaError(f"unknown regime {regime!r}")
-        return self.query_ap if regime == "AutoPlanning" else self.query_if
+        return self.query_ap if regime == AUTO_PLANNING else self.query_if
 
     def as_json(self) -> dict:
         return {

@@ -14,7 +14,9 @@ import os
 import sys
 from pathlib import Path
 
-from .agent import LLMPolicy, replay_policy
+from .agent import AUTO_PLANNING, INSTRUCTION_FOLLOWING, LLMPolicy, replay_policy
+from .agent.engine import MAX_STEPS
+from .agent.policies import LLM_TIMEOUT_S, OBSERVATION_BUDGET
 from .bench import (
     annotate_from_plan,
     canonical_json,
@@ -27,15 +29,16 @@ from .bench import (
     run_task,
     save_record,
 )
+from .bench.fixtures import SUITE_SEED
 from .bench.runner import replay_factory
 from .errors import GeoAgentError
 from .evaluation import score_trajectory
-from .kits.perception import HttpExpertBackend, MockExpertBackend
+from .kits.perception import MOCK_MANIFEST, HttpExpertBackend, MockExpertBackend
 from .tools import ToolContext, build_registry
-from .tools.mcp import serve_stdio, serve_tcp
+from .tools.mcp import DEFAULT_HOST, DEFAULT_PORT, serve_stdio, serve_tcp
 from .workspace import Workspace
 
-REGIME_FLAGS = {"ap": "AutoPlanning", "if": "InstructionFollowing"}
+REGIME_FLAGS = {"ap": AUTO_PLANNING, "if": INSTRUCTION_FOLLOWING}
 
 CONFIG_KEYS = ("workspace", "expert_endpoint", "mock_manifest",
                "llm_endpoint", "llm_model")
@@ -74,7 +77,7 @@ def make_context(workspace_root: str, expert_endpoint: str | None = None,
     elif mock_manifest:
         backend = MockExpertBackend(json.loads(Path(mock_manifest).read_text()), ws)
     else:  # the default manifest is optional
-        default = ws.root / "mock_manifest.json"
+        default = ws.root / MOCK_MANIFEST
         backend = MockExpertBackend(
             json.loads(default.read_text()) if default.is_file() else [], ws)
     return ToolContext(workspace=ws, perception=backend)
@@ -225,7 +228,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "defaults to the mock backend (env EXPERT_ENDPOINT)")
     p.add_argument("--mock-manifest", default=None,
                    help="mock perception manifest "
-                        "(default: <workspace>/mock_manifest.json)")
+                        f"(default: <workspace>/{MOCK_MANIFEST})")
 
 
 def _add_policy(p: argparse.ArgumentParser) -> None:
@@ -233,11 +236,11 @@ def _add_policy(p: argparse.ArgumentParser) -> None:
                    help="replay | llm | script:<plan.json>")
     p.add_argument("--no-tools", action="store_true",
                    help="ablation: hide tool schemas from the model")
-    p.add_argument("--max-steps", type=int, default=25)
-    p.add_argument("--tool-timeout", type=float, default=120.0,
+    p.add_argument("--max-steps", type=int, default=MAX_STEPS)
+    p.add_argument("--tool-timeout", type=float, default=LLM_TIMEOUT_S,
                    help="seconds allowed per LLM request; native tool kernels "
                         "run in-process and are not interruptible")
-    p.add_argument("--observation-budget", type=int, default=8192,
+    p.add_argument("--observation-budget", type=int, default=OBSERVATION_BUDGET,
                    help="transcript bytes kept per tool result")
     p.add_argument("--model-tag", default=None)
     p.add_argument("--llm-endpoint", default=None, help="env LLM_ENDPOINT")
@@ -253,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="serve the tool registry over JSON-RPC")
     _add_common(p)
     p.add_argument("--transport", choices=("stdio", "tcp"), default="stdio")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8765)
+    p.add_argument("--host", default=DEFAULT_HOST)
+    p.add_argument("--port", type=int, default=DEFAULT_PORT)
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("tools", help="list registered tools")
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixtures", help="generate the synthetic mini-benchmark")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, default=SUITE_SEED)
     p.set_defaults(fn=cmd_fixtures)
 
     return parser

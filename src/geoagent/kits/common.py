@@ -28,10 +28,3 @@ def nonempty(values: np.ndarray, what: str) -> np.ndarray:
     if values.size == 0:
         raise InvalidInputError(f"{what}: no valid pixels to aggregate")
     return values
-
-
-def lookup(table: dict, key, what: str):
-    """`table[key]`, or InvalidInputError naming the keys `table` accepts."""
-    if key not in table:
-        raise InvalidInputError(f"{what} must be one of {', '.join(table)}, got {key!r}")
-    return table[key]

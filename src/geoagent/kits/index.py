@@ -54,17 +54,11 @@ INDICES = {
 }
 
 
-def compute_index(kind: str, bands: dict[str, Raster]) -> Raster:
-    """Compute one spectral index from a role->raster map."""
-    if kind not in INDICES:
-        raise InvalidInputError(f"unknown index kind {kind!r}")
-    roles, formula = INDICES[kind]
-    missing = [r for r in roles if r not in bands]
-    if missing:
-        raise InvalidInputError(f"{kind} requires band roles {missing}")
-    rs = [bands[r] for r in roles]
-    require_same_grid(*rs)
-    return like(rs[0], formula(*(r.band() for r in rs)))
+def compute_index(formula, *rasters: Raster) -> Raster:
+    """One spectral index: `formula` (an `INDICES` formula) of the rasters'
+    bands, given in its role order, on their shared grid."""
+    require_same_grid(*rasters)
+    return like(rasters[0], formula(*(r.band() for r in rasters)))
 
 
 def compute_fvc(ndvi: Raster, ndvi_min: float = FVC_NDVI_MIN,

@@ -15,9 +15,7 @@ import numpy as np
 from ..errors import InvalidInputError
 from ..finite_json import is_finite_number
 from ..raster import Raster, require_same_grid
-from .common import lookup
 from .index import normalized_difference
-from .statistics import DIRECTIONS
 
 # second radiation constant h*c/k_B in m*K
 C2 = 6.62607015e-34 * 2.99792458e8 / 1.380649e-23
@@ -340,10 +338,9 @@ def turbidity_ntu(red_reflectance: np.ndarray, a: float = TURBIDITY_A,
 
 
 def lst_stat_by_ndvi(reduce, lst_rasters: list[Raster], ndvi_rasters: list[Raster],
-                     threshold: float, direction: str = "above") -> float:
-    """`reduce` (such as np.mean) over the LST pixels selected by an NDVI
-    threshold, pooled across pairs."""
-    beyond = lookup(DIRECTIONS, direction, "direction")
+                     threshold: float, direction=np.greater) -> float:
+    """`reduce` (such as np.mean) over the LST pixels whose NDVI is on the
+    `direction` side of a threshold, pooled across pairs."""
     if len(lst_rasters) != len(ndvi_rasters):
         raise InvalidInputError(
             f"paired lists differ in length: {len(lst_rasters)} LST vs "
@@ -353,7 +350,7 @@ def lst_stat_by_ndvi(reduce, lst_rasters: list[Raster], ndvi_rasters: list[Raste
     for lst_r, ndvi_r in zip(lst_rasters, ndvi_rasters):
         require_same_grid(lst_r, ndvi_r)
         lst, ndvi = lst_r.band(), ndvi_r.band()
-        selected.append(lst[beyond(ndvi, threshold) & ~np.isnan(lst)])
+        selected.append(lst[direction(ndvi, threshold) & ~np.isnan(lst)])
     pool = np.concatenate(selected) if selected else np.array([])
     if pool.size == 0:
         raise InvalidInputError("NDVI condition selects no pixels")

@@ -24,6 +24,12 @@ from ..raster import Raster, load_raster, mask_like, save_raster
 from ..workspace import Workspace
 from .common import as_binary
 
+MOCK_MANIFEST = "mock_manifest.json"  # the mock backend's default, at the workspace root
+
+# the closest/farthest pair scan is O(n^2); 4000 centroids take about 1 s
+# through the registry on a 2-vCPU Xeon VM
+MAX_CENTROIDS = 4000
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -165,6 +171,8 @@ def bboxes_to_centroids(boxes: list[BBox]) -> list[tuple[float, float]]:
 
 def centroid_distance_extremes(points) -> dict:
     """Closest and farthest pairs of (x, y) points with indices and distances."""
+    if len(points) > MAX_CENTROIDS:
+        raise InvalidInputError(f"at most {MAX_CENTROIDS} centroids, got {len(points)}")
     # math.dist copies any point that is not a tuple on every call
     points = list(map(tuple, np.asarray(points, np.float64).tolist()))
     if len(points) < 2:

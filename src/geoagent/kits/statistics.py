@@ -3,7 +3,9 @@ scalar utilities, and the Landsat surface-reflectance preprocessing pair.
 
 Moments are population (biased) estimators and kurtosis is reported as
 excess, so a normal distribution scores 0. Comparators are strict unless a
-tool explicitly asks otherwise.
+tool explicitly asks otherwise. A comparator, a direction or a count mode
+arrives as the value of its table (`COMPARATORS`, `DIRECTIONS`,
+`COUNT_MODES`), never as its name.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from ..errors import InvalidInputError, MissingFileError
 from ..finite_json import is_finite_number
 from ..raster import Raster, like, mask_like, require_same_grid
-from .common import lookup, nonempty
+from .common import nonempty
 
 COMPARATORS = {
     ">": np.greater,
@@ -31,6 +33,12 @@ DIRECTIONS = {
     "below": np.less,
 }
 
+# how a count of hits among n images is reported
+COUNT_MODES = {
+    "count": lambda hits, n: float(hits),
+    "percentage": lambda hits, n: float(100.0 * hits / n),
+}
+
 KELVIN_OFFSET = 273.15
 
 # Landsat Collection-2 surface reflectance scale pair
@@ -39,10 +47,6 @@ SR_OFFSET = -0.2
 
 # QA bit positions treated as cloud-contaminated
 QA_MASK_BITS = (1, 2, 3, 4)  # dilated cloud, cirrus, cloud, shadow
-
-
-def _compare(values: np.ndarray, comparator: str, threshold: float) -> np.ndarray:
-    return lookup(COMPARATORS, comparator, "comparator")(values, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +124,14 @@ def batch_image_stat(rasters: list[Raster], reduce, band: int = 1) -> list[float
 # ---------------------------------------------------------------------------
 
 
-def percent_satisfying(r: Raster, comparator: str, threshold: float,
+def percent_satisfying(r: Raster, comparator, threshold: float,
                        band: int = 1) -> float:
     vals = nonempty(r.values(band), "image")
-    return float(100.0 * np.count_nonzero(_compare(vals, comparator, threshold))
-                 / vals.size)
+    return float(100.0 * np.count_nonzero(comparator(vals, threshold)) / vals.size)
 
 
 def hotspot_percentages(rasters: list[Raster], threshold: float,
-                        comparator: str = ">", band: int = 1) -> list[float]:
+                        comparator=np.greater, band: int = 1) -> list[float]:
     if not rasters:
         raise InvalidInputError("empty image batch")
     return [percent_satisfying(r, comparator, threshold, band) for r in rasters]
@@ -140,7 +143,7 @@ def hotspot_map(r: Raster, threshold: float, band: int = 1) -> Raster:
 
 
 def threshold_ratio(rasters: list[Raster], threshold: float, band: int = 1,
-                    comparator: str = ">") -> float:
+                    comparator=np.greater) -> float:
     """Average percentage of pixels satisfying the threshold across images."""
     return float(np.mean(hotspot_percentages(rasters, threshold, comparator, band)))
 
@@ -184,7 +187,7 @@ def count_pixels_satisfying(r: Raster, conditions: list[dict]) -> int:
 
 def count_images_exceeding_ratio(rasters: list[Raster], threshold: float,
                                  ratio: float, band: int = 1,
-                                 comparator: str = ">") -> int:
+                                 comparator=np.greater) -> int:
     """Images whose percentage of pixels beyond the threshold exceeds `ratio`."""
     pcts = hotspot_percentages(rasters, threshold, comparator, band)
     return int(sum(1 for p in pcts if p > ratio))
@@ -194,7 +197,7 @@ def average_ratio_exceeding(rasters: list[Raster], threshold: float,
                             ratio_threshold: float, band: int = 1) -> float:
     """Mean percentage over images whose share of pixels above the threshold
     exceeds the ratio threshold."""
-    pcts = [p for p in hotspot_percentages(rasters, threshold, ">", band)
+    pcts = [p for p in hotspot_percentages(rasters, threshold, np.greater, band)
             if p > ratio_threshold]
     if not pcts:
         raise InvalidInputError("no image exceeds the ratio threshold")
@@ -202,26 +205,19 @@ def average_ratio_exceeding(rasters: list[Raster], threshold: float,
 
 
 def images_mean_vs_threshold(rasters: list[Raster], threshold: float,
-                             direction: str = "above", mode: str = "count",
+                             direction=np.greater, mode=COUNT_MODES["count"],
                              band: int = 1) -> float:
-    """Count (or percentage) of images whose band mean is above/below a threshold."""
+    """`mode` of the images whose band mean is on the `direction` side of a threshold."""
     means = batch_image_stat(rasters, np.mean, band)
-    beyond = lookup(DIRECTIONS, direction, "direction")
-    hits = sum(1 for m in means if beyond(m, threshold))
-    if mode == "count":
-        return float(hits)
-    if mode == "percentage":
-        return float(100.0 * hits / len(means))
-    raise InvalidInputError(f"mode must be count or percentage, got {mode!r}")
+    return mode(sum(1 for m in means if direction(m, threshold)), len(means))
 
 
 def count_images_vs_mean_multiplier(rasters: list[Raster], multiplier: float,
-                                    direction: str = "above", band: int = 1) -> int:
-    """Images whose mean is above/below multiplier x (mean of all image means)."""
+                                    direction=np.greater, band: int = 1) -> int:
+    """Images whose mean is on the `direction` side of multiplier x (mean of all means)."""
     means = batch_image_stat(rasters, np.mean, band)
-    beyond = lookup(DIRECTIONS, direction, "direction")
     reference = multiplier * float(np.mean(means))
-    return int(sum(1 for m in means if beyond(m, reference)))
+    return int(sum(1 for m in means if direction(m, reference)))
 
 
 def fire_pixel_counts(rasters: list[Raster], threshold: float,
@@ -255,13 +251,13 @@ def fire_prone_areas(hotspot: Raster, percentile: float) -> Raster:
 # ---------------------------------------------------------------------------
 
 
-def band_mean_by_condition(target: Raster, condition: Raster, comparator: str,
+def band_mean_by_condition(target: Raster, condition: Raster, comparator,
                            threshold: float, target_band: int = 1,
                            condition_band: int = 1) -> float:
     require_same_grid(target, condition)
     t = target.band(target_band)
     c = condition.band(condition_band)
-    sel = _compare(c, comparator, threshold) & ~np.isnan(c) & ~np.isnan(t)
+    sel = comparator(c, threshold) & ~np.isnan(c) & ~np.isnan(t)
     if not sel.any():
         raise InvalidInputError("condition selects no valid pixels")
     return float(t[sel].mean())
@@ -269,11 +265,11 @@ def band_mean_by_condition(target: Raster, condition: Raster, comparator: str,
 
 def threshold_value_mean(selector: Raster, target: Raster, threshold: float) -> float:
     """Mean of target pixels where the selector raster exceeds the threshold."""
-    return band_mean_by_condition(target, selector, ">", threshold)
+    return band_mean_by_condition(target, selector, np.greater, threshold)
 
 
 def intersection_percentage(a: Raster, b: Raster, threshold_a: float, threshold_b: float,
-                            comparator_a: str = ">", comparator_b: str = ">") -> float:
+                            comparator_a=np.greater, comparator_b=np.greater) -> float:
     """Percentage of pixels satisfying both single-band conditions at once."""
     require_same_grid(a, b)
     xa, xb = a.band(), b.band()
@@ -281,8 +277,7 @@ def intersection_percentage(a: Raster, b: Raster, threshold_a: float, threshold_
     total = int(np.count_nonzero(valid))
     if total == 0:
         raise InvalidInputError("no jointly valid pixels")
-    joint = _compare(xa, comparator_a, threshold_a) & \
-        _compare(xb, comparator_b, threshold_b) & valid
+    joint = comparator_a(xa, threshold_a) & comparator_b(xb, threshold_b) & valid
     return float(100.0 * np.count_nonzero(joint) / total)
 
 

@@ -54,17 +54,13 @@ ROW_WIDTHS = {"bboxes": 4, "centroids": 2}
 
 
 def P(name: str, type_: str, required: bool = True, desc: str = "",
-      enum: tuple | None = None, items: str | None = None,
+      enum: dict | None = None, items: str | None = None,
       nullable_items: bool = False) -> ParamSpec:
     return ParamSpec(name=name, type=type_, required=required,
                      description=desc, enum=enum, item_type=items,
                      item_nullable=nullable_items,
                      kind=_path_kind(name, type_, items),
                      width=ROW_WIDTHS.get(name) if items == "array" else None)
-
-
-COMPARATOR_ENUM = tuple(st.COMPARATORS)
-DIRECTION_ENUM = tuple(st.DIRECTIONS)
 
 
 class Tool(NamedTuple):
@@ -239,9 +235,7 @@ def _record(fn: Callable, names: tuple[str, ...] | None = None) -> Callable:
 
 
 def _index_tools() -> list[Tool]:
-    def index(kind: str, roles: tuple[str, ...]) -> Callable:
-        return lambda *bands: ix.compute_index(kind, dict(zip(roles, bands)))
-
+    ndvi_roles, ndvi = ix.INDICES["ndvi"]
     return [
         *(Tool(f"calculate_batch_{kind}",
                f"Compute {kind.upper()} for each scene in a batch of "
@@ -252,18 +246,16 @@ def _index_tools() -> list[Tool]:
                      for r in roles)
                + (P("output_dir", "string", True,
                     "directory for the output rasters, relative to the workspace"),),
-               index(kind, roles), prefix=kind)
-          for kind, (roles, _) in ix.INDICES.items()),
+               partial(ix.compute_index, formula), prefix=kind)
+          for kind, (roles, formula) in ix.INDICES.items()),
         Tool("calculate_batch_fvc",
              "Compute fractional vegetation cover from NIR/Red pairs "
              "via squared clamped NDVI scaling and save the results.",
-             (P("nir_paths", "array", items="string"),
-              P("red_paths", "array", items="string"),
+             (*(P(f"{r}_paths", "array", items="string") for r in ndvi_roles),
               P("output_dir", "string"),
               P("ndvi_min", "number", False, "bare-soil NDVI endpoint"),
               P("ndvi_max", "number", False, "full-vegetation NDVI endpoint")),
-             lambda nir, red, **kw: ix.compute_fvc(
-                 ix.compute_index("ndvi", {"nir": nir, "red": red}), **kw),
+             lambda *rasters, **kw: ix.compute_fvc(ix.compute_index(ndvi, *rasters), **kw),
              prefix="fvc"),
         Tool("calculate_batch_frp",
              "Build binary fire-radiative-power masks (1 where FRP "
@@ -370,7 +362,7 @@ def _inversion_tools() -> list[Tool]:
                (P("lst_paths", "array", items="string"),
                 P("ndvi_paths", "array", items="string"),
                 P("threshold", "number"),
-                P("direction", "string", False, enum=DIRECTION_ENUM)),
+                P("direction", "string", False, enum=st.DIRECTIONS)),
                partial(inv.lst_stat_by_ndvi, reduce))
           for stat, reduce in (("mean", np.mean), ("max", np.max))),
         Tool("ATI",
@@ -400,7 +392,7 @@ def _inversion_tools() -> list[Tool]:
               P("output_path", "string"),
               P("alpha", "number", False),
               P("beta", "number", False),
-              P("target", "string", False, enum=("SM", "VI", "LAI"))),
+              P("target", "string", False, enum={t: t for t in ("SM", "VI", "LAI")})),
              lambda b1, b2, target=None, **kw: inv.linear_difference_model(b1, b2, **kw),
              like="band1_path"),
         Tool("multi_freq_bt",
@@ -687,7 +679,7 @@ def _statistics_tools() -> list[Tool]:
              "Average percentage of pixels beyond a threshold across "
              "one or more images, for a chosen band.",
              (images, P("threshold", "number"), band,
-              P("comparator", "string", False, enum=COMPARATOR_ENUM)),
+              P("comparator", "string", False, enum=st.COMPARATORS)),
              st.threshold_ratio),
         Tool("calc_batch_fire_pixels",
              "Per-image count of pixels strictly above a radiative "
@@ -729,8 +721,8 @@ def _statistics_tools() -> list[Tool]:
               P("image_b_path", "string"),
               P("threshold_a", "number"),
               P("threshold_b", "number"),
-              P("comparator_a", "string", False, enum=COMPARATOR_ENUM),
-              P("comparator_b", "string", False, enum=COMPARATOR_ENUM)),
+              P("comparator_a", "string", False, enum=st.COMPARATORS),
+              P("comparator_b", "string", False, enum=st.COMPARATORS)),
              st.intersection_percentage),
         Tool("calc_batch_image_mean_mean",
              "Mean of the per-image mean pixel values.",
@@ -750,8 +742,8 @@ def _statistics_tools() -> list[Tool]:
              "Count or percentage of images whose band mean is above "
              "or below a threshold.",
              (images, P("threshold", "number"),
-              P("direction", "string", False, enum=DIRECTION_ENUM),
-              P("mode", "string", False, enum=("count", "percentage")),
+              P("direction", "string", False, enum=st.DIRECTIONS),
+              P("mode", "string", False, enum=st.COUNT_MODES),
               band),
              st.images_mean_vs_threshold),
         Tool("calculate_multi_band_threshold_ratio",
@@ -771,7 +763,7 @@ def _statistics_tools() -> list[Tool]:
              "threshold exceeds a given ratio.",
              (images, P("threshold", "number"),
               P("ratio", "number", desc="percentage bar the per-image ratio must beat"),
-              band, P("comparator", "string", False, enum=COMPARATOR_ENUM)),
+              band, P("comparator", "string", False, enum=st.COMPARATORS)),
              st.count_images_exceeding_ratio),
         Tool("average_ratio_exceeding_threshold",
              "Average per-image exceedance percentage, restricted to "
@@ -782,14 +774,14 @@ def _statistics_tools() -> list[Tool]:
              "Count of images whose mean is above or below a "
              "multiple of the overall mean of image means.",
              (images, P("multiplier", "number"),
-              P("direction", "string", False, enum=DIRECTION_ENUM), band),
+              P("direction", "string", False, enum=st.DIRECTIONS), band),
              st.count_images_vs_mean_multiplier),
         Tool("calculate_band_mean_by_condition",
              "Mean of a target raster over pixels where a condition "
              "raster satisfies a threshold.",
              (P("target_path", "string"),
               P("condition_path", "string"),
-              P("comparator", "string", enum=COMPARATOR_ENUM),
+              P("comparator", "string", enum=st.COMPARATORS),
               P("threshold", "number"),
               P("target_band", "integer", False),
               P("condition_band", "integer", False)),

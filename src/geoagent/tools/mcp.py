@@ -22,6 +22,9 @@ PROTOCOL_VERSION = "2025-06-18"
 SERVER_NAME = "geoagent"
 SERVER_VERSION = "0.1.0"
 
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8765
+
 PARSE_ERROR = -32700
 INVALID_REQUEST = -32600
 METHOD_NOT_FOUND = -32601
@@ -152,7 +155,7 @@ def serve_stdio(registry: ToolRegistry) -> None:
     serve_stream(McpServer(registry), sys.stdin.buffer, sys.stdout.buffer)
 
 
-def serve_tcp(registry: ToolRegistry, host: str = "127.0.0.1", port: int = 8765):
+def serve_tcp(registry: ToolRegistry, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT):
     """Blocking TCP server; one request in flight per connection."""
     server = McpServer(registry)
 

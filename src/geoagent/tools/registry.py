@@ -5,8 +5,9 @@ classification.
 the value a kernel takes: a number stays an int inside int64 and must be
 finite, an array of numbers becomes one float64 array (null as NaN where
 the parameter allows gaps), a list of fixed-width number rows one 2-D
-array. What no kernel can take is refused there, so kits do not convert or
-re-check what it hands them.
+array, an enum name the value its table maps it to. What no kernel can
+take is refused there, so kits do not convert or re-check what it hands
+them.
 
 Every failure surfaced to an agent carries exactly one of four runtime
 classes; classification is a pure function of the registry state, the
@@ -130,7 +131,7 @@ class ParamSpec:
     type: str
     required: bool = True
     description: str = ""
-    enum: tuple | None = None
+    enum: dict | None = None      # JSON name -> the value its kernel takes
     item_type: str | None = None  # element type for arrays
     item_nullable: bool = False   # arrays that mark gaps with null
     kind: str | None = None       # path kind (see `Workspace.resolve`), None for a non-path
@@ -287,8 +288,10 @@ class ToolRegistry:
             try:
                 checked[key] = (_array(p, value) if p.type == "array"
                                 else _SCALARS[p.type](value))
-                if p.enum is not None and value not in p.enum:
-                    raise _Refused()
+                if p.enum is not None:
+                    if value not in p.enum:
+                        raise _Refused()
+                    checked[key] = p.enum[value]
             except _Refused as refused:
                 expected = refused.expected or (
                     p.type if p.enum is None else f"one of {list(p.enum)}")

@@ -107,7 +107,7 @@ def _typed(p, item_type: str | None = None):
     if kind == "out_dir":
         return st.sampled_from(["out", "out/batch", "../escape", "src/junk.tif"])
     if p.enum is not None and not item_type:
-        return st.sampled_from(p.enum) | st.text(max_size=3)
+        return st.sampled_from(list(p.enum)) | st.text(max_size=3)
     if type_name == "string":
         return st.sampled_from(["", "/", "x", "plane", "*.tif", "\x00"])
     if type_name == "integer":

@@ -137,7 +137,7 @@ def generic_value(tool_name: str, param):
     if param.kind is not None:
         return PATH_VALUES[param.kind].format(tool_name)
     if param.enum is not None:
-        return param.enum[0]
+        return next(iter(param.enum))
     if param.type == "string":
         return "x"
     if param.type == "integer":

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -167,6 +168,24 @@ class TestBBoxOps:
                                          {"centroids": [[0, 0], [3, 4]]})
         assert not result.is_error, result.text
         assert result.value["closest"] == {"indices": [0, 1], "distance": 5.0}
+
+    def test_extremes_tool_refuses_past_bound_at_once(self, tool_registry):
+        centroids = [[float(i), 0.0] for i in range(perc.MAX_CENTROIDS + 1)]
+        start = time.perf_counter()
+        result = tool_registry.call_tool("centroid_distance_extremes",
+                                         {"centroids": centroids})
+        assert time.perf_counter() - start < 0.5
+        assert result.error_class == "InvalidParameters"
+        assert f"at most {perc.MAX_CENTROIDS} centroids, got " \
+            f"{perc.MAX_CENTROIDS + 1}" in result.text
+
+    def test_extremes_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(perc, "MAX_CENTROIDS", 3)
+        got = perc.centroid_distance_extremes([(0.0, 0.0), (3.0, 4.0), (0.0, 1.0)])
+        assert got == {"closest": {"indices": [0, 2], "distance": 1.0},
+                       "farthest": {"indices": [0, 1], "distance": 5.0}}
+        with pytest.raises(InvalidInputError, match="at most 3 centroids, got 4"):
+            perc.centroid_distance_extremes([(0.0, 0.0)] * 4)
 
     def test_total_area_xywh(self):
         assert perc.total_bbox_area([[0, 0, 4, 5], [10, 10, 2, 3]]) == 26.0

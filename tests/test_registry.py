@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from geoagent.kits import statistics as st
 from geoagent.kits.perception import MockExpertBackend
 from geoagent.tools import (
     FILE_HALLUCINATION,
@@ -171,7 +172,7 @@ class TestDispatch:
     def test_batch_equals_per_item_kernel(self, ctx, registry, tmp_path):
         import numpy as np
 
-        from geoagent.kits.index import compute_index
+        from geoagent.kits.index import INDICES, compute_index
         from geoagent.raster import load_raster
 
         rng = np.random.default_rng(13)
@@ -185,9 +186,9 @@ class TestDispatch:
             "nir_paths": nir_paths, "red_paths": red_paths, "output_dir": "bat"})
         assert not res.is_error and len(res.files) == 3
         for i, out_path in enumerate(res.files):
-            single = compute_index("ndvi", {
-                "nir": load_raster(tmp_path / f"bn{i}.tif"),
-                "red": load_raster(tmp_path / f"br{i}.tif")})
+            single = compute_index(INDICES["ndvi"][1],
+                                   load_raster(tmp_path / f"bn{i}.tif"),
+                                   load_raster(tmp_path / f"br{i}.tif"))
             assert np.array_equal(load_raster(out_path).data, single.data)
 
     def test_empty_batch_rejected(self, registry):
@@ -322,6 +323,66 @@ class TestArgumentBoundary:
         assert registry.call_tool("bbox_expansion", {
             "bboxes": boxes, "radius": 2, "image_width": 21, "image_height": 30}).value == \
             [[0.0, 0.0, 6.0, 6.0], [8.0, 8.0, 21.0, 23.0]]
+
+
+# table -> (tool, its enum parameter, the table, the other arguments of a
+# call, an unknown name, the refusal of that name as the parent gave it)
+ENUM_TABLES = {
+    "COMPARATORS": ("calculate_threshold_ratio", "comparator", st.COMPARATORS,
+                    {"image_paths": ["scene.tif"], "threshold": 1.0}, "==",
+                    "argument 'comparator' of tool calculate_threshold_ratio expects "
+                    "one of ['>', '<', '>=', '<='], got \"==\""),
+    "DIRECTIONS": ("count_images_exceeding_mean_multiplier", "direction", st.DIRECTIONS,
+                   {"image_paths": ["scene.tif"], "multiplier": 1.0}, "up",
+                   "argument 'direction' of tool count_images_exceeding_mean_multiplier "
+                   "expects one of ['above', 'below'], got \"up\""),
+    "COUNT_MODES": ("calc_batch_image_mean_threshold", "mode", st.COUNT_MODES,
+                    {"image_paths": ["scene.tif"], "threshold": 1.0}, "ratio",
+                    "argument 'mode' of tool calc_batch_image_mean_threshold expects "
+                    "one of ['count', 'percentage'], got \"ratio\""),
+    "targets": ("dual_frequency_diff", "target", {"SM": "SM", "VI": "VI", "LAI": "LAI"},
+                {"band1_path": "nir.tif", "band2_path": "red.tif",
+                 "output_path": "o.tif"}, "NDVI",
+                "argument 'target' of tool dual_frequency_diff expects one of "
+                "['SM', 'VI', 'LAI'], got \"NDVI\""),
+}
+
+
+@pytest.mark.parametrize("table", list(ENUM_TABLES))
+class TestEnumTables:
+    """An enum argument reaches its handler as the value its table maps the
+    name to, and the caller's map keeps the name."""
+
+    def test_each_name_arrives_as_its_table_value(self, registry, table):
+        tool, key, values, others, _, _ = ENUM_TABLES[table]
+        spec = next(s for s in registry.list_specs() if s.name == tool)
+        enum = next(p for p in spec.params if p.name == key).enum
+        assert enum == values
+        for name in values:
+            args = {**others, key: name}
+            checked = registry.validate_args(spec, args)
+            assert checked[key] is enum[name]
+            assert args == {**others, key: name}
+
+    def test_unknown_name_refused_as_before(self, registry, table):
+        tool, key, _, others, unknown, message = ENUM_TABLES[table]
+        args = {**others, key: unknown}
+        res = registry.call_tool(tool, args)
+        assert res.error_class == INVALID_PARAMETERS and res.text == message
+        assert args == {**others, key: unknown}
+
+
+@pytest.mark.parametrize("table,kit", [("COMPARATORS", "threshold_ratio"),
+                                       ("DIRECTIONS", "count_images_vs_mean_multiplier"),
+                                       ("COUNT_MODES", "images_mean_vs_threshold")])
+def test_kit_receives_the_table_value(ctx, monkeypatch, table, kit):
+    tool, key, values, others, _, _ = ENUM_TABLES[table]
+    seen = []
+    monkeypatch.setattr(st, kit, lambda *a, **kw: seen.append(kw[key]) or 0)
+    registry = build_registry(ctx)
+    for name in values:
+        assert not registry.call_tool(tool, {**others, key: name}).is_error
+    assert seen == list(values.values())
 
 
 class TestNonFiniteResults:

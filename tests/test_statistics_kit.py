@@ -136,9 +136,9 @@ class TestThresholdQueries:
     def test_images_vs_mean_multiplier(self):
         imgs = [from_array([[1.0]]), from_array([[2.0]]), from_array([[9.0]])]
         # overall mean of means = 4; strict comparisons on both sides
-        assert stats.count_images_vs_mean_multiplier(imgs, 2.0, "above") == 1
-        assert stats.count_images_vs_mean_multiplier(imgs, 0.5, "below") == 1
-        assert stats.count_images_vs_mean_multiplier(imgs, 0.75, "below") == 2
+        assert stats.count_images_vs_mean_multiplier(imgs, 2.0, np.greater) == 1
+        assert stats.count_images_vs_mean_multiplier(imgs, 0.5, np.less) == 1
+        assert stats.count_images_vs_mean_multiplier(imgs, 0.75, np.less) == 2
 
     def test_fire_pixel_counts(self):
         img = from_array([[0.0, 7.0], [8.0, 2.0]])
@@ -166,13 +166,13 @@ class TestConditionalStats:
     def test_condition_selects_all(self):
         target = from_array([[2.0, 4.0]])
         cond = from_array([[1.0, 1.0]])
-        got = stats.band_mean_by_condition(target, cond, ">", 0.0)
+        got = stats.band_mean_by_condition(target, cond, np.greater, 0.0)
         assert got == 3.0
 
     def test_intersection_disjoint_zero(self):
         a = from_array([[1.0, 0.0]])
         b = from_array([[0.0, 1.0]])
-        got = stats.intersection_percentage(a, b, 0.5, 0.5, ">", ">")
+        got = stats.intersection_percentage(a, b, 0.5, 0.5, np.greater, np.greater)
         assert got == 0.0
 
     def test_threshold_value_mean_oracle(self):
@@ -192,7 +192,7 @@ class TestConditionalStats:
     def test_empty_selection(self):
         with pytest.raises(InvalidInputError):
             stats.band_mean_by_condition(from_array([[1.0]]), from_array([[0.0]]),
-                                         ">", 5.0)
+                                         np.greater, 5.0)
 
 
 class TestScalarUtils:
