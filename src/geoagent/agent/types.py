@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..errors import SchemaError
+from ..errors import SchemaError, of_type
 from ..tools.registry import ToolResult
 
 AUTO_PLANNING = "AutoPlanning"
@@ -103,18 +103,26 @@ class Trajectory:
     def from_json(doc: Any) -> "Trajectory":
         """Parse a trajectory file; a malformed document raises SchemaError."""
         try:
-            meta = doc.get("metadata", {})
-            final = doc["final"]
+            meta = of_type(doc.get("metadata", {}), dict, "trajectory 'metadata'")
+            final = of_type(doc["final"], dict, "trajectory 'final'")
             return Trajectory(
-                task_id=str(doc["task_id"]),
-                regime=str(meta.get("regime", AUTO_PLANNING)),
-                model_tag=str(meta.get("model_tag", "unknown")),
-                actions=[Action(tool=s["tool"], input=dict(s["input"]),
-                                output=ToolResult.from_json(s["output"]))
-                         for s in doc["steps"]],
-                answer_text=final.get("answer_text"),
+                task_id=of_type(doc["task_id"], str, "trajectory 'task_id'"),
+                regime=of_type(meta.get("regime", AUTO_PLANNING), str,
+                               "trajectory metadata 'regime'"),
+                model_tag=of_type(meta.get("model_tag", "unknown"), str,
+                                  "trajectory metadata 'model_tag'"),
+                actions=[Action(
+                    tool=of_type(s["tool"], str, f"trajectory step {i} 'tool'"),
+                    input=of_type(s["input"], dict, f"trajectory step {i} 'input'"),
+                    output=ToolResult.from_json(
+                        of_type(s["output"], dict, f"trajectory step {i} 'output'")))
+                    for i, s in enumerate(of_type(doc["steps"], list,
+                                                  "trajectory 'steps'"))],
+                answer_text=of_type(final.get("answer_text"), (str, type(None)),
+                                    "trajectory final 'answer_text'"),
                 answer_value=final.get("answer_value"),
-                stop_reason=str(final["stop_reason"]),
+                stop_reason=of_type(final["stop_reason"], str,
+                                    "trajectory final 'stop_reason'"),
                 started_at=meta.get("started_at"),
                 finished_at=meta.get("finished_at"),
             )

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any
 
 from ..agent.types import AUTO_PLANNING, REGIMES, Trajectory
-from ..errors import SchemaError
+from ..errors import SchemaError, of_type
 from ..evaluation.metrics import answer_matcher
 
 MODALITIES = ("Spectrum", "Products", "RGB")
@@ -63,13 +63,16 @@ class GroundTruth:
     def from_json(doc: dict) -> "GroundTruth":
         try:
             steps = tuple(
-                GtStep(tool=s["tool"], input=dict(s["input"]),
-                       output=dict(s["output"]))
-                for s in doc["steps"]
+                GtStep(tool=of_type(s["tool"], str, f"ground truth step {i} 'tool'"),
+                       input=of_type(s["input"], dict, f"ground truth step {i} 'input'"),
+                       output=of_type(s["output"], dict, f"ground truth step {i} 'output'"))
+                for i, s in enumerate(of_type(doc["steps"], list, "ground truth 'steps'"))
             )
-            answer = doc["answer"]
-            return GroundTruth(steps=steps, answer_text=str(answer["text"]),
-                               answer_value=answer.get("value"))
+            answer = of_type(doc["answer"], dict, "ground truth 'answer'")
+            return GroundTruth(
+                steps=steps,
+                answer_text=of_type(answer["text"], str, "ground truth answer 'text'"),
+                answer_value=answer.get("value"))
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad ground truth document: {exc}") from exc
 
@@ -115,14 +118,13 @@ class TaskSpec:
     @staticmethod
     def from_json(doc: dict) -> "TaskSpec":
         try:
+            fields = {key: of_type(doc[key], str, f"task {key!r}")
+                      for key in ("id", "modality", "query_ap", "query_if", "data_dir")}
             return TaskSpec(
-                id=str(doc["id"]),
-                modality=str(doc["modality"]),
-                query_ap=str(doc["query_ap"]),
-                query_if=str(doc["query_if"]),
-                data_dir=str(doc["data_dir"]),
-                answer_rule=dict(doc["answer_rule"]),
-                ground_truth=GroundTruth.from_json(doc["ground_truth"]),
+                **fields,
+                answer_rule=of_type(doc["answer_rule"], dict, "task 'answer_rule'"),
+                ground_truth=GroundTruth.from_json(
+                    of_type(doc["ground_truth"], dict, "task 'ground_truth'")),
             )
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad task document: {exc}") from exc
@@ -187,4 +189,7 @@ def load_plan(path: str | Path) -> tuple[list[tuple[str, dict]], dict]:
                             ("answer_text", str, "a string")):
         if key in doc and not isinstance(doc[key], kind):
             raise SchemaError(f"{path}: plan {key!r} must be {name}")
+    # the scripted answer becomes the trajectory's `answer_text`
+    of_type(doc.get("answer", {}).get("text"), (str, type(None)),
+            f"{path}: plan answer 'text'")
     return [(s["tool"], s["input"]) for s in steps], doc

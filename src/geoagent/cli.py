@@ -34,7 +34,7 @@ from .bench.runner import replay_factory
 from .errors import GeoAgentError
 from .evaluation import score_trajectory
 from .kits.perception import MOCK_MANIFEST, HttpExpertBackend, MockExpertBackend
-from .tools import ToolContext, build_registry
+from .tools import ToolContext, ToolRegistry, build_registry
 from .tools.mcp import DEFAULT_HOST, DEFAULT_PORT, serve_stdio, serve_tcp
 from .workspace import Workspace
 
@@ -83,6 +83,11 @@ def make_context(workspace_root: str, expert_endpoint: str | None = None,
     return ToolContext(workspace=ws, perception=backend)
 
 
+def _registry(args) -> ToolRegistry:
+    return build_registry(make_context(args.workspace, args.expert_endpoint,
+                                       args.mock_manifest))
+
+
 def _policy_factory(args, registry):
     kind = args.policy
     if kind == "replay":
@@ -114,8 +119,7 @@ def _policy_factory(args, registry):
 
 
 def cmd_serve(args) -> int:
-    ctx = make_context(args.workspace, args.expert_endpoint, args.mock_manifest)
-    registry = build_registry(ctx)
+    registry = _registry(args)
     if args.transport == "stdio":
         serve_stdio(registry)
         return 0
@@ -133,8 +137,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_tools(args) -> int:
-    registry = build_registry(make_context(args.workspace))
-    specs = registry.list_specs()
+    specs = _registry(args).list_specs()
     print(f"{len(specs)} tools registered")
     for spec in specs:
         print(f"  {spec.name}")
@@ -142,12 +145,11 @@ def cmd_tools(args) -> int:
 
 
 def cmd_run(args) -> int:
-    ctx = make_context(args.workspace, args.expert_endpoint, args.mock_manifest)
-    registry = build_registry(ctx)
-    task = load_task(args.task, workspace_root=ctx.workspace.root,
+    registry = _registry(args)
+    task = load_task(args.task, workspace_root=registry.workspace.root,
                      registry=registry)
     factory = _policy_factory(args, registry)
-    trajectory, score = run_task(task, registry, ctx.workspace, factory,
+    trajectory, score = run_task(task, registry, registry.workspace, factory,
                                  REGIME_FLAGS[args.regime], args.max_steps,
                                  model_tag=args.model_tag)
     if args.out:
@@ -161,9 +163,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    ctx = make_context(args.workspace, args.expert_endpoint, args.mock_manifest)
-    registry = build_registry(ctx)
-    tasks = load_suite(args.tasks_dir, workspace_root=ctx.workspace.root,
+    registry = _registry(args)
+    tasks = load_suite(args.tasks_dir, workspace_root=registry.workspace.root,
                        registry=registry)
     factory = _policy_factory(args, registry)
     regimes = [REGIME_FLAGS[args.regime]] if args.regime != "both" \
@@ -171,7 +172,7 @@ def cmd_bench(args) -> int:
     all_scores = []
     for regime in regimes:
         out_dir = Path(args.out_dir) / regime.lower() if args.out_dir else None
-        result = run_benchmark(tasks, registry, ctx.workspace, regime=regime,
+        result = run_benchmark(tasks, registry, registry.workspace, regime=regime,
                                policy_factory=factory,
                                parallelism=args.parallelism,
                                max_steps=args.max_steps,
@@ -195,10 +196,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    ctx = make_context(args.workspace, args.expert_endpoint, args.mock_manifest)
-    registry = build_registry(ctx)
+    registry = _registry(args)
     plan, plan_doc = load_plan(args.plan)
-    gt = annotate_from_plan(plan, registry, ctx.workspace,
+    gt = annotate_from_plan(plan, registry, registry.workspace,
                             answer_path=plan_doc.get("answer_path"),
                             answer_text=plan_doc.get("answer_text"))
     text = canonical_json(gt.as_json())

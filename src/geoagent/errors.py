@@ -44,6 +44,20 @@ class SchemaError(ValueError):
     """A task, trajectory or plan document violates its schema."""
 
 
+_JSON_TYPES = {str: "string", dict: "object", list: "array", type(None): "null",
+               bool: "boolean", int: "number", float: "number"}
+
+
+def of_type(value, kind: type | tuple[type, ...], field: str):
+    """`value` when it is a `kind`, else SchemaError naming the document
+    `field`; a document field is never coerced."""
+    if isinstance(value, kind):
+        return value
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    raise SchemaError(f"{field} must be {' or '.join(_JSON_TYPES[k] for k in kinds)}, "
+                      f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
+
+
 class ExternalServiceError(GeoAgentError):
     """A call that depends on the runtime environment failed.
 

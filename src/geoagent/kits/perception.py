@@ -13,7 +13,6 @@ import json
 import math
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,24 +25,12 @@ from .common import as_binary
 
 MOCK_MANIFEST = "mock_manifest.json"  # the mock backend's default, at the workspace root
 
+# the expert tasks whose mock result may derive a mask from a `mask_threshold`
+MASK_TASKS = ("segment", "change")
+
 # the closest/farthest pair scan is O(n^2); 4000 centroids take about 1 s
 # through the registry on a 2-vCPU Xeon VM
 MAX_CENTROIDS = 4000
-
-
-@dataclass(frozen=True)
-class BBox:
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def __post_init__(self):
-        if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise InvalidInputError(f"degenerate bounding box {self.as_list()}")
-
-    def as_list(self) -> list[float]:
-        return [self.x_min, self.y_min, self.x_max, self.y_max]
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +70,10 @@ class MockExpertBackend(ExpertBackend):
                     and isinstance(e.get("result"), dict)):
                 raise SchemaError(f"mock manifest entry {i} needs a string image and "
                                   "task, an optional string prompt and an object result")
+            if (e["task"] in MASK_TASKS and "mask_threshold" in e["result"]
+                    and not finite_json.is_finite_number(e["result"]["mask_threshold"])):
+                raise SchemaError(f"mock manifest entry {i}: mask_threshold must be "
+                                  "a finite number")
             self._table[(e["image"], e["task"], e.get("prompt") or "")] = e["result"]
 
     def call(self, model, task, image_paths, prompt):
@@ -93,7 +84,7 @@ class MockExpertBackend(ExpertBackend):
                 f"no mock fixture for image={stem!r} task={task!r} prompt={prompt!r}"
             )
         result = self._table[key]
-        if task in ("segment", "change") and "mask_threshold" in result:
+        if task in MASK_TASKS and "mask_threshold" in result:
             return {"mask": self._write_mask(image_paths, float(result["mask_threshold"]),
                                              stem, task)}
         return result
@@ -153,20 +144,35 @@ def count_above_threshold(r: Raster, threshold: float) -> int:
     return int(np.count_nonzero(vals > threshold))
 
 
-def expand_bbox(box: BBox, radius: float,
-                image_size: tuple[int, int] | None = None) -> BBox:
-    """Grow a box by `radius` on every side, clamping to image bounds if given."""
-    x0, y0 = box.x_min - radius, box.y_min - radius
-    x1, y1 = box.x_max + radius, box.y_max + radius
-    if image_size is not None:
-        w, h = image_size
-        x0, y0 = max(0.0, x0), max(0.0, y0)
-        x1, y1 = min(float(w), x1), min(float(h), y1)
-    return BBox(x0, y0, x1, y1)
+def _refuse_degenerate(*stages: np.ndarray) -> None:
+    """Refuse the first box, in order, with x_min > x_max or y_min > y_max in
+    any of `stages`, (n, 4) forms of the same boxes, naming its earliest
+    degenerate form."""
+    if any((s[:, :2] > s[:, 2:]).any() for s in stages):
+        forms = np.stack(stages, axis=1)
+        bad = (forms[..., :2] > forms[..., 2:]).any(axis=2)
+        box, stage = np.argwhere(bad)[0]  # row-major: box first, then stage
+        raise InvalidInputError(f"degenerate bounding box {forms[box, stage].tolist()}")
 
 
-def bboxes_to_centroids(boxes: list[BBox]) -> list[tuple[float, float]]:
-    return [((b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0) for b in boxes]
+def expand_bboxes(boxes: np.ndarray, radius: float, image_width: int | None = None,
+                  image_height: int | None = None) -> list[list[float]]:
+    """Grow each [x_min, y_min, x_max, y_max] row by `radius` on every side,
+    clamped to [0, width] x [0, height] when both are given."""
+    lo, hi = boxes[:, :2] - radius, boxes[:, 2:] + radius
+    if image_width is not None and image_height is not None:
+        # max(0.0, x) and min(w, x), the first operand kept on a tie
+        size = np.array([image_width, image_height], np.float64)
+        lo, hi = np.where(lo > 0.0, lo, 0.0), np.where(hi < size, hi, size)
+    out = np.concatenate([lo, hi], axis=1)
+    _refuse_degenerate(boxes, out)
+    return out.tolist()
+
+
+def bbox_centroids(boxes: np.ndarray) -> list[list[float]]:
+    """Centers [x, y] of [x_min, y_min, x_max, y_max] rows."""
+    _refuse_degenerate(boxes)
+    return ((boxes[:, :2] + boxes[:, 2:]) / 2.0).tolist()
 
 
 def centroid_distance_extremes(points) -> dict:

@@ -6,10 +6,10 @@ generic handlers (`_raster_handler`, `_batch_handler`); the few rows that do
 not fit carry a handler of their own. Each parameter's path kind and row
 width are derived from its name once, in `P`. Handlers get their arguments
 as the registry converts them (a number array as one float64 array, a list
-of number rows as one 2-D array), and `build_registry` resolves every path
-argument by its kind with `Workspace.resolve` before any handler runs, so
-handlers see resolved paths only. Outputs are confined to the workspace and
-reported as "Result saved at <path>".
+of number rows as one 2-D array), and each path argument as
+`ToolRegistry.call_tool` resolves it by its kind with `Workspace.resolve`,
+after `validate_args`, so handlers see resolved paths only. Outputs are
+confined to the workspace and reported as "Result saved at <path>".
 """
 
 from __future__ import annotations
@@ -182,20 +182,6 @@ def _batch_handler(tool: Tool, resolve: Callable) -> Callable[[dict], ToolResult
     return handler
 
 
-def _resolving(resolve: Callable, params: tuple[ParamSpec, ...],
-               handler: Callable[[dict], object]) -> Callable[[dict], object]:
-    """`handler` given each path argument resolved by its kind; a row without
-    path parameters keeps its bare handler."""
-    kinds = [(p.name, p.kind) for p in params if p.kind is not None]
-    if not kinds:
-        return handler
-
-    def call(args: dict):
-        return handler({**args, **{n: resolve(args[n], k) for n, k in kinds if n in args}})
-
-    return call
-
-
 def catalog_rows(ctx: ToolContext) -> list[Tool]:
     """Every catalog row, in registration order."""
     return (_index_tools() + _inversion_tools() + _perception_tools(ctx)
@@ -205,18 +191,16 @@ def catalog_rows(ctx: ToolContext) -> list[Tool]:
 def build_registry(ctx: ToolContext) -> ToolRegistry:
     # the rows look kit functions up now, so replacements made before this
     # call (tracing, tests) take effect
-    resolve = ctx.workspace.resolve
     tools = []
     for tool in catalog_rows(ctx):
         if tool.handler is not None:
             handler = tool.handler
         elif tool.prefix is not None:
-            handler = _batch_handler(tool, resolve)
+            handler = _batch_handler(tool, ctx.workspace.resolve)
         else:
             handler = _raster_handler(tool)
-        tools.append((ToolSpec(tool.name, tool.description, tool.params),
-                      _resolving(resolve, tool.params, handler)))
-    return ToolRegistry(tools)
+        tools.append((ToolSpec(tool.name, tool.description, tool.params), handler))
+    return ToolRegistry(tools, ctx.workspace)
 
 
 def _record(fn: Callable, names: tuple[str, ...] | None = None) -> Callable:
@@ -449,19 +433,11 @@ def _inversion_tools() -> list[Tool]:
 def _perception_tools(ctx: ToolContext) -> list[Tool]:
     def expert(model: str, task: str, image_params: tuple[str, ...]):
         def handler(args: dict) -> ToolResult:
-            paths = [str(args[p]) for p in image_params]
+            paths = [args[p] for p in image_params]
             out = ctx.perception.call(model, task, paths, args.get("prompt"))
             return ok_result(value=out, files=[out["mask"]] if "mask" in out else [])
 
         return handler
-
-    def bbox_expansion(args: dict) -> ToolResult:
-        size = None
-        if "image_width" in args and "image_height" in args:
-            size = (args["image_width"], args["image_height"])
-        out = [perc.expand_bbox(perc.BBox(*b), args["radius"], size).as_list()
-               for b in args["bboxes"].tolist()]
-        return ok_result(value=out)
 
     # (tool name, task, image params, has prompt, description)
     experts = (
@@ -505,7 +481,7 @@ def _perception_tools(ctx: ToolContext) -> list[Tool]:
               P("radius", "number"),
               P("image_width", "integer", False),
               P("image_height", "integer", False)),
-             handler=bbox_expansion),
+             perc.expand_bboxes),
         Tool("count_above_threshold",
              "Count pixels strictly greater than a threshold in a "
              "single-band raster.",
@@ -519,8 +495,7 @@ def _perception_tools(ctx: ToolContext) -> list[Tool]:
         Tool("bboxes2centroids",
              "Centers (x, y) of [x_min, y_min, x_max, y_max] boxes.",
              (P("bboxes", "array", items="array"),),
-             lambda boxes: [list(c) for c in perc.bboxes_to_centroids(
-                 [perc.BBox(*b) for b in boxes.tolist()])]),
+             perc.bbox_centroids),
         Tool("centroid_distance_extremes",
              "Closest and farthest centroid pairs with their indices "
              "and distances.",

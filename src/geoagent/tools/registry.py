@@ -7,7 +7,9 @@ finite, an array of numbers becomes one float64 array (null as NaN where
 the parameter allows gaps), a list of fixed-width number rows one 2-D
 array, an enum name the value its table maps it to. What no kernel can
 take is refused there, so kits do not convert or re-check what it hands
-them.
+them. `call_tool` then resolves each path argument by its kind with
+`Workspace.resolve`, in parameter order, so handlers see resolved paths
+only.
 
 Every failure surfaced to an agent carries exactly one of four runtime
 classes; classification is a pure function of the registry state, the
@@ -23,8 +25,9 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from ..errors import InvalidInputError, MissingFileError
+from ..errors import InvalidInputError, MissingFileError, of_type
 from ..finite_json import is_finite_number
+from ..workspace import Workspace
 
 TOOL_HALLUCINATION = "ToolHallucination"
 FILE_HALLUCINATION = "FileHallucination"
@@ -207,9 +210,9 @@ class ToolResult:
     @staticmethod
     def from_json(doc: dict) -> "ToolResult":
         result = ToolResult(
-            text=doc.get("text", ""),
+            text=of_type(doc.get("text", ""), str, "tool result 'text'"),
             value=doc.get("value"),
-            files=list(doc.get("files", [])),
+            files=list(of_type(doc.get("files", []), list, "tool result 'files'")),
             error_class=doc.get("error_class"),
         )
         if doc.get("status", "ok") != result.status:
@@ -249,16 +252,23 @@ def classify_exception(exc: BaseException) -> str:
 
 
 class ToolRegistry:
-    """Immutable mapping of tool names to specs and handlers, fixed when built."""
+    """Immutable mapping of tool names to specs and handlers, fixed when
+    built, over the workspace that its path arguments resolve in."""
 
-    def __init__(self, tools: Iterable[tuple[ToolSpec, Callable[[dict], Any]]]) -> None:
+    def __init__(self, tools: Iterable[tuple[ToolSpec, Callable[[dict], Any]]],
+                 workspace: Workspace) -> None:
+        self.workspace = workspace
         self._specs: dict[str, ToolSpec] = {}
         self._handlers: dict[str, Callable[[dict], Any]] = {}
+        # tool name -> its path parameters as (name, kind), in parameter order
+        self._paths: dict[str, tuple[tuple[str, str], ...]] = {}
         for spec, handler in tools:
             if spec.name in self._specs:
                 raise ValueError(f"tool name already registered: {spec.name}")
             self._specs[spec.name] = spec
             self._handlers[spec.name] = handler
+            self._paths[spec.name] = tuple((p.name, p.kind) for p in spec.params
+                                           if p.kind is not None)
         self._sorted = tuple(self._specs[k] for k in sorted(self._specs))
 
     def __len__(self) -> int:
@@ -300,14 +310,19 @@ class ToolRegistry:
         return checked
 
     def call_tool(self, name: str, args: Any) -> ToolResult:
-        """The tool's result. An ok value that is not finite is refused as
-        InvalidParameters, as a non-finite argument is."""
+        """The tool's result. The handler gets the checked arguments with
+        each path resolved by its kind; a path that fails to resolve is
+        classified as a handler exception is. An ok value that is not finite
+        is refused as InvalidParameters, as a non-finite argument is."""
         if name not in self._specs:
             return error_result(TOOL_HALLUCINATION, f"unknown tool: {name}")
         checked = self.validate_args(self._specs[name], args)
         if isinstance(checked, str):
             return error_result(INVALID_PARAMETERS, checked)
         try:
+            for key, kind in self._paths[name]:
+                if key in checked:
+                    checked[key] = self.workspace.resolve(checked[key], kind)
             outcome = self._handlers[name](checked)
             return outcome if isinstance(outcome, ToolResult) else ok_result(value=outcome)
         except Exception as exc:  # errors are data, never crashes

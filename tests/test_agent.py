@@ -268,7 +268,7 @@ class TestRequestBytes:
         ("m", "mean LST please", {"no_tool_mode": True}),
         ("m", "mean LST please", {"api_key": "secret"}),
         ("m", "mean LST please", {"registry": None}),
-        ("m", "mean LST please", {"registry": ToolRegistry([])}),
+        ("m", "mean LST please", {"registry": ToolRegistry([], Workspace("."))}),
         ("modèle-東京", "Température moyenne à Zürich ☀?", {}),
     ], ids=["tools", "no_tool_mode", "api_key", "no_registry", "empty_registry",
             "non_ascii"])

@@ -107,6 +107,50 @@ class TestSchemas:
                      "--gt", str(root / "tasks" / f"{tasks[0].id}.json")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("kind, damage, field", [
+        ("task", lambda d: d.update(id=["a"]), "task 'id'"),
+        ("task", lambda d: d.update(modality=None), "task 'modality'"),
+        ("task", lambda d: d["ground_truth"]["answer"].update(text=None),
+         "ground truth answer 'text'"),
+        ("task", lambda d: d.update(answer_rule=[["kind", "numeric"]]),
+         "task 'answer_rule'"),
+        ("task", lambda d: d.update(answer_rule="numeric"), "task 'answer_rule'"),
+        ("task", lambda d: d["ground_truth"]["steps"][0].update(input=[["a", 1]]),
+         "ground truth step 0 'input'"),
+        ("task", lambda d: d["ground_truth"]["steps"][0].update(input="x"),
+         "ground truth step 0 'input'"),
+        ("task", lambda d: d["ground_truth"]["steps"][0].update(output="x"),
+         "ground truth step 0 'output'"),
+        ("trajectory", lambda d: d.update(task_id=["a"]), "trajectory 'task_id'"),
+        ("trajectory", lambda d: d["final"].update(stop_reason=None),
+         "trajectory final 'stop_reason'"),
+        ("trajectory", lambda d: d["steps"][0].update(input=[["data", [1]]]),
+         "trajectory step 0 'input'"),
+        ("trajectory", lambda d: d["steps"][0].update(input="x"),
+         "trajectory step 0 'input'"),
+        ("trajectory", lambda d: d["steps"][0].update(output="x"),
+         "trajectory step 0 'output'"),
+        ("trajectory", lambda d: d["steps"][0]["output"].update(files="a.tif"),
+         "tool result 'files'"),
+    ], ids=["task-id-list", "modality-null", "answer-text-null", "rule-pairs",
+            "rule-string", "gt-input-pairs", "gt-input-string", "gt-output-string",
+            "task-id-list-trajectory", "stop-reason-null", "input-pairs", "input-string",
+            "output-string", "files-string"])
+    def test_fields_are_type_checked_not_coerced(self, suite, tmp_path, kind, damage,
+                                                 field):
+        _, tasks, _, _ = suite
+        if kind == "task":
+            doc, load = tasks[0].as_json(), load_task
+        else:
+            doc, load = Trajectory(task_id="t", actions=[
+                Action("mean", {"data": [1]}, ok_result(value=1.0))]).as_json(), load_record
+        doc = json.loads(json.dumps(doc))
+        damage(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"{field} must be"):
+            load(path)
+
     @pytest.mark.parametrize("doc", [
         {"stepz": []},
         [1],
@@ -115,9 +159,10 @@ class TestSchemas:
         {"steps": [{"tool": "mean", "input": [["data", [1]]]}]},
         {"steps": [], "answer": 5},
         {"steps": [], "answer_path": 3},
+        {"steps": [], "answer": {"text": 5}},
     ], ids=["missing-steps", "not-an-object", "steps-not-a-list",
             "step-without-input", "input-not-an-object", "answer-not-an-object",
-            "answer-path-not-a-list"])
+            "answer-path-not-a-list", "answer-text-not-a-string"])
     def test_malformed_plan_rejected(self, tmp_path, doc):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(doc))
@@ -383,6 +428,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "tools registered" in out
         assert "lst_multi_channel" in out
+
+    @pytest.mark.parametrize("command", ["tools", "run", "bench", "annotate"])
+    def test_missing_mock_manifest_exits_1(self, tmp_path, capsys, command):
+        from geoagent.cli import main
+
+        needed = {"run": ["--task", "t.json"], "bench": ["--tasks-dir", "tasks"],
+                  "annotate": ["--plan", "p.json"]}
+        assert main([command, "--workspace", str(tmp_path), "--mock-manifest",
+                     str(tmp_path / "missing.json"), *needed.get(command, [])]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
 
     def test_fixtures_then_bench(self, tmp_path, capsys):
         from geoagent.cli import main

@@ -295,6 +295,18 @@ def test_every_non_path_string_is_known():
     assert strings == NON_PATH_STRINGS
 
 
+# the rows with a handler of their own: the expert models call a backend,
+# `ttm_lst` reports its non-converged pixels and `stl_decompose` its sample
+# count in the result text; a row that only converts an argument belongs to
+# the registry instead
+OWN_HANDLERS = {"MSCN", "RemoteCLIP", "SM3Det", "Strip_R_CNN", "RemoteSAM",
+                "InstructSAM", "SAM2", "ChangeOS", "ttm_lst", "stl_decompose"}
+
+
+def test_own_handler_rows_are_the_listed_ones():
+    assert {t.name for t in ROWS if t.handler is not None} == OWN_HANDLERS
+
+
 def _raster_inputs(tool) -> list:
     return [p for p in tool.params if p.kind in ("file", "files")]
 

@@ -118,6 +118,24 @@ def test_failed_call_creates_no_directory(env, tool, args, cls):
     assert not (ws.root / "newdir").exists()
 
 
+def test_argument_types_are_checked_before_paths(env):
+    registry, _ = env
+    result = registry.call_tool("threshold_segmentation", {
+        "image_path": "ghost.tif", "threshold": "high", "output_path": "x.tif"})
+    assert result.error_class == IP
+    assert result.text == ("argument 'threshold' of tool threshold_segmentation "
+                           'expects number, got "high"')
+
+
+def test_paths_resolve_in_parameter_order(env):
+    registry, _ = env
+    # the map names the bad output first; the input parameter comes first
+    result = registry.call_tool("threshold_segmentation", {
+        "output_path": "../x.tif", "threshold": 1.0, "image_path": "ghost.tif"})
+    assert result.error_class == FH
+    assert result.text == "threshold_segmentation: no such file or directory: ghost.tif"
+
+
 ROOT = str(Workspace("/tmp/ws").root)
 
 

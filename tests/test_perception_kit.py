@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import json
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from geoagent.errors import ExternalServiceError, InvalidInputError, SchemaError
 from geoagent.kits import perception as perc
@@ -74,6 +78,27 @@ class TestExpertCall:
             perc.MockExpertBackend(entries, Workspace(tmp_path))
 
 
+@pytest.mark.parametrize("threshold", ["abc", None, [1], True, float("nan"),
+                                       float("inf"), 10**400],
+                         ids=["string", "null", "list", "bool", "nan", "inf", "10**400"])
+@pytest.mark.parametrize("task", ["segment", "change"])
+def test_manifest_mask_threshold_must_be_a_finite_number(tmp_path, task, threshold):
+    entries = [{"image": "x", "task": task, "result": {"mask_threshold": threshold}}]
+    with pytest.raises(SchemaError, match="entry 0: mask_threshold must be a finite"):
+        perc.MockExpertBackend(entries, Workspace(tmp_path))
+
+
+def test_bad_manifest_threshold_exits_1(tmp_path, capsys):
+    from geoagent.cli import main
+
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"image": "x", "task": "segment",
+                                     "result": {"mask_threshold": "abc"}}]))
+    assert main(["tools", "--workspace", str(tmp_path),
+                 "--mock-manifest", str(manifest)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
 class TestThresholdSegmentation:
     def test_strict_greater_rule(self):
         img = from_array([[1.0, 5.0, 9.0]])
@@ -116,29 +141,32 @@ class TestCountAboveThreshold:
         assert n == int(np.count_nonzero(mask.data))
 
 
+def box_array(*rows) -> np.ndarray:
+    """Boxes as the registry hands them to a kit: one (n, 4) float64 array."""
+    return np.asarray(rows, np.float64).reshape(-1, 4)
+
+
 class TestBBoxOps:
     def test_expand_with_clamp(self):
-        box = perc.BBox(10, 10, 20, 20)
-        out = perc.expand_bbox(box, 5, image_size=(100, 100))
-        assert out.as_list() == [5, 5, 25, 25]
+        out = perc.expand_bboxes(box_array([10, 10, 20, 20]), 5, image_width=100,
+                                 image_height=100)
+        assert out == [[5, 5, 25, 25]]
 
     def test_expand_clamps_at_edges(self):
-        box = perc.BBox(2, 2, 98, 98)
-        out = perc.expand_bbox(box, 5, image_size=(100, 100))
-        assert out.as_list() == [0, 0, 100, 100]
+        out = perc.expand_bboxes(box_array([2, 2, 98, 98]), 5, image_width=100,
+                                 image_height=100)
+        assert out == [[0, 0, 100, 100]]
 
     def test_expand_zero_identity(self):
-        box = perc.BBox(3, 4, 8, 9)
-        assert perc.expand_bbox(box, 0).as_list() == box.as_list()
+        assert perc.expand_bboxes(box_array([3, 4, 8, 9]), 0) == [[3, 4, 8, 9]]
 
     def test_expand_monotone(self):
-        box = perc.BBox(10, 10, 20, 20)
-        small = perc.expand_bbox(box, 2)
-        big = perc.expand_bbox(box, 7)
-        assert big.x_min <= small.x_min and big.x_max >= small.x_max
+        [small] = perc.expand_bboxes(box_array([10, 10, 20, 20]), 2)
+        [big] = perc.expand_bboxes(box_array([10, 10, 20, 20]), 7)
+        assert big[0] <= small[0] and big[2] >= small[2]
 
     def test_centroids(self):
-        assert perc.bboxes_to_centroids([perc.BBox(0, 0, 10, 10)]) == [(5.0, 5.0)]
+        assert perc.bbox_centroids(box_array([0, 0, 10, 10])) == [[5.0, 5.0]]
 
     def test_extremes_match_bruteforce(self):
         rng = np.random.default_rng(5)
@@ -191,8 +219,79 @@ class TestBBoxOps:
         assert perc.total_bbox_area([[0, 0, 4, 5], [10, 10, 2, 3]]) == 26.0
 
     def test_degenerate_box_rejected(self):
-        with pytest.raises(InvalidInputError):
-            perc.BBox(5, 5, 1, 1)
+        with pytest.raises(InvalidInputError,
+                           match=r"degenerate bounding box \[5\.0, 5\.0, 1\.0, 1\.0\]"):
+            perc.bbox_centroids(box_array([0, 0, 1, 1], [5, 5, 1, 1]))
+
+
+# The per-box code that `expand_bboxes` and `bbox_centroids` replaced, kept
+# as the oracle of their values and refusal texts.
+@dataclass(frozen=True)
+class OldBBox:
+    x_min: float
+    y_min: float
+    x_max: float
+    y_max: float
+
+    def __post_init__(self):
+        if self.x_min > self.x_max or self.y_min > self.y_max:
+            raise InvalidInputError(f"degenerate bounding box {self.as_list()}")
+
+    def as_list(self) -> list[float]:
+        return [self.x_min, self.y_min, self.x_max, self.y_max]
+
+
+def old_expand_bbox(box: OldBBox, radius: float,
+                    image_size: tuple[int, int] | None = None) -> OldBBox:
+    x0, y0 = box.x_min - radius, box.y_min - radius
+    x1, y1 = box.x_max + radius, box.y_max + radius
+    if image_size is not None:
+        w, h = image_size
+        x0, y0 = max(0.0, x0), max(0.0, y0)
+        x1, y1 = min(float(w), x1), min(float(h), y1)
+    return OldBBox(x0, y0, x1, y1)
+
+
+def old_bboxes_to_centroids(boxes: list[OldBBox]) -> list[tuple[float, float]]:
+    return [((b.x_min + b.x_max) / 2.0, (b.y_min + b.y_max) / 2.0) for b in boxes]
+
+
+def outcome(fn, *args, **kwargs) -> str:
+    """The repr of `fn`'s value (it tells -0.0 from 0.0), or its refusal."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except InvalidInputError as exc:
+        return f"refused: {exc}"
+
+
+# few distinct values, so ties and -0.0 edges are common
+coordinate = hst.sampled_from([-0.0, 0.0, 1.0, 2.5, 5.0, 10.0, -3.0]) | hst.floats(
+    -100, 100, allow_nan=False)
+radius = (hst.sampled_from([0, -0.0, 0.0, 1, -1, 2.5, -2.5])
+          | hst.integers(-2**63, 2**63 - 1) | hst.integers(-20, 20)
+          | hst.floats(-1e3, 1e3, allow_nan=False))
+side = hst.none() | hst.integers(-3, 30)
+
+
+@settings(max_examples=300, deadline=None)
+@example(rows=[[-0.0, -0.0, 1.0, 1.0]], radius=0, width=5, height=5)  # lo is -0.0
+@example(rows=[[-0.0, -0.0, -0.0, -0.0]], radius=-0.0, width=0, height=0)  # hi is -0.0
+@example(rows=[[0.0, 0.0, 4.0, 4.0], [3.0, 3.0, 1.0, 1.0]], radius=1, width=2,
+         height=None)  # one side only: no clamp, the second box refused
+@example(rows=[[1.0, 1.0, 2.0, 2.0], [5.0, 5.0, 1.0, 1.0]], radius=0, width=0,
+         height=0)  # the first box degenerate only once clamped
+@given(rows=hst.lists(hst.lists(coordinate, min_size=4, max_size=4), max_size=6),
+       radius=radius, width=side, height=side)
+def test_box_kits_match_the_per_box_oracle(rows, radius, width, height):
+    arr = box_array(*rows)
+    rows = arr.tolist()
+    size = (width, height) if width is not None and height is not None else None
+    given_size = {k: v for k, v in (("image_width", width), ("image_height", height))
+                  if v is not None}
+    assert outcome(perc.expand_bboxes, arr, radius, **given_size) == outcome(
+        lambda: [old_expand_bbox(OldBBox(*b), radius, size).as_list() for b in rows])
+    assert outcome(perc.bbox_centroids, arr) == outcome(
+        lambda: [list(c) for c in old_bboxes_to_centroids([OldBBox(*b) for b in rows])])
 
 
 class TestSkeletonContours:

@@ -48,11 +48,11 @@ class TestRegistration:
         names = [s.name for s in registry.list_specs()]
         assert names == sorted(names)
 
-    def test_duplicate_name_rejected(self):
+    def test_duplicate_name_rejected(self, tmp_path):
         spec = ToolSpec(name="x", description="", params=())
         with pytest.raises(ValueError):
             ToolRegistry([(spec, lambda a: ok_result(value=1)),
-                          (spec, lambda a: ok_result(value=2))])
+                          (spec, lambda a: ok_result(value=2))], Workspace(tmp_path))
 
     def test_expected_tools_present(self, registry):
         for name in ("calculate_batch_ndvi", "lst_multi_channel", "mann_kendall_test",
