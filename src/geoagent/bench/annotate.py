@@ -13,6 +13,7 @@ from typing import Any
 from ..errors import GeoAgentError
 from ..tools.registry import ToolRegistry
 from ..workspace import Workspace
+from .runner import require_registry_workspace
 from .schema import GroundTruth, GtStep
 
 
@@ -36,7 +37,9 @@ def extract_answer(value: Any, path: list | None) -> Any:
 def annotate_from_plan(plan: list[tuple[str, dict]], registry: ToolRegistry,
                        workspace: Workspace, answer_path: list | None = None,
                        answer_text: str | None = None) -> GroundTruth:
-    """Run the plan through the registry and freeze it as ground truth."""
+    """Run the plan through the registry and freeze it as ground truth.
+    `workspace` must be the registry's (ValueError otherwise)."""
+    require_registry_workspace(registry, workspace)
     if not plan:
         raise AnnotationError(0, "empty plan")
     steps: list[GtStep] = []

@@ -47,11 +47,21 @@ def replay_factory(task: TaskSpec, regime: str):
                          answer_value=gt.answer_value)
 
 
+def require_registry_workspace(registry: ToolRegistry, workspace: Workspace) -> None:
+    """Refuse a workspace other than the one the registry resolves paths in:
+    masking another root would leave the resolved paths in the record."""
+    if workspace.root != registry.workspace.root:
+        raise ValueError(f"workspace {workspace.root} is not the registry's "
+                         f"workspace {registry.workspace.root}")
+
+
 def run_task(task: TaskSpec, registry: ToolRegistry, workspace: Workspace,
              policy_factory: PolicyFactory, regime: str, max_steps: int = MAX_STEPS,
              model_tag: str = "replay") -> tuple[Trajectory, TaskScore]:
     """Run one episode and score it. The returned trajectory is the one its
-    file holds: the workspace root is masked out of every step output."""
+    file holds: the workspace root is masked out of every step output.
+    `workspace` must be the registry's (ValueError otherwise)."""
+    require_registry_workspace(registry, workspace)
     goal = Goal(query=task.query(regime), regime=regime, data_dir=task.data_dir)
     trajectory = run_episode(goal, policy_factory(task, regime), registry,
                              max_steps, model_tag=model_tag)
@@ -67,6 +77,7 @@ def run_benchmark(tasks: list[TaskSpec], registry: ToolRegistry,
                   parallelism: int = 1, max_steps: int = MAX_STEPS,
                   model_tag: str = "replay",
                   out_dir: str | Path | None = None) -> BenchResult:
+    require_registry_workspace(registry, workspace)
     records: dict[str, Trajectory] = {}
     scores: dict[str, TaskScore] = {}
     failures: dict[str, str] = {}

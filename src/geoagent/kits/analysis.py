@@ -29,6 +29,19 @@ def _valid_with_positions(values) -> tuple[np.ndarray, np.ndarray]:
     return arr[pos], pos.astype(np.float64)
 
 
+# work bounds of the series tools, on the values each kernel works on;
+# each is about 1 s or 100 MB through the registry on a 2-vCPU Xeon VM
+MAX_MANN_KENDALL_VALUES = 200_000
+MAX_SENS_VALUES = 4000
+MAX_CHANGE_POINT_VALUES = 8000
+MAX_STL_VALUES = 1500
+
+
+def _refuse_past(bound: int, n: int, what: str) -> None:
+    if n > bound:
+        raise InvalidInputError(f"{what} takes at most {bound} values, got {n}")
+
+
 @dataclass(frozen=True)
 class LinearTrend:
     slope: float
@@ -71,20 +84,54 @@ def linear_trend(values, timestamps=None) -> LinearTrend:
     return LinearTrend(slope=slope, intercept=float(ym - slope * xm))
 
 
+# Mann-Kendall counts S over blocks of this many values; `_MK_LATER` marks
+# the pairs (i, j) with i < j inside a block
+_MK_BLOCK = 64
+_MK_LATER = np.triu(np.ones((_MK_BLOCK, _MK_BLOCK), dtype=bool), 1)
+
+
+def _mann_kendall_s(x: np.ndarray) -> int:
+    """The sum of sign(x[j] - x[i]) over the pairs i < j, counted block by
+    block in O(n) memory."""
+    s = 0
+    prefix = np.empty(0)  # the values before the block, sorted
+    for b0 in range(0, x.size, _MK_BLOCK):
+        v = x[b0:b0 + _MK_BLOCK]
+        m = v.size
+        # inside the block, v[j] > v[i] counts +1 where i < j and -1 where i > j
+        gt = v[np.newaxis, :] > v[:, np.newaxis]
+        s += int(2 * np.count_nonzero(gt & _MK_LATER[:m, :m]) - np.count_nonzero(gt))
+        # against the b0 earlier values: the count below minus the count above
+        v = np.sort(v)
+        below = np.searchsorted(prefix, v, "left")
+        not_above = np.searchsorted(prefix, v, "right")
+        s += int(below.sum()) + int(not_above.sum()) - b0 * m
+        prefix = np.insert(prefix, below, v)
+    return s
+
+
 def mann_kendall(values, alpha: float = 0.05) -> MannKendallResult:
     """Mann-Kendall monotonic trend test.
 
     S sums the signs of all forward pairwise differences; the variance uses
     the tie-group correction; the z-score applies the +-1 continuity
     correction; the p-value is the two-sided normal approximation.
+
+    S is counted, not summed from an n x n array of signs: the series is
+    walked in blocks of 64 values; the pairs with the earlier values are
+    counted by binary search in their sorted copy (the count below minus the
+    count above), and the pairs inside a block by comparison. For finite
+    values, x[j] - x[i] has the sign of the comparison (it rounds to 0 only
+    when they are equal, and overflows to an infinity of the same sign), so
+    S is the same integer, in O(n) memory.
     """
-    x, _ = _valid_with_positions(values)
+    x = _valid(values)
     n = x.size
     if n < 4:
         raise InvalidInputError(f"Mann-Kendall needs n >= 4 valid values, got {n}")
+    _refuse_past(MAX_MANN_KENDALL_VALUES, n, "Mann-Kendall")
 
-    diffs = np.sign(x[np.newaxis, :] - x[:, np.newaxis])
-    s = int(np.triu(diffs, k=1).sum())
+    s = _mann_kendall_s(x)
 
     _, tie_counts = np.unique(x, return_counts=True)
     ties = tie_counts[tie_counts > 1]
@@ -113,21 +160,94 @@ def mann_kendall(values, alpha: float = 0.05) -> MannKendallResult:
                              p_value=float(p), trend=trend)
 
 
+# Sen's slope builds the slopes over blocks of rows of about this many
+# (i, j) cells; a median of at least _SELECT_MIN slopes is selected from a
+# window around the middle ranks, bounded by a strided sample of about
+# _SELECT_SAMPLE slopes, _SELECT_MARGIN sample ranks to each side
+_SLOPE_BLOCK_CELLS = 1 << 14
+_SELECT_MIN = 1 << 14
+_SELECT_SAMPLE = 8192
+_SELECT_MARGIN = 256
+
+
+def _pair_slopes(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(y[j] - y[i]) / (t[j] - t[i]) over the pairs i < j with t[j] != t[i],
+    in the order of i, then j."""
+    n = y.size
+    out = np.empty(n * (n - 1) // 2)
+    filled = 0
+    rows = min(max(1, _SLOPE_BLOCK_CELLS // n), n - 1)
+    # rows i in [i0, i0 + rows) meet columns j in [i0 + 1, n): j > i on and
+    # above the block's diagonal, which only its first `rows` columns cross
+    later = np.triu(np.ones((rows, rows), dtype=bool))
+    with np.errstate(all="ignore"):  # the cells the mask drops may be 0/0
+        for i0 in range(0, n - 1, rows):
+            m = min(rows, n - 1 - i0)
+            dt = t[np.newaxis, i0 + 1:] - t[i0:i0 + m, np.newaxis]
+            slopes = (y[np.newaxis, i0 + 1:] - y[i0:i0 + m, np.newaxis]) / dt
+            keep = dt != 0
+            keep[:, :m] &= later[:m, :m]
+            kept = slopes[keep]
+            out[filled:filled + kept.size] = kept
+            filled += kept.size
+    return out[:filled]
+
+
+def _median(a: np.ndarray) -> float:
+    """`np.median(a)`, bit for bit, of a float64 vector the call may reorder.
+
+    A large vector's middle value(s) are selected from the window of values
+    between two bounds that a strided sample puts around the middle rank,
+    after one pass counts the values below the window. np.median takes the
+    mean of the same middle value(s); values that compare equal have the
+    same bits unless they are zeros of two signs, so np.median decides when
+    a middle value is +-0, when any value is NaN, and when the window misses
+    the middle ranks.
+    """
+    n = a.size
+    lo_rank, hi_rank = (n - 1) // 2, n // 2
+    if n >= _SELECT_MIN:
+        sample = np.sort(a[::n // _SELECT_SAMPLE])
+        r = lo_rank * sample.size // n
+        lo = sample[max(r - _SELECT_MARGIN, 0)]
+        hi = sample[min(r + _SELECT_MARGIN, sample.size - 1)]
+        under = a < lo
+        below = np.count_nonzero(under)
+        inside = a <= hi
+        inside &= ~under
+        size = np.count_nonzero(inside)
+        k0, k1 = lo_rank - below, hi_rank - below
+        # a window of more than a quarter of the values (a run of ties)
+        # saves no time and would cost a copy
+        if 0 <= k0 and k1 < size <= n // 4 and not np.isnan(a).any():
+            window = np.compress(inside, a)
+            # one kth partitions several times faster than two; the next
+            # rank is then the least value past it
+            window.partition(k0)
+            middle = window[k0:k1 + 1]
+            if k1 > k0:
+                middle = np.array([window[k0], window[k1:].min()])
+            if middle.all():
+                return float(np.mean(middle))
+    return float(np.median(a, overwrite_input=True))
+
+
 def sens_slope(values, timestamps=None) -> float:
-    """Median of all pairwise slopes (x_j - x_i) / (t_j - t_i), i < j."""
+    """Median of all pairwise slopes (x_j - x_i) / (t_j - t_i), i < j.
+
+    The slopes fill one array block of rows by block of rows, in the order
+    of i, then j, so it holds the values a per-row loop would concatenate.
+    Their median is `_median`'s window selection, which is np.median's
+    value bit for bit (the sign of a zero and a NaN included).
+    """
     y, t = _valid_with_times(values, timestamps)
     if y.size < 2:
         raise InvalidInputError("Sen's slope needs at least 2 valid values")
-    slopes = []
-    for i in range(y.size - 1):
-        dt = t[i + 1:] - t[i]
-        dy = y[i + 1:] - y[i]
-        ok = dt != 0
-        slopes.append(dy[ok] / dt[ok])
-    allslopes = np.concatenate(slopes)
-    if allslopes.size == 0:
+    _refuse_past(MAX_SENS_VALUES, y.size, "Sen's slope")
+    slopes = _pair_slopes(y, t)
+    if slopes.size == 0:
         raise InvalidInputError("Sen's slope: no pairs with distinct times")
-    return float(np.median(allslopes))
+    return _median(slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +326,7 @@ def stl_decompose(values, period: int) -> Decomposition:
     if np.isnan(x).any():
         raise InvalidInputError("decomposition requires a gap-free series")
     n = x.size
+    _refuse_past(MAX_STL_VALUES, n, "STL decomposition")
     if period < 2:
         raise InvalidInputError("period must be at least 2 samples")
     if n < 2 * period:
@@ -289,6 +410,7 @@ def detect_change_points(values, penalty: float) -> list[int]:
     """
     x = _valid(values)
     n = x.size
+    _refuse_past(MAX_CHANGE_POINT_VALUES, n, "change-point detection")
     if penalty <= 0:
         raise InvalidInputError("penalty must be positive")
     if n < 2 * MIN_SEGMENT:

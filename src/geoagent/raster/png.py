@@ -73,6 +73,8 @@ def read_png(path: str | Path) -> Raster:
 def _unfilter(ftype: int, line: np.ndarray, prev: np.ndarray, bpp: int) -> np.ndarray:
     if ftype == 0:
         return line
+    if ftype == 1:  # Sub: a running sum of each channel, exact modulo 256
+        return np.cumsum(line.reshape(-1, bpp), axis=0, dtype=np.uint8).reshape(-1)
     if ftype == 2:
         return (line.astype(np.int32) + prev).astype(np.uint8)
     out = np.zeros_like(line)
@@ -81,9 +83,7 @@ def _unfilter(ftype: int, line: np.ndarray, prev: np.ndarray, bpp: int) -> np.nd
         b = int(prev[i])
         c = int(prev[i - bpp]) if i >= bpp else 0
         x = int(line[i])
-        if ftype == 1:
-            val = x + a
-        elif ftype == 3:
+        if ftype == 3:
             val = x + (a + b) // 2
         elif ftype == 4:
             p = a + b - c

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -130,6 +134,238 @@ class TestSensSlope:
         slopes = [(x[j] - x[i]) / (j - i)
                   for i in range(12) for j in range(i + 1, 12)]
         assert an.sens_slope(x) == float(np.median(slopes))
+
+
+def mann_kendall_triu(values, alpha=0.05):
+    """The former Mann-Kendall: S summed from np.triu of an n x n sign array."""
+    x, _ = an._valid_with_positions(values)
+    n = x.size
+    if n < 4:
+        raise InvalidInputError(f"Mann-Kendall needs n >= 4 valid values, got {n}")
+
+    diffs = np.sign(x[np.newaxis, :] - x[:, np.newaxis])
+    s = int(np.triu(diffs, k=1).sum())
+
+    _, tie_counts = np.unique(x, return_counts=True)
+    ties = tie_counts[tie_counts > 1]
+    var_s = (n * (n - 1) * (2 * n + 5) - np.sum(ties * (ties - 1) * (2 * ties + 5))) / 18.0
+
+    pairs = n * (n - 1) / 2
+    tie_pairs = float(np.sum(ties * (ties - 1) / 2))
+    denom = math.sqrt((pairs - tie_pairs) * pairs)
+    tau = s / denom if denom > 0 else 0.0
+
+    if s > 0:
+        z = (s - 1) / math.sqrt(var_s)
+    elif s < 0:
+        z = (s + 1) / math.sqrt(var_s)
+    else:
+        z = 0.0
+    p = math.erfc(abs(z) / math.sqrt(2.0))
+
+    if p < alpha and s > 0:
+        trend = "increasing"
+    elif p < alpha and s < 0:
+        trend = "decreasing"
+    else:
+        trend = "no-trend"
+    return an.MannKendallResult(s=s, var_s=float(var_s), tau=float(tau), z=float(z),
+                                p_value=float(p), trend=trend)
+
+
+def sens_slope_loop(values, timestamps=None):
+    """The former Sen's slope: one slope array per row, concatenated, np.median."""
+    y, t = an._valid_with_times(values, timestamps)
+    if y.size < 2:
+        raise InvalidInputError("Sen's slope needs at least 2 valid values")
+    slopes = []
+    for i in range(y.size - 1):
+        dt = t[i + 1:] - t[i]
+        dy = y[i + 1:] - y[i]
+        ok = dt != 0
+        slopes.append(dy[ok] / dt[ok])
+    allslopes = np.concatenate(slopes)
+    if allslopes.size == 0:
+        raise InvalidInputError("Sen's slope: no pairs with distinct times")
+    return float(np.median(allslopes))
+
+
+def same_repr(fn, oracle, *args):
+    """The call and its oracle give the same repr, or the same refusal."""
+    with np.errstate(all="ignore"):
+        assert repr(outcome(fn, *args)) == repr(outcome(oracle, *args))
+
+
+HUGE = [1e308, -1e308, 1.7e308, -1.7e308]
+trend_value = st.one_of(
+    st.floats(-50, 50, allow_nan=False),
+    st.integers(-3, 3).map(float),  # ties
+    st.sampled_from([0.0, -0.0, None, *HUGE]))  # None is a gap
+# around the Mann-Kendall block of 64 and past the median's small-array path
+trend_length = st.one_of(st.integers(0, 40), st.sampled_from([63, 64, 65, 127, 128, 129]),
+                         st.integers(180, 260))
+
+
+@st.composite
+def trend_series(draw):
+    """Free values, or runs of a few values (zero slopes of both signs)."""
+    n = draw(trend_length)
+    if draw(st.booleans()):
+        return draw(st.lists(trend_value, min_size=n, max_size=n))
+    pool = draw(st.lists(trend_value, min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@st.composite
+def series_with_times(draw):
+    """A series and None, or timestamps with repeats (dt == 0), out of
+    order (dt < 0) or near +-1e308 (inf and inf/inf slopes)."""
+    values = draw(trend_series())
+    kind = draw(st.sampled_from(["none", "repeats", "huge"]))
+    if kind == "none":
+        return values, None
+    if kind == "repeats":
+        times = st.integers(0, draw(st.integers(0, 6))).map(float)
+    else:
+        times = st.one_of(st.integers(-2, 2).map(float), st.sampled_from(HUGE))
+    return values, draw(st.lists(times, min_size=len(values), max_size=len(values)))
+
+
+# the median's selection constants (_SELECT_MIN, _SELECT_SAMPLE,
+# _SELECT_MARGIN), shrunk so that short series take the selection path, with
+# windows that hold the middle ranks or miss them
+small_selection = st.integers(1, 64).flatmap(lambda sample: st.tuples(
+    st.integers(sample, 400), st.just(sample), st.integers(0, 16)))
+
+
+def selecting(constants):
+    if constants is None:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(an, **dict(zip(
+        ("_SELECT_MIN", "_SELECT_SAMPLE", "_SELECT_MARGIN"), constants)))
+
+
+class TestTrendKernelsMatchOracles:
+    """Counted S, blocked slopes and the window median give the former
+    kernels' results bit for bit (repr: the sign of a zero, NaN)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=trend_series())
+    def test_mann_kendall(self, x):
+        same_repr(an.mann_kendall, mann_kendall_triu, x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=series_with_times(), constants=st.none() | small_selection)
+    def test_sens_slope(self, case, constants):
+        with selecting(constants):
+            same_repr(an.sens_slope, sens_slope_loop, *case)
+
+    @pytest.mark.parametrize("n", [1, 4, 63, 64, 65, 129, 730])
+    def test_mann_kendall_lengths(self, n):
+        x = np.random.default_rng(n).integers(-20, 20, n).astype(float)
+        x[::11] = np.nan
+        same_repr(an.mann_kendall, mann_kendall_triu, x)
+
+    @pytest.mark.parametrize("case", [
+        "walk", "constant", "signed-zeros", "zero-middle", "nan", "inf", "sorted",
+        "reversed"])
+    def test_sens_slope_selection_cases(self, case):
+        # 200 values give 19900 slopes, past the shipped _SELECT_MIN
+        rng = np.random.default_rng(7)
+        n = 200
+        values, times = np.cumsum(rng.normal(size=n)), None
+        if case == "constant":
+            values = np.full(n, 2.5)
+        elif case == "signed-zeros":  # 0/dt: +0 or -0 by the sign of dt
+            values, times = np.zeros(n), rng.permutation(n).astype(float)
+        elif case == "zero-middle":  # half the slopes are zeros of both signs
+            values = np.repeat(rng.normal(size=n // 4), 4)
+            times = rng.integers(0, 3 * n, n).astype(float)
+        elif case == "nan":  # (-1e308 - 1e308) / (1.7e308 - -1.7e308) = -inf/inf
+            values[[3, 150]] = 1e308, -1e308
+            times = np.arange(n, dtype=float)
+            times[[3, 150]] = -1.7e308, 1.7e308
+        elif case == "inf":
+            values[[3, 150]] = 1e308, -1e308
+        elif case == "sorted":
+            values = np.arange(n, dtype=float) ** 2
+        elif case == "reversed":
+            values = -np.arange(n, dtype=float) ** 3
+        same_repr(an.sens_slope, sens_slope_loop, values, times)
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(st.one_of(
+        st.integers(-2, 2).map(float),
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]),
+        st.floats(allow_nan=False)), min_size=1, max_size=300),
+        constants=small_selection)
+    def test_median_matches_numpy(self, values, constants):
+        a = np.asarray(values)
+        with selecting(constants):
+            assert repr(an._median(a.copy())) == repr(float(np.median(a)))
+
+    @pytest.mark.parametrize("n", [365, 730])
+    def test_median_of_a_series_is_selected(self, n):
+        # the window holds the middle ranks of rpc_mix-like series' slopes,
+        # so np.median is not needed
+        t = np.arange(n)
+        values = np.sin(2 * np.pi * t / 365) * 3 + np.random.default_rng(n).normal(0, 0.5, n)
+        want = sens_slope_loop(values)
+        with mock.patch.object(np, "median", side_effect=AssertionError("fell back")):
+            assert repr(an.sens_slope(values)) == repr(want)
+
+
+@pytest.mark.parametrize("n", [2, 12, 28, 130])
+def test_short_series_take_little_memory(n):
+    # the fixture suite's series hold 12 and 28 values; the kernels' blocks
+    # must not be sized for long series
+    values = np.random.default_rng(n).normal(size=n)
+
+    def both():
+        an.sens_slope(values)
+        if n >= 4:
+            an.mann_kendall(values)
+
+    both()  # first-call set-up is not the kernels' memory
+    tracemalloc.start()
+    try:
+        both()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024 + 64 * n * n
+
+
+@pytest.mark.parametrize("tool,bound,args", [
+    ("mann_kendall_test", "MAX_MANN_KENDALL_VALUES", {}),
+    ("sens_slope", "MAX_SENS_VALUES", {}),
+    ("detect_change_points", "MAX_CHANGE_POINT_VALUES", {"penalty": 1e9}),
+    ("stl_decompose", "MAX_STL_VALUES", {"period": 2}),
+])
+class TestSeriesWorkBounds:
+    """Each series tool refuses a series past its bound before the work."""
+
+    def test_bound_plus_one_refused_at_once(self, tool_registry, tool, bound, args):
+        limit = getattr(an, bound)
+        values = np.random.default_rng(0).normal(size=limit + 1).tolist()
+        start = time.perf_counter()
+        result = tool_registry.call_tool(tool, {"values": values, **args})
+        assert time.perf_counter() - start < 0.5
+        assert result.error_class == "InvalidParameters"
+        assert f"takes at most {limit} values, got {limit + 1}" in result.text
+
+    def test_bound_is_inclusive(self, tool_registry, monkeypatch, tool, bound, args):
+        monkeypatch.setattr(an, bound, 6)
+        values = [1.0, 3.0, 2.0, 5.0, 4.0, 6.0]
+        assert not tool_registry.call_tool(tool, {"values": values, **args}).is_error
+        result = tool_registry.call_tool(tool, {"values": values + [7.0], **args})
+        assert "takes at most 6 values, got 7" in result.text
+
+
+def test_gaps_do_not_count_against_the_sens_bound(tool_registry, monkeypatch):
+    monkeypatch.setattr(an, "MAX_SENS_VALUES", 3)
+    result = tool_registry.call_tool("sens_slope", {"values": [1.0, None, 2.0, None, 4.0]})
+    assert result.value == 0.75  # slopes 0.5, 0.75, 1.0 at positions 0, 2, 4
 
 
 @pytest.mark.parametrize("tool", ["compute_linear_trend", "sens_slope"])

@@ -19,6 +19,7 @@ from geoagent.bench import (
     load_record,
     load_suite,
     load_task,
+    replay_factory,
     run_benchmark,
     run_task,
     save_task,
@@ -294,6 +295,12 @@ class TestAnnotate:
         assert str(ws.root) not in json.dumps(gt.as_json())
         assert "$WS" in gt.steps[0].output["text"]
 
+    def test_refuses_a_workspace_not_the_registrys(self, simple_ctx, tmp_path_factory):
+        _, registry = simple_ctx
+        other = Workspace(tmp_path_factory.mktemp("other"))
+        with pytest.raises(ValueError, match="is not the registry's workspace"):
+            annotate_from_plan([("mean", {"data": [3.0]})], registry, other)
+
 
 class TestFixtureSuite:
     def test_twelve_tasks_four_per_modality(self, suite):
@@ -414,6 +421,19 @@ class TestRunner:
         assert len(list((out / "trajectories").glob("*.json"))) == 12
         report = json.loads((out / "report.json").read_text())
         assert report["overall"]["means"]["accuracy"] == 100.0
+
+    def test_run_task_refuses_a_workspace_not_the_registrys(self, suite, tmp_path):
+        # its paths would resolve in one root and be masked against the other
+        _, tasks, registry, _ = suite
+        task = _task_by_id(tasks, "s1_ndvi_mean")
+        with pytest.raises(ValueError, match="is not the registry's workspace"):
+            run_task(task, registry, Workspace(tmp_path), replay_factory, "AutoPlanning")
+
+    def test_run_benchmark_refuses_a_workspace_not_the_registrys(self, suite, tmp_path):
+        _, tasks, registry, _ = suite
+        with pytest.raises(ValueError, match="is not the registry's workspace"):
+            run_benchmark(tasks, registry, Workspace(tmp_path), out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 def _task_by_id(tasks, task_id):

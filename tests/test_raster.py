@@ -29,6 +29,7 @@ from geoagent.raster import (
     require_same_grid,
     save_raster,
 )
+from geoagent.raster import png
 from geoagent.raster.png import SIGNATURE as PNG_SIGNATURE
 from geoagent.raster.tiff import write_tiff
 from geoagent.tools import ToolContext, build_registry
@@ -622,6 +623,81 @@ class TestErrors:
         (tmp_path / "h.png").write_bytes(PNG_SIGNATURE + chunks)
         with pytest.raises(CorruptFileError, match="IHDR"):
             load_raster(tmp_path / "h.png")
+
+
+def unfilter_loop(ftype, line, prev, bpp):
+    """The former byte-at-a-time `png._unfilter`, every filter type in the loop."""
+    if ftype == 0:
+        return line
+    if ftype == 2:
+        return (line.astype(np.int32) + prev).astype(np.uint8)
+    out = np.zeros_like(line)
+    for i in range(line.size):
+        a = int(out[i - bpp]) if i >= bpp else 0
+        b = int(prev[i])
+        c = int(prev[i - bpp]) if i >= bpp else 0
+        x = int(line[i])
+        if ftype == 1:
+            val = x + a
+        elif ftype == 3:
+            val = x + (a + b) // 2
+        elif ftype == 4:
+            p = a + b - c
+            pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+            if pa <= pb and pa <= pc:
+                val = x + a
+            elif pb <= pc:
+                val = x + b
+            else:
+                val = x + c
+        else:
+            raise CorruptFileError(f"unknown PNG filter type {ftype}")
+        out[i] = val & 0xFF
+    return out
+
+
+PNG_COLORS = {0: 1, 4: 2, 2: 3, 6: 4}  # color type -> channels
+
+
+class TestPngFilters:
+    """Each row filter undoes to the bytes the former loop gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ftype=st.integers(0, 4), bpp=st.sampled_from(list(PNG_COLORS.values())),
+           data=st.data())
+    def test_unfilter_matches_loop(self, ftype, bpp, data):
+        width = data.draw(st.integers(1, 40))
+        row = st.binary(min_size=width * bpp, max_size=width * bpp)
+        line = np.frombuffer(data.draw(row), dtype=np.uint8)
+        prev = np.frombuffer(data.draw(row), dtype=np.uint8)
+        got = png._unfilter(ftype, line.copy(), prev, bpp)
+        assert got.dtype == np.uint8
+        assert got.tobytes() == unfilter_loop(ftype, line.copy(), prev, bpp).tobytes()
+
+    @pytest.mark.parametrize("color", sorted(PNG_COLORS))
+    @pytest.mark.parametrize("width,height", [(1, 5), (7, 10), (33, 6)])
+    def test_mixed_row_filters_decode_like_the_loop(self, tmp_path, color, width, height):
+        channels = PNG_COLORS[color]
+        rng = np.random.default_rng(width * 100 + color)
+        rows = rng.integers(0, 256, (height, width * channels), dtype=np.uint8)
+        rows[::3] = 255  # runs that wrap modulo 256 under Sub and Up
+        filters = [(1, 0, 2, 3, 4)[i % 5] for i in range(height)]
+        raw = b"".join(bytes([f]) + r.tobytes() for f, r in zip(filters, rows))
+        (tmp_path / "f.png").write_bytes(build_png(width, height, color, zlib.compress(raw)))
+        want = np.zeros_like(rows)
+        prev = np.zeros(width * channels, dtype=np.uint8)
+        for i, (f, r) in enumerate(zip(filters, rows)):
+            want[i] = prev = unfilter_loop(f, r.copy(), prev, channels)
+        got = decoded(tmp_path / "f.png").data
+        assert got.shape == (channels, height, width)
+        assert got.tobytes() == np.ascontiguousarray(
+            want.reshape(height, width, channels).transpose(2, 0, 1)).tobytes()
+
+    def test_unknown_filter_type(self, tmp_path):
+        raw = bytes([5]) + bytes(3)
+        (tmp_path / "f.png").write_bytes(build_png(3, 1, 0, zlib.compress(raw)))
+        with pytest.raises(CorruptFileError, match="unknown PNG filter type 5"):
+            load_raster(tmp_path / "f.png")
 
 
 class TestPixelwise:
