@@ -8,6 +8,7 @@ registered tool schemas, and maps the model's reply back to a decision.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import urllib.error
@@ -213,8 +214,9 @@ class LLMPolicy:
                 return self.transport(self.endpoint + "/chat/completions",
                                       payload, headers, self.timeout)
             except (urllib.error.URLError, TimeoutError, ConnectionError,
-                    ValueError, RecursionError, OSError) as exc:
-                # ValueError covers undecodable JSON and integers too long to convert
+                    ValueError, RecursionError, OSError, http.client.HTTPException) as exc:
+                # ValueError covers undecodable JSON and integers too long to convert;
+                # HTTPException, broken framing: status line, header or chunk size
                 last = exc
         raise PolicyUnreachable(f"chat endpoint unreachable: {last}")
 

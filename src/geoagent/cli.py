@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -124,10 +125,11 @@ def cmd_serve(args) -> int:
         serve_stdio(registry)
         return 0
     server = serve_tcp(registry, args.host, args.port)
-    host, port = server.server_address
-    print(json.dumps({"listening": f"{host}:{port}", "tools": len(registry)}),
-          flush=True)
     try:
+        signal.signal(signal.SIGTERM, signal.default_int_handler)  # stop as Ctrl-C does
+        host, port = server.server_address
+        print(json.dumps({"listening": f"{host}:{port}", "tools": len(registry)}),
+              flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass

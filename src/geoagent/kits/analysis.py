@@ -386,18 +386,6 @@ def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate(([0.0], np.cumsum(x * x))))
 
 
-def _segment_cost_fn(x: np.ndarray):
-    """L2 cost of x[s:t] around its own mean, via cumulative sums."""
-    c1, c2 = _prefix_sums(x)
-
-    def cost(s: int, t: int) -> float:
-        n = t - s
-        sm = c1[t] - c1[s]
-        return float(c2[t] - c2[s] - sm * sm / n)
-
-    return cost
-
-
 def detect_change_points(values, penalty: float) -> list[int]:
     """PELT breakpoints (segment start indices) under an L2 mean-shift cost.
 
@@ -470,17 +458,6 @@ def detect_change_points(values, penalty: float) -> list[int]:
         bkps.append(s)
         t = s
     return sorted(bkps)
-
-
-def segmentation_cost(values, breakpoints: list[int], penalty: float) -> float:
-    """Total penalized cost of a given segmentation (for oracle comparisons)."""
-    x = _valid(values)
-    cost = _segment_cost_fn(x)
-    bounds = [0] + sorted(breakpoints) + [x.size]
-    total = penalty * (len(bounds) - 2)
-    for s, t in zip(bounds[:-1], bounds[1:]):
-        total += cost(s, t)
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

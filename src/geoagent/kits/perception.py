@@ -9,6 +9,7 @@ by a fixture manifest so episodes can run hermetically.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import urllib.error
@@ -115,7 +116,8 @@ class HttpExpertBackend(ExpertBackend):
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 reply = finite_json.loads(finite_json.read_reply(resp))
-        except (urllib.error.URLError, TimeoutError, ValueError, RecursionError) as exc:
+        except (urllib.error.URLError, TimeoutError, ValueError, RecursionError,
+                http.client.HTTPException) as exc:  # the last: broken HTTP framing
             raise ExternalServiceError(f"expert endpoint failed: {exc}") from exc
         if not isinstance(reply, dict):
             raise ExternalServiceError(

@@ -1,16 +1,18 @@
 """JSON-RPC 2.0 server exposing the tool registry.
 
 Implements `initialize`, `tools/list`, and `tools/call` over newline-delimited
-UTF-8 JSON, on stdio or TCP. Protocol problems use JSON-RPC error objects;
-tool failures travel inside successful responses flagged `isError`, carrying
-their taxonomy class in the structured payload, so the wire result is
-equivalent to an in-process call.
+UTF-8 JSON, on stdio or TCP (one process per connection). Protocol problems
+use JSON-RPC error objects; tool failures travel inside successful responses
+flagged `isError`, carrying their taxonomy class in the structured payload, so
+the wire result is equivalent to an in-process call.
 """
 
 from __future__ import annotations
 
 import json
-import socket
+import math
+import os
+import signal
 import socketserver
 import sys
 import traceback
@@ -30,8 +32,10 @@ INVALID_REQUEST = -32600
 METHOD_NOT_FOUND = -32601
 INVALID_PARAMS = -32602
 INTERNAL_ERROR = -32603
+SERVER_ERROR = -32000  # implementation-defined: the connection cap
 
 MAX_LINE_BYTES = 16 * 2**20
+MAX_CONNECTIONS = 32  # live TCP connections; one more is refused unserved
 
 
 def _refuse_constant(name: str):
@@ -155,42 +159,63 @@ def serve_stdio(registry: ToolRegistry) -> None:
     serve_stream(McpServer(registry), sys.stdin.buffer, sys.stdout.buffer)
 
 
+_STOP_SIGNALS = {signal.SIGTERM, signal.SIGINT}
+
+
 def serve_tcp(registry: ToolRegistry, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT):
-    """Blocking TCP server; one request in flight per connection."""
+    """Blocking TCP server, POSIX only: each accepted connection is served by
+    its own forked process, one request in flight per connection.
+
+    The listening process only accepts, forks and reaps, so connections share
+    no interpreter lock; the registry reaches each connection process
+    copy-on-write. Past `MAX_CONNECTIONS` live connections a new one gets one
+    JSON-RPC error line and is closed unserved. `server_close` stops
+    accepting, sends SIGTERM to the live connection processes and reaps them.
+    """
     server = McpServer(registry)
 
     class Handler(socketserver.StreamRequestHandler):
+        def setup(self):
+            # the default actions: the listener's SIGTERM ends this process at
+            # once, mid-kernel too, and so does Ctrl-C at a terminal
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            signal.signal(signal.SIGINT, signal.SIG_DFL)
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+            self.server.socket.close()
+            super().setup()
+
         def handle(self):
             serve_stream(server, self.rfile, self.wfile)
 
-    class ThreadingServer(socketserver.ThreadingTCPServer):
+    class ForkingServer(socketserver.ForkingTCPServer):
         allow_reuse_address = True
-        daemon_threads = True
+        # MAX_CONNECTIONS bounds connections; the mixin's own bound would
+        # block the accept loop in waitpid
+        max_children = math.inf
 
-    return ThreadingServer((host, port), Handler)
+        def process_request(self, request, client_address):
+            self.collect_children()  # a closed connection frees its slot at once
+            if len(self.active_children or ()) >= MAX_CONNECTIONS:
+                refusal = _rpc_error(None, SERVER_ERROR, "too many connections: at "
+                                     f"most {MAX_CONNECTIONS} are served at once")
+                try:
+                    request.sendall(json.dumps(refusal, sort_keys=True).encode() + b"\n")
+                except OSError:  # the client is gone already
+                    pass
+                self.shutdown_request(request)
+                return
+            # a stop signal is held until the new pid is in active_children
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+            try:
+                super().process_request(request, client_address)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
+        def server_close(self):
+            self.socket.close()
+            for pid in self.active_children or ():  # unreaped, so still ours to signal
+                os.kill(pid, signal.SIGTERM)
+            super().server_close()  # reaps every connection process
 
-class McpClient:
-    """Minimal newline-delimited JSON-RPC client, used by the tests."""
+    return ForkingServer((host, port), Handler)
 
-    def __init__(self, host: str, port: int, timeout: float = 30.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._rfile = self._sock.makefile("rb")
-        self._next_id = 0
-
-    def request(self, method: str, params: dict | None = None) -> dict:
-        self._next_id += 1
-        body = {"jsonrpc": "2.0", "id": self._next_id, "method": method}
-        if params is not None:
-            body["params"] = params
-        self._sock.sendall((json.dumps(body) + "\n").encode("utf-8"))
-        line = self._rfile.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return json.loads(line.decode("utf-8"))
-
-    def close(self) -> None:
-        try:
-            self._rfile.close()
-        finally:
-            self._sock.close()

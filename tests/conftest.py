@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from geoagent.kits import analysis
 from geoagent.kits.perception import MockExpertBackend
 from geoagent.raster import GeoRef, Raster, from_array, save_raster
 from geoagent.tools import ToolContext, build_registry
@@ -51,3 +52,16 @@ def random_raster(rng, dtype="f32", max_side=6, bands=1) -> Raster:
     else:
         data = rng.normal(size=(bands, h, w)) * 100.0
     return from_array(data, dtype=dtype)
+
+
+def segmentation_cost(values, breakpoints: list[int], penalty: float) -> float:
+    """Total penalized L2 cost of a given segmentation, the oracle PELT's
+    change points are compared against."""
+    x = analysis._valid(values)
+    c1, c2 = analysis._prefix_sums(x)
+    bounds = [0] + sorted(breakpoints) + [x.size]
+    total = penalty * (len(bounds) - 2)
+    for s, t in zip(bounds[:-1], bounds[1:]):
+        sm = c1[t] - c1[s]
+        total += float(c2[t] - c2[s] - sm * sm / (t - s))
+    return float(total)

@@ -8,7 +8,6 @@ import itertools
 import json
 import math
 import os
-import threading
 import time
 from contextlib import contextmanager
 
@@ -43,10 +42,11 @@ from geoagent.kits.perception import MockExpertBackend
 from geoagent.raster import from_array, load_raster
 from geoagent.raster.tiff import read_tiff, write_tiff
 from geoagent.tools import ToolContext, build_registry
-from geoagent.tools.mcp import McpClient, McpServer, serve_tcp
+from geoagent.tools.mcp import McpServer
 from geoagent.workspace import Workspace
 
-from conftest import make_georef, write_raster
+from conftest import make_georef, segmentation_cost, write_raster
+from mcp_wire import McpClient, tcp_server
 from test_mcp_server import GOLDEN_DIR
 
 
@@ -222,7 +222,7 @@ def test_criterion_3_numerical_kernels():
             x = np.where(np.arange(n) < n // 2, 0.0, rng.uniform(0, 8)) \
                 + rng.normal(0, 0.5, n)
             penalty = float(rng.uniform(0.5, 10.0))
-            got = an.segmentation_cost(
+            got = segmentation_cost(
                 x, an.detect_change_points(x.tolist(), penalty), penalty)
             want = exhaustive_cost(x.tolist(), penalty)
             assert abs(got - want) < 1e-9
@@ -327,38 +327,34 @@ def test_criterion_5_mcp_conformance(tmp_path):
             assert out["structured"]["error_class"] == expected_class
 
         # 50 randomized calls: wire result equals in-process result
-        tcp = serve_tcp(registry, port=0)
-        host, port = tcp.server_address
-        threading.Thread(target=tcp.serve_forever, daemon=True).start()
-        client = McpClient(host, port)
-        try:
-            rng = np.random.default_rng(7)
-            calls = [
-                lambda: ("kelvin_to_celsius",
-                         {"kelvin": float(rng.uniform(250, 320))}),
-                lambda: ("mean", {"data": rng.uniform(0, 5, 4).tolist()}),
-                lambda: ("calculate_area", {"image_path": "img.tif"}),
-                lambda: ("sens_slope", {"values": rng.normal(size=6).tolist()}),
-                lambda: ("ghost", {}),
-                lambda: ("division", {"a": 1.0, "b": 0.0}),
-                lambda: ("calculate_area", {"image_path": "missing.tif"}),
-            ]
-            for _ in range(50):
-                name, args = calls[rng.integers(0, len(calls))]()
-                wire = client.request(
-                    "tools/call", {"name": name, "arguments": args})["result"]
-                local = registry.call_tool(name, args)
-                assert wire["isError"] == local.is_error
-                assert wire["content"][0]["text"] == local.text
-                structured = wire.get("structured", {})
-                if local.error_class:
-                    assert structured["error_class"] == local.error_class
-                if local.value is not None:
-                    assert structured["value"] == local.value
-        finally:
-            client.close()
-            tcp.shutdown()
-            tcp.server_close()
+        with tcp_server(tmp_path) as (_, port):
+            client = McpClient("127.0.0.1", port)
+            try:
+                rng = np.random.default_rng(7)
+                calls = [
+                    lambda: ("kelvin_to_celsius",
+                             {"kelvin": float(rng.uniform(250, 320))}),
+                    lambda: ("mean", {"data": rng.uniform(0, 5, 4).tolist()}),
+                    lambda: ("calculate_area", {"image_path": "img.tif"}),
+                    lambda: ("sens_slope", {"values": rng.normal(size=6).tolist()}),
+                    lambda: ("ghost", {}),
+                    lambda: ("division", {"a": 1.0, "b": 0.0}),
+                    lambda: ("calculate_area", {"image_path": "missing.tif"}),
+                ]
+                for _ in range(50):
+                    name, args = calls[rng.integers(0, len(calls))]()
+                    wire = client.request(
+                        "tools/call", {"name": name, "arguments": args})["result"]
+                    local = registry.call_tool(name, args)
+                    assert wire["isError"] == local.is_error
+                    assert wire["content"][0]["text"] == local.text
+                    structured = wire.get("structured", {})
+                    if local.error_class:
+                        assert structured["error_class"] == local.error_class
+                    if local.value is not None:
+                        assert structured["value"] == local.value
+            finally:
+                client.close()
 
 
 # -------------------------------------------------------------------------

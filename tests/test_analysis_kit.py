@@ -16,7 +16,7 @@ from geoagent.errors import InvalidInputError
 from geoagent.kits import analysis as an
 from geoagent.raster import from_array, load_raster
 
-from conftest import write_raster
+from conftest import segmentation_cost, write_raster
 
 series = st.lists(st.floats(-50, 50, allow_nan=False), min_size=4, max_size=24)
 
@@ -450,7 +450,7 @@ class TestPelt:
     )
     def test_matches_exhaustive_cost(self, x, penalty):
         got = an.detect_change_points(x, penalty)
-        got_cost = an.segmentation_cost(x, got, penalty)
+        got_cost = segmentation_cost(x, got, penalty)
         oracle_cost, _ = pelt_oracle(x, penalty)
         assert got_cost <= oracle_cost + 1e-9
 
@@ -458,9 +458,9 @@ class TestPelt:
         rng = np.random.default_rng(6)
         x = np.concatenate([rng.normal(0, 1, 10), rng.normal(8, 1, 10)]).tolist()
         penalty = 4.0
-        got_cost = an.segmentation_cost(x, an.detect_change_points(x, penalty), penalty)
+        got_cost = segmentation_cost(x, an.detect_change_points(x, penalty), penalty)
         for cut in ([5], [10], [15], [8, 14]):
-            assert got_cost <= an.segmentation_cost(x, cut, penalty) + 1e-9
+            assert got_cost <= segmentation_cost(x, cut, penalty) + 1e-9
 
 
 def pelt_loop(values, penalty):

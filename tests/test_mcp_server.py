@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import io
 import json
-import threading
+import os
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +15,11 @@ from hypothesis import strategies as st
 from geoagent.kits.perception import MockExpertBackend
 from geoagent.tools import ToolContext, build_registry
 from geoagent.tools import mcp
-from geoagent.tools.mcp import McpClient, McpServer, serve_stream, serve_tcp
+from geoagent.tools.mcp import McpServer, serve_stream
 from geoagent.workspace import Workspace
 
 from conftest import write_raster
+from mcp_wire import McpClient, connection_pids, tcp_server
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "mcp"
 
@@ -103,44 +106,106 @@ def random_calls(rng, n):
 
 
 class TestWireEqualsInProcess:
-    def test_fifty_randomized_calls(self, server):
-        tcp = serve_tcp(server.registry, port=0)
-        host, port = tcp.server_address
-        thread = threading.Thread(target=tcp.serve_forever, daemon=True)
-        thread.start()
-        client = McpClient(host, port)
-        try:
-            rng = np.random.default_rng(2024)
-            for name, args in random_calls(rng, 50):
-                wire = client.request("tools/call",
-                                      {"name": name, "arguments": args})["result"]
-                local = server.registry.call_tool(name, args)
-                assert wire["isError"] == local.is_error
-                assert wire["content"][0]["text"] == local.text
-                structured = wire.get("structured", {})
-                assert structured.get("error_class") == local.error_class or (
-                    local.error_class is None and "error_class" not in structured)
-                if local.value is not None:
-                    assert structured["value"] == local.value
-        finally:
-            client.close()
-            tcp.shutdown()
-            tcp.server_close()
+    def test_fifty_randomized_calls(self, server, tmp_path):
+        with tcp_server(tmp_path) as (_, port):
+            client = McpClient("127.0.0.1", port)
+            try:
+                rng = np.random.default_rng(2024)
+                for name, args in random_calls(rng, 50):
+                    wire = client.request("tools/call",
+                                          {"name": name, "arguments": args})["result"]
+                    local = server.registry.call_tool(name, args)
+                    assert wire["isError"] == local.is_error
+                    assert wire["content"][0]["text"] == local.text
+                    structured = wire.get("structured", {})
+                    assert structured.get("error_class") == local.error_class or (
+                        local.error_class is None and "error_class" not in structured)
+                    if local.value is not None:
+                        assert structured["value"] == local.value
+            finally:
+                client.close()
 
-    def test_multiple_sequential_sessions(self, server):
-        tcp = serve_tcp(server.registry, port=0)
-        host, port = tcp.server_address
-        thread = threading.Thread(target=tcp.serve_forever, daemon=True)
-        thread.start()
-        try:
+    def test_multiple_sequential_sessions(self, tmp_path):
+        with tcp_server(tmp_path) as (_, port):
             for _ in range(3):
-                client = McpClient(host, port)
+                client = McpClient("127.0.0.1", port)
                 out = client.request("initialize", {"protocolVersion": "2025-06-18"})
                 assert out["result"]["serverInfo"]["name"] == "geoagent"
                 client.close()
-        finally:
-            tcp.shutdown()
-            tcp.server_close()
+
+
+def initialized(port):
+    client = McpClient("127.0.0.1", port, timeout=10)
+    assert "result" in client.request("initialize", {"protocolVersion": "2025-06-18"})
+    return client
+
+
+def wait_for(condition, seconds=5.0):
+    deadline = time.monotonic() + seconds
+    while not (value := condition()) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return value
+
+
+def exited(pid):
+    """True once the process has exited, reaped or not."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+class TestConnectionProcesses:
+    """One process per connection: the cap, shutdown and crash isolation."""
+
+    def test_connection_past_the_cap_is_refused(self, tmp_path):
+        with tcp_server(tmp_path, max_connections=2) as (proc, port):
+            first = initialized(port)
+            [first_pid] = wait_for(lambda: connection_pids(proc))
+            second = initialized(port)
+            third = McpClient("127.0.0.1", port, timeout=10)
+            refusal = json.loads(third.readline())
+            assert refusal == {"jsonrpc": "2.0", "id": None, "error": {
+                "code": -32000,
+                "message": "too many connections: at most 2 are served at once"}}
+            assert third.readline() == b""
+            third.close()
+            assert "result" in second.request("tools/list")
+            first.close()
+            # an exited connection process frees its slot for the next accept
+            assert wait_for(lambda: exited(first_pid))
+            fourth = initialized(port)
+            fourth.close()
+            second.close()
+
+    def test_sigterm_ends_held_connections_and_leaves_no_process(self, tmp_path):
+        with tcp_server(tmp_path) as (proc, port):
+            held = initialized(port)
+            pids = wait_for(lambda: connection_pids(proc))
+            assert len(pids) == 1
+            proc.terminate()
+            started = time.monotonic()
+            assert held.readline() == b""
+            assert time.monotonic() - started < 5
+            assert proc.wait(timeout=5) == 0
+            held.close()
+        assert not any(Path(f"/proc/{pid}").exists() for pid in pids)
+
+    def test_killed_connection_leaves_the_others_served(self, tmp_path):
+        with tcp_server(tmp_path) as (proc, port):
+            doomed = initialized(port)
+            [doomed_pid] = wait_for(lambda: connection_pids(proc))
+            survivor = initialized(port)
+            os.kill(doomed_pid, signal.SIGKILL)
+            assert doomed.readline() == b""
+            doomed.close()
+            out = survivor.request("tools/call", {"name": "multiply",
+                                                  "arguments": {"a": 6, "b": 7}})
+            assert out["result"]["structured"]["value"] == 42
+            fresh = initialized(port)
+            fresh.close()
+            survivor.close()
 
 
 def request(method, params=None, **extra):
