@@ -17,8 +17,8 @@ import numpy as np
 
 from ..errors import InvalidInputError, MissingFileError
 from ..finite_json import is_finite_number
-from ..raster import Raster, like, mask_like, require_same_grid
-from .common import nonempty
+from ..raster import Raster, map_rows, mask_like, require_same_grid
+from .common import _order_statistic, nonempty
 
 COMPARATORS = {
     ">": np.greater,
@@ -47,6 +47,7 @@ SR_OFFSET = -0.2
 
 # QA bit positions treated as cloud-contaminated
 QA_MASK_BITS = (1, 2, 3, 4)  # dilated cloud, cirrus, cloud, shadow
+_QA_MASK = sum(1 << bit for bit in QA_MASK_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -99,24 +100,33 @@ def kurtosis(data) -> float:
 # ---------------------------------------------------------------------------
 
 
-# per-image statistic -> reducer over the image's valid values
+def _of_values(reduce):
+    """A per-image statistic: `reduce` over the band's valid values."""
+    return lambda r, band: reduce(nonempty(r.values(band), "image"))
+
+
+def _median(r: Raster, band: int) -> float:
+    return _order_statistic(r, band, nonempty(r.samples(band), "image"))
+
+
+# per-image statistic -> its value on (raster, band)
 IMAGE_STATS = {
-    "mean": np.mean,
-    "std": np.std,
-    "median": np.median,
-    "min": np.min,
-    "max": np.max,
-    "skewness": skewness,
-    "kurtosis": kurtosis,
-    "sum": np.sum,
+    "mean": _of_values(np.mean),
+    "std": _of_values(np.std),
+    "median": _median,
+    "min": _of_values(np.min),
+    "max": _of_values(np.max),
+    "skewness": _of_values(skewness),
+    "kurtosis": _of_values(kurtosis),
+    "sum": _of_values(np.sum),
 }
 
 
-def batch_image_stat(rasters: list[Raster], reduce, band: int = 1) -> list[float]:
-    """`reduce` over the valid values of each image's band, in order."""
+def batch_image_stat(rasters: list[Raster], stat, band: int = 1) -> list[float]:
+    """`stat` (an `IMAGE_STATS` value) of each image's band, in order."""
     if not rasters:
         raise InvalidInputError("empty image batch")
-    return [float(reduce(nonempty(r.values(band), "image"))) for r in rasters]
+    return [float(stat(r, band)) for r in rasters]
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +218,14 @@ def images_mean_vs_threshold(rasters: list[Raster], threshold: float,
                              direction=np.greater, mode=COUNT_MODES["count"],
                              band: int = 1) -> float:
     """`mode` of the images whose band mean is on the `direction` side of a threshold."""
-    means = batch_image_stat(rasters, np.mean, band)
+    means = batch_image_stat(rasters, IMAGE_STATS["mean"], band)
     return mode(sum(1 for m in means if direction(m, threshold)), len(means))
 
 
 def count_images_vs_mean_multiplier(rasters: list[Raster], multiplier: float,
                                     direction=np.greater, band: int = 1) -> int:
     """Images whose mean is on the `direction` side of multiplier x (mean of all means)."""
-    means = batch_image_stat(rasters, np.mean, band)
+    means = batch_image_stat(rasters, IMAGE_STATS["mean"], band)
     reference = multiplier * float(np.mean(means))
     return int(sum(1 for m in means if direction(m, reference)))
 
@@ -241,8 +251,8 @@ def fire_prone_areas(hotspot: Raster, percentile: float) -> Raster:
     """Binary map of pixels at or above the N-th percentile of the map."""
     if not 0.0 <= percentile <= 100.0:
         raise InvalidInputError(f"percentile must be in [0, 100], got {percentile}")
-    vals = nonempty(hotspot.values(), "hotspot map")
-    cut = float(np.percentile(vals, percentile))
+    cut = _order_statistic(hotspot, 1, nonempty(hotspot.samples(), "hotspot map"),
+                           percentile)
     return mask_like(hotspot, hotspot.band() >= cut)
 
 
@@ -365,10 +375,10 @@ def area_nonzero(r: Raster, band: int = 1) -> int:
 
 
 def percentile_value(r: Raster, percentile: float, band: int = 1) -> float:
-    vals = nonempty(r.values(band), "image")
+    samples = nonempty(r.samples(band), "image")
     if not 0.0 <= percentile <= 100.0:
         raise InvalidInputError("percentile must be within [0, 100]")
-    return float(np.percentile(vals, percentile))
+    return _order_statistic(r, band, samples, percentile)
 
 
 def _viridis_lut() -> np.ndarray:
@@ -424,7 +434,7 @@ def radiometric_correction_sr(r: Raster) -> Raster:
         raise InvalidInputError(
             f"surface-reflectance correction expects u16 digital numbers, got {r.dtype_name}"
         )
-    return like(r, np.clip(SR_SCALE * r.band() + SR_OFFSET, 0.0, 1.0))
+    return map_rows(lambda dn: np.clip(SR_SCALE * dn + SR_OFFSET, 0.0, 1.0), [r], r)
 
 
 def apply_cloud_mask(band_raster: Raster, qa: Raster) -> Raster:
@@ -432,8 +442,5 @@ def apply_cloud_mask(band_raster: Raster, qa: Raster) -> Raster:
     require_same_grid(band_raster, qa)
     if qa.dtype_name != "u16":
         raise InvalidInputError(f"QA band must be u16, got {qa.dtype_name}")
-    qa_vals = qa.plane(1)
-    flagged = np.zeros(qa_vals.shape, dtype=bool)
-    for bit in QA_MASK_BITS:
-        flagged |= (qa_vals >> bit) & 1 == 1
-    return like(band_raster, np.where(flagged, np.nan, band_raster.band()))
+    return map_rows(lambda band, qa_rows: np.where(qa_rows & _QA_MASK, np.nan, band),
+                    [band_raster, qa.plane(1)], band_raster)

@@ -8,6 +8,7 @@ sample type.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -22,6 +23,15 @@ DTYPES = {
     "f32": np.dtype(np.float32),
 }
 _DTYPE_NAMES = {v: k for k, v in DTYPES.items()}
+
+# samples per block of whole rows in `map_rows`: a block's float64
+# temporaries then stay in cache (2**15 is 16 rows of a 2048-wide raster)
+BLOCK_SAMPLES = 2**15
+# numpy's vector loops can pass on the other one of two NaNs for a sample in
+# a loop's tail than for one in its body. Blocks of whole runs of this many
+# samples, the last block at least one run, put every sample at the same
+# place in each loop as the whole-array evaluation does.
+_VECTOR_RUN = 64
 
 
 @dataclass(frozen=True)
@@ -121,15 +131,7 @@ class Raster:
         so a nodata outside the sample type's range, or fractional, masks
         nothing. A float band compares in float32.
         """
-        plane = self.plane(index)
-        out = plane.astype(np.float64)
-        if self.nodata is None or np.isnan(self.nodata):
-            return out
-        if plane.dtype.kind == "f":
-            out[plane == plane.dtype.type(self.nodata)] = np.nan
-        else:  # integer samples are exact in float64
-            out[out == self.nodata] = np.nan
-        return out
+        return _as_band(self.plane(index), self.nodata)
 
     def values(self, band: int = 1) -> np.ndarray:
         """Valid pixel values of one band as a 1-D float64 vector."""
@@ -141,8 +143,43 @@ class Raster:
             return b[~np.isnan(b)]
         return b.ravel()
 
+    def samples(self, band: int = 1) -> np.ndarray:
+        """Valid samples of one band in their stored dtype, as a new 1-D
+        array: the samples `values` holds, in the same order, not widened."""
+        plane = self.plane(band)
+        masked = _nodata_at(plane, self.nodata)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a sum is NaN when one of its terms is (or from inf - inf)
+            nan_possible = plane.dtype.kind == "f" and np.isnan(plane.sum())
+        if nan_possible:
+            masked = np.isnan(plane) if masked is None else masked | np.isnan(plane)
+        return plane.flatten() if masked is None else plane[~masked]
+
     def same_shape(self, other: "Raster") -> bool:
         return (self.height, self.width) == (other.height, other.width)
+
+
+def _nodata_at(samples: np.ndarray, nodata: float | None) -> np.ndarray | None:
+    """Where stored samples are nodata, or None when no sample can be.
+
+    An integer sample is nodata when it equals the nodata in value (exact in
+    float64), so a nodata outside the sample type's range, or fractional,
+    masks nothing. A float sample compares in float32.
+    """
+    if nodata is None or np.isnan(nodata):
+        return None
+    if samples.dtype.kind == "f":
+        return samples == samples.dtype.type(nodata)
+    return samples == np.float64(nodata)
+
+
+def _as_band(samples: np.ndarray, nodata: float | None) -> np.ndarray:
+    """Stored samples as float64 with NaN where they are nodata."""
+    out = samples.astype(np.float64)
+    masked = _nodata_at(samples, nodata)
+    if masked is not None:
+        out[masked] = np.nan
+    return out
 
 
 def from_array(values, dtype: str = "f32", nodata: float | None = None,
@@ -163,6 +200,47 @@ def like(reference: Raster, band_f64: np.ndarray) -> Raster:
     out = band_f64.astype(np.float32)
     nodata = float("nan") if np.isnan(out).any() else None
     return Raster(out, nodata=nodata, geo=reference.geo)
+
+
+def map_rows(fn: Callable[..., np.ndarray], args: list, reference: Raster) -> Raster:
+    """`like(reference, fn(*bands))`, computed over blocks of whole rows.
+
+    `fn` must be per pixel: each output pixel depends only on the input
+    pixels at the same place. Each argument reaches `fn` as the block's rows
+    of what it stands for: a raster as its first band in float64 with NaN at
+    nodata, as `Raster.band` gives it; a list of rasters as a list of such
+    bands; an array as its rows, as they are. Each block's result is written
+    straight into the f32 output, so no whole-band float64 temporary is
+    built; a raster of up to `BLOCK_SAMPLES` samples goes through in one
+    call. A block holds about `BLOCK_SAMPLES` samples, in whole runs of
+    `_VECTOR_RUN`, so a width of no multiple of it takes more rows per
+    block. NaN pixels become the output nodata marker, as with `like`.
+    """
+    sources = [_row_source(a) for a in args]
+    height, width = reference.height, reference.width
+    tops = [0]  # one call even with no rows
+    if height * width > BLOCK_SAMPLES:
+        run = _VECTOR_RUN // math.gcd(width, _VECTOR_RUN)  # rows making whole runs
+        tops = list(range(0, height, max(BLOCK_SAMPLES // width // run, 1) * run))
+        if len(tops) > 1 and (height - tops[-1]) * width < _VECTOR_RUN:
+            tops.pop()  # a last block shorter than a run joins the one before
+    out = np.empty((height, width), np.float32)
+    for top, bottom in zip(tops, tops[1:] + [height]):
+        rows = slice(top, bottom)
+        out[rows] = fn(*(source(rows) for source in sources))
+    nodata = float("nan") if np.isnan(out).any() else None
+    return Raster(out, nodata=nodata, geo=reference.geo)
+
+
+def _row_source(arg) -> Callable[[slice], object]:
+    """The block reader of one `map_rows` argument."""
+    if isinstance(arg, Raster):
+        plane, nodata = arg.plane(1), arg.nodata
+        return lambda rows: _as_band(plane[rows], nodata)
+    if isinstance(arg, list):
+        sources = [_row_source(a) for a in arg]
+        return lambda rows: [source(rows) for source in sources]
+    return lambda rows: arg[rows]
 
 
 def mask_like(reference: Raster, condition: np.ndarray, on: int = 1) -> Raster:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -16,8 +15,8 @@ SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}
 
 
-def read_png(path: str | Path) -> Raster:
-    buf = Path(path).read_bytes()
+def decode_png(buf: bytes) -> Raster:
+    """The raster a PNG file's bytes hold."""
     if not buf.startswith(SIGNATURE):
         raise CorruptFileError("not a PNG file")
     pos = len(SIGNATURE)

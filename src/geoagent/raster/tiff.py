@@ -98,8 +98,8 @@ def _scalar(entries, tag: int, order: str, default: int | None = None) -> int:
     return values[0]
 
 
-def read_tiff(path: str | Path) -> Raster:
-    buf = Path(path).read_bytes()
+def decode_tiff(buf: bytes) -> Raster:
+    """The raster a classic TIFF file's bytes hold."""
     if len(buf) < 8:
         raise CorruptFileError("file too short to be a TIFF")
     if buf[:2] == b"II":

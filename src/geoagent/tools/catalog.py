@@ -26,7 +26,7 @@ from ..kits import index as ix
 from ..kits import inversion as inv
 from ..kits import perception as perc
 from ..kits import statistics as st
-from ..raster import Raster, like, load_raster, require_same_grid, save_raster
+from ..raster import Raster, like, load_raster, map_rows, require_same_grid, save_raster
 from ..workspace import Workspace
 from ..errors import GeoAgentError, InvalidInputError
 from .registry import NOT_FINITE, ParamSpec, ToolRegistry, ToolResult, ToolSpec, ok_result
@@ -72,7 +72,11 @@ class Tool(NamedTuple):
     were given as keywords: the kit signature owns every default. The value
     is returned, or saved to the `out_file` parameter. With `like` set,
     rasters arrive as float64 bands and the array result takes the
-    georeference of that parameter's (first) raster. With `prefix` set, the
+    georeference of that parameter's (first) raster. A `like` row whose `fn`
+    is per pixel (each output pixel depends only on the input pixels at the
+    same place) sets `per_pixel`, and `fn` then runs over blocks of rows
+    (`map_rows`); neighbourhoods, fitted edges and iterations to a
+    whole-array tolerance are not per pixel. With `prefix` set, the
     tool is a batch (see `_batch_handler`). A row with `handler` bypasses
     all of this, but it too receives its path arguments resolved.
     """
@@ -82,6 +86,7 @@ class Tool(NamedTuple):
     params: tuple[ParamSpec, ...]
     fn: Callable | None = None
     like: str | None = None
+    per_pixel: bool = False
     prefix: str | None = None
     handler: Callable[[dict], ToolResult] | None = None
 
@@ -125,11 +130,12 @@ def _call(tool: Tool, args: dict):
         return tool.fn(*inputs.values(), **given)
     # the kit gets bare arrays, so the grids are checked here
     require_same_grid(*(r for name in loaded for r in _as_list(inputs[name])))
-    template = _as_list(inputs[tool.like])
+    template = _as_list(inputs[tool.like])[0]
+    if tool.per_pixel:
+        return map_rows(partial(tool.fn, **given), list(inputs.values()), template)
     for name in loaded:
         inputs[name] = _bands(inputs[name])
-    out = tool.fn(*inputs.values(), **given)
-    return like(template[0], out)
+    return like(template, tool.fn(*inputs.values(), **given))
 
 
 def _raster_handler(tool: Tool) -> Callable[[dict], object]:
@@ -287,7 +293,7 @@ def _inversion_tools() -> list[Tool]:
               P("output_path", "string"),
               P("alpha", "number", False),
               P("beta", "number", False)),
-             inv.pwv_band_ratio, like="window_band_path"),
+             inv.pwv_band_ratio, like="window_band_path", per_pixel=True),
         Tool("lst_single_channel",
              "Land surface temperature by single-channel emissivity "
              "correction, with NDVI-threshold emissivity from red/NIR.",
@@ -296,7 +302,7 @@ def _inversion_tools() -> list[Tool]:
               P("nir_path", "string"),
               P("output_path", "string"),
               P("wavelength", "number", False, "band wavelength in meters")),
-             inv.single_channel_lst, like="bt_path"),
+             inv.single_channel_lst, like="bt_path", per_pixel=True),
         Tool("lst_multi_channel",
              "Land surface temperature from two thermal bands near "
              "11 and 12 micrometers via the linear two-band correction.",
@@ -306,7 +312,7 @@ def _inversion_tools() -> list[Tool]:
               P("a", "number", False),
               P("b", "number", False),
               P("c", "number", False)),
-             inv.multi_channel_lst, like="band31_path"),
+             inv.multi_channel_lst, like="band31_path", per_pixel=True),
         Tool("split_window",
              "Land surface temperature by the generalized split-window "
              "combination of two thermal bands.",
@@ -316,7 +322,7 @@ def _inversion_tools() -> list[Tool]:
               P("c0", "number", False),
               P("c1", "number", False),
               P("c2", "number", False)),
-             inv.split_window_lst, like="band31_path"),
+             inv.split_window_lst, like="band31_path", per_pixel=True),
         Tool("temperature_emissivity_separation",
              "Land surface temperature by iterative temperature/"
              "emissivity separation over three thermal bands.",
@@ -331,7 +337,7 @@ def _inversion_tools() -> list[Tool]:
               P("night_path", "string"),
               P("output_path", "string"),
               P("emissivity", "number", False)),
-             inv.modis_day_night_lst, like="day_path"),
+             inv.modis_day_night_lst, like="day_path", per_pixel=True),
         Tool("ttm_lst",
              "Land surface temperature and emissivity from three "
              "thermal bands, solved per pixel under physical bounds; "
@@ -356,7 +362,7 @@ def _inversion_tools() -> list[Tool]:
               P("day_temp_path", "string"),
               P("night_temp_path", "string"),
               P("output_path", "string")),
-             inv.ati, like="albedo_path"),
+             inv.ati, like="albedo_path", per_pixel=True),
         Tool("dual_polarization_differential",
              "Linear dual-polarization differential inversion: "
              "alpha * (V - H) + beta over brightness temperatures.",
@@ -365,7 +371,7 @@ def _inversion_tools() -> list[Tool]:
               P("output_path", "string"),
               P("alpha", "number", False),
               P("beta", "number", False)),
-             inv.linear_difference_model, like="v_path"),
+             inv.linear_difference_model, like="v_path", per_pixel=True),
         Tool("dual_frequency_diff",
              "Linear dual-frequency differential inversion "
              "alpha * (band1 - band2) + beta; the target label "
@@ -378,7 +384,7 @@ def _inversion_tools() -> list[Tool]:
               P("beta", "number", False),
               P("target", "string", False, enum={t: t for t in ("SM", "VI", "LAI")})),
              lambda b1, b2, target=None, **kw: inv.linear_difference_model(b1, b2, **kw),
-             like="band1_path"),
+             like="band1_path", per_pixel=True),
         Tool("multi_freq_bt",
              "Weighted linear combination of multi-frequency "
              "brightness temperatures plus an intercept.",
@@ -386,7 +392,7 @@ def _inversion_tools() -> list[Tool]:
               P("output_path", "string"),
               P("coefficients", "array", False, items="number"),
               P("intercept", "number", False)),
-             inv.multi_freq_bt, like="band_paths"),
+             inv.multi_freq_bt, like="band_paths", per_pixel=True),
         Tool("chang_single_param_inversion",
              "Snow depth in centimeters from the 18H/37H brightness "
              "temperature difference.",
@@ -394,7 +400,7 @@ def _inversion_tools() -> list[Tool]:
               P("tb_37h_path", "string"),
               P("output_path", "string"),
               P("coefficient", "number", False)),
-             inv.chang_snow_depth, like="tb_18h_path"),
+             inv.chang_snow_depth, like="tb_18h_path", per_pixel=True),
         Tool("nasa_team_sea_ice_concentration",
              "Sea-ice concentration (percent) from 19V/19H/37V "
              "passive microwave brightness temperatures via the "
@@ -406,14 +412,14 @@ def _inversion_tools() -> list[Tool]:
               P("tie_points", "object", False,
                 "override tie points: open_water/first_year/multi_year, "
                 "each [19V, 19H, 37V]")),
-             inv.nasa_team_sic, like="tb_19v_path"),
+             inv.nasa_team_sic, like="tb_19v_path", per_pixel=True),
         Tool("dual_polarization_ratio",
              "Polarization ratio (V - H) / (V + H) of two "
              "brightness-temperature rasters.",
              (P("v_path", "string"),
               P("h_path", "string"),
               P("output_path", "string")),
-             inv.polarization_ratio, like="v_path"),
+             inv.polarization_ratio, like="v_path", per_pixel=True),
         Tool("calculate_water_turbidity_ntu",
              "Water turbidity in nephelometric turbidity units from "
              "red-band reflectance.",
@@ -421,7 +427,7 @@ def _inversion_tools() -> list[Tool]:
               P("output_path", "string"),
               P("a", "number", False),
               P("c", "number", False)),
-             inv.turbidity_ntu, like="red_band_path"),
+             inv.turbidity_ntu, like="red_band_path", per_pixel=True),
     ]
 
 
@@ -593,12 +599,13 @@ def _statistics_tools() -> list[Tool]:
     a_b_out = (P("image_a_path", "string"), P("image_b_path", "string"),
                P("output_path", "string"))
 
-    def of_images(outer: Callable, inner: Callable) -> Callable:
+    def of_images(outer: Callable, inner: str) -> Callable:
         """`outer` over the per-image `inner` statistics of a batch."""
-        return lambda images, **kw: float(outer(st.batch_image_stat(images, inner, **kw)))
+        stat = st.IMAGE_STATS[inner]
+        return lambda images, **kw: float(outer(st.batch_image_stat(images, stat, **kw)))
 
-    mean_max_min = (of_images(np.mean, np.mean), of_images(np.max, np.max),
-                    of_images(np.min, np.min))
+    mean_max_min = (of_images(np.mean, "mean"), of_images(np.max, "max"),
+                    of_images(np.min, "min"))
     return [
         *(Tool(name, blurb, (P("data", "array", items="number"),), fn)
           for name, fn, blurb in (
@@ -612,8 +619,8 @@ def _statistics_tools() -> list[Tool]:
                f"Per-image {stat} of valid pixel values over a "
                "batch of rasters, order preserving.",
                (images, band),
-               partial(st.batch_image_stat, reduce=reduce))
-          for stat, reduce in st.IMAGE_STATS.items()),
+               partial(st.batch_image_stat, stat=fn))
+          for stat, fn in st.IMAGE_STATS.items()),
         Tool("calc_batch_image_hotspot_percentage",
              "Per-image percentage of pixels strictly above a "
              "threshold.",
@@ -702,11 +709,11 @@ def _statistics_tools() -> list[Tool]:
         Tool("calc_batch_image_mean_mean",
              "Mean of the per-image mean pixel values.",
              (images, band),
-             of_images(np.mean, np.mean)),
+             of_images(np.mean, "mean")),
         Tool("calc_batch_image_mean_max",
              "Maximum of the per-image mean pixel values.",
              (images, band),
-             of_images(np.max, np.mean)),
+             of_images(np.max, "mean")),
         Tool("calc_batch_image_mean_max_min",
              "Batch summary: mean of means, maximum of maxima, and "
              "minimum of minima across images.",
@@ -769,11 +776,11 @@ def _statistics_tools() -> list[Tool]:
         Tool("calculate_tif_difference",
              "Pixelwise difference image_b - image_a, saved as a "
              "raster.",
-             a_b_out, lambda a, b: b - a, like="image_b_path"),
+             a_b_out, lambda a, b: b - a, like="image_b_path", per_pixel=True),
         Tool("subtract",
              "Pixelwise difference image_a - image_b, saved as a "
              "raster.",
-             a_b_out, lambda a, b: a - b, like="image_a_path"),
+             a_b_out, lambda a, b: a - b, like="image_a_path", per_pixel=True),
         Tool("calculate_area",
              "Count of nonzero valid pixels in an image.",
              (P("image_path", "string"), band),

@@ -9,6 +9,7 @@ the wire result is equivalent to an in-process call.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -77,7 +78,7 @@ class McpServer:
                                   "initialize params must be an object")
             return _rpc_result(request_id, self._initialize(params))
         if method == "tools/list":
-            return _rpc_result(request_id, self._tools_list())
+            return _rpc_result(request_id, self.tools_list[0])
         if method == "tools/call":
             if not isinstance(params, dict) or not isinstance(params.get("name"), str):
                 return _rpc_error(request_id, INVALID_PARAMS,
@@ -98,7 +99,10 @@ class McpServer:
             "serverInfo": {"name": SERVER_NAME, "version": SERVER_VERSION},
         }
 
-    def _tools_list(self) -> dict:
+    @functools.cached_property
+    def tools_list(self) -> tuple[dict, str]:
+        """The `tools/list` result and its `sort_keys` JSON text, built once
+        per server; every reply shares the one result object, unmodified."""
         tools = [
             {
                 "name": spec.name,
@@ -107,7 +111,8 @@ class McpServer:
             }
             for spec in self.registry.list_specs()
         ]
-        return {"tools": tools}
+        result = {"tools": tools}
+        return result, json.dumps(result, sort_keys=True, allow_nan=False)
 
     def _tools_call(self, params: dict) -> dict:
         result = self.registry.call_tool(params["name"], params.get("arguments", {}))
@@ -130,8 +135,13 @@ def _reply(server: McpServer, raw: bytes) -> str | None:
     line = raw.decode("utf-8", "replace").strip()
     try:
         response = server.handle_line(line) if line else None
-        return (None if response is None
-                else json.dumps(response, sort_keys=True, allow_nan=False))
+        if response is None:
+            return None
+        listing, text = server.tools_list
+        if response.get("result") is listing:  # the id spliced into the encoded listing
+            return (f'{{"id": {json.dumps(response["id"], sort_keys=True, allow_nan=False)}, '
+                    f'"jsonrpc": "2.0", "result": {text}}}')
+        return json.dumps(response, sort_keys=True, allow_nan=False)
     except Exception as exc:  # one request must not end the session
         traceback.print_exc()
         return json.dumps(_rpc_error(None, INTERNAL_ERROR,
@@ -173,6 +183,7 @@ def serve_tcp(registry: ToolRegistry, host: str = DEFAULT_HOST, port: int = DEFA
     accepting, sends SIGTERM to the live connection processes and reaps them.
     """
     server = McpServer(registry)
+    server.tools_list  # encoded once here, not once per connection process
 
     class Handler(socketserver.StreamRequestHandler):
         def setup(self):

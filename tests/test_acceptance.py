@@ -40,7 +40,7 @@ from geoagent.kits import inversion as inv
 from geoagent.kits import perception as perc
 from geoagent.kits.perception import MockExpertBackend
 from geoagent.raster import from_array, load_raster
-from geoagent.raster.tiff import read_tiff, write_tiff
+from geoagent.raster.tiff import decode_tiff, write_tiff
 from geoagent.tools import ToolContext, build_registry
 from geoagent.tools.mcp import McpServer
 from geoagent.workspace import Workspace
@@ -418,7 +418,7 @@ def test_criterion_7_raster_round_trip(tmp_path):
             r = from_array(data, dtype=dtype, geo=geo)
             path = tmp_path / f"rt_{i}.tif"
             write_tiff(r, path, compress=bool(rng.integers(0, 2)))
-            back = read_tiff(path)
+            back = decode_tiff(path.read_bytes())
             assert back.data.dtype == r.data.dtype
             assert np.array_equal(back.data, r.data)
             assert back.geo == r.geo

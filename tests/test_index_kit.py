@@ -184,6 +184,16 @@ class TestTvdi:
 
     @pytest.mark.parametrize("bins", [0, -1, -10**6])
     def test_bins_below_one_refused(self, tool_registry, workspace, bins):
+        assert self.refusal(tool_registry, workspace, bins) == f"at least 1, got {bins}"
+
+    @pytest.mark.parametrize("bins", [index.MAX_TVDI_BINS + 1, 10**18])
+    def test_bins_past_the_bound_refused(self, tool_registry, workspace, bins):
+        assert (self.refusal(tool_registry, workspace, bins)
+                == f"at most {index.MAX_TVDI_BINS}, got {bins}")
+
+    @staticmethod
+    def refusal(tool_registry, workspace, bins) -> str:
+        """What `compute_tvdi` says `bins` must be, refusing it before any output."""
         ndvi, lst, _ = tvdi_fixture()
         write_raster(workspace.root / "ndvi.tif", ndvi)
         write_raster(workspace.root / "lst.tif", lst)
@@ -191,5 +201,14 @@ class TestTvdi:
             "ndvi_path": "ndvi.tif", "lst_path": "lst.tif",
             "output_path": "tvdi.tif", "bins": bins})
         assert result.error_class == "InvalidParameters"
-        assert f"bins must be at least 1, got {bins}" in result.text
         assert not (workspace.root / "tvdi.tif").exists()
+        return result.text.split("bins must be ", 1)[1]
+
+    def test_bins_at_the_bound_accepted(self, tool_registry, workspace):
+        ndvi, lst, _ = tvdi_fixture()
+        write_raster(workspace.root / "ndvi.tif", ndvi)
+        write_raster(workspace.root / "lst.tif", lst)
+        result = tool_registry.call_tool("compute_tvdi", {
+            "ndvi_path": "ndvi.tif", "lst_path": "lst.tif",
+            "output_path": "tvdi.tif", "bins": index.MAX_TVDI_BINS})
+        assert result.error_class is None

@@ -16,6 +16,7 @@ from geoagent.kits.perception import MockExpertBackend
 from geoagent.tools import ToolContext, build_registry
 from geoagent.tools import mcp
 from geoagent.tools.mcp import McpServer, serve_stream
+from geoagent.tools.registry import ToolSpec
 from geoagent.workspace import Workspace
 
 from conftest import write_raster
@@ -77,6 +78,43 @@ class TestGoldenWire:
         for tool, spec in zip(listing["result"]["tools"], specs):
             assert spec.input_schema() == tool["inputSchema"]
 
+    @pytest.mark.parametrize("request_id", [
+        1, 0, -7, 2**70, 1.5, "abc", "\u00e9\"", None, True, [3, {"b": 1, "a": 2}],
+        {"z": [1, 2], "a": {"y": None, "b": "x"}}])
+    def test_listing_reply_splices_the_id(self, shared_server, request_id):
+        """The encoded listing with the id spliced in is the bytes that
+        encoding the whole response gives."""
+        line = json.dumps({"jsonrpc": "2.0", "id": request_id, "method": "tools/list"})
+        want = json.dumps(shared_server.handle_line(line), sort_keys=True, allow_nan=False)
+        assert mcp._reply(shared_server, line.encode()) == want
+        assert json.loads(want)["id"] == request_id
+
+    def test_listing_id_past_float_range_is_an_internal_error(self, shared_server):
+        reply = json.loads(mcp._reply(shared_server, b'{"jsonrpc": "2.0", "id": 1e400, '
+                                                     b'"method": "tools/list"}'))
+        assert reply["error"]["code"] == mcp.INTERNAL_ERROR
+
+    @staticmethod
+    def count_schemas(monkeypatch) -> list:
+        """Each `ToolSpec.input_schema` call, recorded from now on."""
+        calls, original = [], ToolSpec.input_schema
+        monkeypatch.setattr(ToolSpec, "input_schema",
+                            lambda spec: calls.append(spec.name) or original(spec))
+        return calls
+
+    def test_listing_is_encoded_once(self, tmp_path, monkeypatch):
+        server = make_server(tmp_path)
+        calls = self.count_schemas(monkeypatch)
+        line = json.dumps({"jsonrpc": "2.0", "id": 1, "method": "tools/list"}).encode()
+        assert len({mcp._reply(server, line) for _ in range(3)}) == 1
+        assert len(calls) == len(server.registry)
+
+    def test_tcp_listener_encodes_the_listing_before_any_connection(self, tmp_path,
+                                                                     monkeypatch):
+        registry = make_server(tmp_path).registry
+        calls = self.count_schemas(monkeypatch)
+        mcp.serve_tcp(registry, port=0).server_close()
+        assert len(calls) == len(registry)
 
 def random_calls(rng, n):
     """A mix of valid and deliberately broken calls across tool families."""

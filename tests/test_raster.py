@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 import sys
 import threading
@@ -468,6 +469,30 @@ class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFileError):
             load_raster(tmp_path / "absent.tif")
+
+    def test_the_file_is_opened_once(self, tmp_path, monkeypatch):
+        import builtins
+        import io
+
+        save_raster(from_array(np.ones((2, 2))), tmp_path / "f.tif")
+        opened = []
+        for owner, name in ((os, "open"), (io, "open"), (builtins, "open")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda f, *a, _real=real, **kw: (
+                opened.append(f) if not isinstance(f, int) else None) or _real(f, *a, **kw))
+        load_raster(tmp_path / "f.tif")
+        assert opened == [tmp_path / "f.tif"]
+
+    def test_what_is_no_regular_file_is_missing(self, tmp_path):
+        """A directory, a FIFO (without blocking on it), a path through a
+        file, a symlink loop and a NUL all name no file to read."""
+        (tmp_path / "dir.tif").mkdir()
+        os.mkfifo(tmp_path / "fifo.tif")
+        save_raster(from_array(np.ones((2, 2))), tmp_path / "f.tif")
+        os.symlink(tmp_path / "loop.tif", tmp_path / "loop.tif")
+        for name in ("dir.tif", "fifo.tif", "f.tif/x.tif", "loop.tif", "nul\0.tif"):
+            with pytest.raises(MissingFileError, match="^no such file: "):
+                load_raster(f"{tmp_path}/{name}")
 
     def test_not_a_tiff(self, tmp_path):
         # JSON text is no raster either: there is no plain-text raster format
