@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..raster import Raster
+from ..raster import Raster, model
 
 
 def as_binary(band: np.ndarray, what: str = "map") -> np.ndarray:
@@ -31,11 +31,64 @@ def nonempty(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def pairwise_sums(samples: np.ndarray, leaf) -> tuple:
+    """Sums over the samples widened to float64, each bit for bit the one
+    `np.add.reduce` takes over the whole widened vector, with only one leaf
+    of at most `model.BLOCK_SAMPLES` samples widened at a time.
+
+    numpy adds n values pairwise: fewer than 8 in order, up to 128 in eight
+    running sums, and more as the sum of the first n2 = n//2 - (n//2) % 8
+    and the sum of the rest. This follows that tree down to its leaves;
+    `leaf(x)` gets one leaf's samples `x` in float64 and returns a tuple of
+    `np.add.reduce` results, which the tree adds up position by position.
+    numpy starts each reduction from +0.0, so a sum differs from numpy's
+    only in the sign of a zero inside the tree, which the last addition of
+    +0.0 clears.
+    """
+    return _pairwise(samples, leaf, 0, samples.size)
+
+
+def _pairwise(samples: np.ndarray, leaf, lo: int, n: int) -> tuple:
+    """`pairwise_sums` of the n samples from `lo` on."""
+    if n <= max(model.BLOCK_SAMPLES, 128):  # numpy splits no run of 128
+        return leaf(samples[lo:lo + n].astype(np.float64, copy=False))
+    n2 = n // 2 - (n // 2) % 8
+    return tuple(a + b for a, b in zip(_pairwise(samples, leaf, lo, n2),
+                                       _pairwise(samples, leaf, lo + n2, n - n2)))
+
+
+def sample_sum(samples: np.ndarray) -> np.float64:
+    """`np.sum` of the samples widened to float64, bit for bit."""
+    return pairwise_sums(samples, lambda x: (np.add.reduce(x),))[0]
+
+
+def sample_mean(samples: np.ndarray) -> np.float64:
+    """`np.mean` of the nonempty samples widened to float64, bit for bit."""
+    return sample_sum(samples) / samples.size
+
+
+def deviation_means(samples: np.ndarray, mean: np.float64, powers: tuple) -> tuple:
+    """`np.mean((x - mean) ** p)` for each p of `powers`, with x the
+    nonempty samples widened to float64, bit for bit."""
+    def leaf(x: np.ndarray) -> tuple:
+        d = x - mean
+        return tuple(np.add.reduce(d ** p) for p in powers)
+
+    return tuple(total / samples.size for total in pairwise_sums(samples, leaf))
+
+
+def count_beyond(samples: np.ndarray, comparator, threshold: float) -> int:
+    """Samples for which `comparator(sample, threshold)` holds, compared in
+    float64 as their widened values are: NEP 50 would compare an f32 array
+    with a Python float in float32."""
+    return int(np.count_nonzero(comparator(samples, np.float64(threshold))))
+
+
 def _order_statistic(r: Raster, band: int, samples: np.ndarray,
                      percentile: float | None = None) -> float:
     """`np.percentile(r.values(band), percentile)`, or `np.median` of them
     when `percentile` is None, bit for bit, from `samples`, the nonempty
-    `r.samples(band)`, which the call reorders.
+    `r.samples(band)`, which the call reorders (a copy, when it is a view).
 
     Both need the order statistics at two neighbouring ranks. One
     single-kth partition of the stored samples and the least value past it
@@ -55,6 +108,8 @@ def _order_statistic(r: Raster, band: int, samples: np.ndarray,
         if vi < n - 1:
             lo_rank = int(np.floor(vi))
             hi_rank = lo_rank + 1
+    if not samples.flags.writeable:
+        samples = samples.copy()
     samples.partition(lo_rank)
     lo = np.float64(samples[lo_rank])
     hi = lo if hi_rank == lo_rank else np.float64(samples[hi_rank:].min())

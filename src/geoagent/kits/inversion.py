@@ -337,20 +337,24 @@ def turbidity_ntu(red_reflectance: np.ndarray, a: float = TURBIDITY_A,
     return np.where(red_reflectance >= c, np.nan, out)
 
 
-def lst_stat_by_ndvi(reduce, lst_rasters: list[Raster], ndvi_rasters: list[Raster],
+def lst_stat_by_ndvi(reduce, lst_rasters, ndvi_rasters,
                      threshold: float, direction=np.greater) -> float:
     """`reduce` (such as np.mean) over the LST pixels whose NDVI is on the
-    `direction` side of a threshold, pooled across pairs."""
+    `direction` side of a threshold, pooled across pairs. Only the selected
+    pixels are pooled: `map` lets go of each pair before it takes the next,
+    so lists that load their rasters as they are taken hold one pair."""
     if len(lst_rasters) != len(ndvi_rasters):
         raise InvalidInputError(
             f"paired lists differ in length: {len(lst_rasters)} LST vs "
             f"{len(ndvi_rasters)} NDVI"
         )
-    selected: list[np.ndarray] = []
-    for lst_r, ndvi_r in zip(lst_rasters, ndvi_rasters):
+
+    def select(lst_r: Raster, ndvi_r: Raster) -> np.ndarray:
         require_same_grid(lst_r, ndvi_r)
-        lst, ndvi = lst_r.band(), ndvi_r.band()
-        selected.append(lst[direction(ndvi, threshold) & ~np.isnan(lst)])
+        lst = lst_r.band()
+        return lst[direction(ndvi_r.band(), threshold) & ~np.isnan(lst)]
+
+    selected = list(map(select, lst_rasters, ndvi_rasters))
     pool = np.concatenate(selected) if selected else np.array([])
     if pool.size == 0:
         raise InvalidInputError("NDVI condition selects no pixels")

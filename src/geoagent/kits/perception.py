@@ -22,7 +22,7 @@ from .. import finite_json
 from ..errors import ExternalServiceError, InvalidInputError, SchemaError
 from ..raster import Raster, load_raster, mask_like, save_raster
 from ..workspace import Workspace
-from .common import as_binary
+from .common import as_binary, count_beyond
 
 MOCK_MANIFEST = "mock_manifest.json"  # the mock backend's default, at the workspace root
 
@@ -142,8 +142,7 @@ def threshold_segmentation(r: Raster, threshold: float) -> Raster:
 def count_above_threshold(r: Raster, threshold: float) -> int:
     if r.bands != 1:
         raise InvalidInputError(f"count expects a single band, got {r.bands}")
-    vals = r.values()
-    return int(np.count_nonzero(vals > threshold))
+    return count_beyond(r.samples(), np.greater, threshold)
 
 
 def _refuse_degenerate(*stages: np.ndarray) -> None:

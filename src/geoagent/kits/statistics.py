@@ -18,7 +18,14 @@ import numpy as np
 from ..errors import InvalidInputError, MissingFileError
 from ..finite_json import is_finite_number
 from ..raster import Raster, map_rows, mask_like, require_same_grid
-from .common import _order_statistic, nonempty
+from .common import (
+    _order_statistic,
+    count_beyond,
+    deviation_means,
+    nonempty,
+    sample_mean,
+    sample_sum,
+)
 
 COMPARATORS = {
     ">": np.greater,
@@ -73,26 +80,39 @@ def coefficient_of_variation(data) -> float:
 
 
 def skewness(data) -> float:
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.size < 3:
-        raise InvalidInputError("skewness needs at least 3 values")
-    m = arr.mean()
-    m2 = np.mean((arr - m) ** 2)
-    if m2 == 0.0:
-        raise InvalidInputError("skewness undefined at zero variance")
-    return float(np.mean((arr - m) ** 3) / m2 ** 1.5)
+    return _skewness(np.asarray(data, dtype=np.float64))
 
 
 def kurtosis(data) -> float:
     """Excess kurtosis: population fourth moment over variance squared, minus 3."""
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.size < 4:
+    return _kurtosis(np.asarray(data, dtype=np.float64))
+
+
+# The moments take a 1-D vector of samples in any stored dtype and work in
+# float64, one leaf of samples at a time (`common.pairwise_sums`).
+
+
+def _skewness(samples: np.ndarray) -> float:
+    if samples.size < 3:
+        raise InvalidInputError("skewness needs at least 3 values")
+    m2, m3 = deviation_means(samples, sample_mean(samples), (2, 3))
+    if m2 == 0.0:
+        raise InvalidInputError("skewness undefined at zero variance")
+    return float(m3 / m2 ** 1.5)
+
+
+def _kurtosis(samples: np.ndarray) -> float:
+    if samples.size < 4:
         raise InvalidInputError("kurtosis needs at least 4 values")
-    m = arr.mean()
-    m2 = np.mean((arr - m) ** 2)
+    m2, m4 = deviation_means(samples, sample_mean(samples), (2, 4))
     if m2 == 0.0:
         raise InvalidInputError("kurtosis undefined at zero variance")
-    return float(np.mean((arr - m) ** 4) / (m2 * m2) - 3.0)
+    return float(m4 / (m2 * m2) - 3.0)
+
+
+def _std(samples: np.ndarray) -> np.float64:
+    (variance,) = deviation_means(samples, sample_mean(samples), (2,))
+    return np.sqrt(variance)
 
 
 # ---------------------------------------------------------------------------
@@ -100,33 +120,61 @@ def kurtosis(data) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _of_values(reduce):
-    """A per-image statistic: `reduce` over the band's valid values."""
-    return lambda r, band: reduce(nonempty(r.values(band), "image"))
+def _of_samples(reduce):
+    """A per-image statistic: `reduce` over the band's valid stored samples."""
+    return lambda r, band: reduce(nonempty(r.samples(band), "image"))
 
 
 def _median(r: Raster, band: int) -> float:
     return _order_statistic(r, band, nonempty(r.samples(band), "image"))
 
 
+def _extreme(pick):
+    """A per-image statistic: `pick` (np.min or np.max) of the band's valid
+    values. Widening keeps the order, so the stored sample picked is the
+    value numpy picks, except among zeros of two signs: when a float band's
+    pick is zero, numpy decides, on the values."""
+    def stat(r: Raster, band: int) -> np.float64:
+        samples = nonempty(r.samples(band), "image")
+        value = np.float64(pick(samples))
+        return pick(r.values(band)) if value == 0 and samples.dtype.kind == "f" else value
+
+    return stat
+
+
 # per-image statistic -> its value on (raster, band)
 IMAGE_STATS = {
-    "mean": _of_values(np.mean),
-    "std": _of_values(np.std),
+    "mean": _of_samples(sample_mean),
+    "std": _of_samples(_std),
     "median": _median,
-    "min": _of_values(np.min),
-    "max": _of_values(np.max),
-    "skewness": _of_values(skewness),
-    "kurtosis": _of_values(kurtosis),
-    "sum": _of_values(np.sum),
+    "min": _extreme(np.min),
+    "max": _extreme(np.max),
+    "skewness": _of_samples(_skewness),
+    "kurtosis": _of_samples(_kurtosis),
+    "sum": _of_samples(sample_sum),
 }
 
 
-def batch_image_stat(rasters: list[Raster], stat, band: int = 1) -> list[float]:
-    """`stat` (an `IMAGE_STATS` value) of each image's band, in order."""
-    if not rasters:
+def _per_image(rasters, fn) -> list:
+    """`fn` of each image of a nonempty batch, in order. `map` lets go of
+    each image before it takes the next, so a batch that loads its images
+    as they are taken holds one at a time."""
+    if not len(rasters):
         raise InvalidInputError("empty image batch")
-    return [float(stat(r, band)) for r in rasters]
+    return list(map(fn, rasters))
+
+
+def batch_image_stat(rasters, stat, band: int = 1) -> list[float]:
+    """`stat` (an `IMAGE_STATS` value) of each image's band, in order."""
+    return _per_image(rasters, lambda r: float(stat(r, band)))
+
+
+def batch_mean_max_min(rasters, band: int = 1) -> tuple[float, float, float]:
+    """The mean of the per-image means, the maximum of the maxima and the
+    minimum of the minima, taking each image once."""
+    means, maxes, mins = zip(*_per_image(rasters, lambda r: tuple(
+        float(IMAGE_STATS[s](r, band)) for s in ("mean", "max", "min"))))
+    return float(np.mean(means)), float(np.max(maxes)), float(np.min(mins))
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +184,13 @@ def batch_image_stat(rasters: list[Raster], stat, band: int = 1) -> list[float]:
 
 def percent_satisfying(r: Raster, comparator, threshold: float,
                        band: int = 1) -> float:
-    vals = nonempty(r.values(band), "image")
-    return float(100.0 * np.count_nonzero(comparator(vals, threshold)) / vals.size)
+    samples = nonempty(r.samples(band), "image")
+    return float(100.0 * count_beyond(samples, comparator, threshold) / samples.size)
 
 
-def hotspot_percentages(rasters: list[Raster], threshold: float,
+def hotspot_percentages(rasters, threshold: float,
                         comparator=np.greater, band: int = 1) -> list[float]:
-    if not rasters:
-        raise InvalidInputError("empty image batch")
-    return [percent_satisfying(r, comparator, threshold, band) for r in rasters]
+    return _per_image(rasters, lambda r: percent_satisfying(r, comparator, threshold, band))
 
 
 def hotspot_map(r: Raster, threshold: float, band: int = 1) -> Raster:
@@ -152,7 +198,7 @@ def hotspot_map(r: Raster, threshold: float, band: int = 1) -> Raster:
     return mask_like(r, r.band(band) < threshold)
 
 
-def threshold_ratio(rasters: list[Raster], threshold: float, band: int = 1,
+def threshold_ratio(rasters, threshold: float, band: int = 1,
                     comparator=np.greater) -> float:
     """Average percentage of pixels satisfying the threshold across images."""
     return float(np.mean(hotspot_percentages(rasters, threshold, comparator, band)))
@@ -195,7 +241,7 @@ def count_pixels_satisfying(r: Raster, conditions: list[dict]) -> int:
     return int(np.count_nonzero(multi_band_condition_mask(r, conditions)))
 
 
-def count_images_exceeding_ratio(rasters: list[Raster], threshold: float,
+def count_images_exceeding_ratio(rasters, threshold: float,
                                  ratio: float, band: int = 1,
                                  comparator=np.greater) -> int:
     """Images whose percentage of pixels beyond the threshold exceeds `ratio`."""
@@ -203,7 +249,7 @@ def count_images_exceeding_ratio(rasters: list[Raster], threshold: float,
     return int(sum(1 for p in pcts if p > ratio))
 
 
-def average_ratio_exceeding(rasters: list[Raster], threshold: float,
+def average_ratio_exceeding(rasters, threshold: float,
                             ratio_threshold: float, band: int = 1) -> float:
     """Mean percentage over images whose share of pixels above the threshold
     exceeds the ratio threshold."""
@@ -214,7 +260,7 @@ def average_ratio_exceeding(rasters: list[Raster], threshold: float,
     return float(np.mean(pcts))
 
 
-def images_mean_vs_threshold(rasters: list[Raster], threshold: float,
+def images_mean_vs_threshold(rasters, threshold: float,
                              direction=np.greater, mode=COUNT_MODES["count"],
                              band: int = 1) -> float:
     """`mode` of the images whose band mean is on the `direction` side of a threshold."""
@@ -222,7 +268,7 @@ def images_mean_vs_threshold(rasters: list[Raster], threshold: float,
     return mode(sum(1 for m in means if direction(m, threshold)), len(means))
 
 
-def count_images_vs_mean_multiplier(rasters: list[Raster], multiplier: float,
+def count_images_vs_mean_multiplier(rasters, multiplier: float,
                                     direction=np.greater, band: int = 1) -> int:
     """Images whose mean is on the `direction` side of multiplier x (mean of all means)."""
     means = batch_image_stat(rasters, IMAGE_STATS["mean"], band)
@@ -230,15 +276,8 @@ def count_images_vs_mean_multiplier(rasters: list[Raster], multiplier: float,
     return int(sum(1 for m in means if direction(m, reference)))
 
 
-def fire_pixel_counts(rasters: list[Raster], threshold: float,
-                      band: int = 1) -> list[int]:
-    if not rasters:
-        raise InvalidInputError("empty image batch")
-    out = []
-    for r in rasters:
-        vals = r.values(band)
-        out.append(int(np.count_nonzero(vals > threshold)))
-    return out
+def fire_pixel_counts(rasters, threshold: float, band: int = 1) -> list[int]:
+    return _per_image(rasters, lambda r: count_beyond(r.samples(band), np.greater, threshold))
 
 
 def fire_increase_map(before: Raster, after: Raster, threshold: float) -> Raster:
@@ -370,8 +409,7 @@ def list_select(items: list, indexes: list[int]) -> list:
 
 
 def area_nonzero(r: Raster, band: int = 1) -> int:
-    vals = r.values(band)
-    return int(np.count_nonzero(vals != 0.0))
+    return int(np.count_nonzero(r.samples(band)))
 
 
 def percentile_value(r: Raster, percentile: float, band: int = 1) -> float:

@@ -144,16 +144,15 @@ class Raster:
         return b.ravel()
 
     def samples(self, band: int = 1) -> np.ndarray:
-        """Valid samples of one band in their stored dtype, as a new 1-D
-        array: the samples `values` holds, in the same order, not widened."""
+        """Valid samples of one band in their stored dtype, 1-D: the samples
+        `values` holds, in the same order, not widened. When no sample is
+        masked this is a read-only view of the plane, else a new array."""
         plane = self.plane(band)
         masked = _nodata_at(plane, self.nodata)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # a sum is NaN when one of its terms is (or from inf - inf)
-            nan_possible = plane.dtype.kind == "f" and np.isnan(plane.sum())
-        if nan_possible:
+        # a minimum is NaN when one of the samples is
+        if plane.dtype.kind == "f" and plane.size and np.isnan(plane.min()):
             masked = np.isnan(plane) if masked is None else masked | np.isnan(plane)
-        return plane.flatten() if masked is None else plane[~masked]
+        return plane.reshape(-1) if masked is None else plane[~masked]
 
     def same_shape(self, other: "Raster") -> bool:
         return (self.height, self.width) == (other.height, other.width)

@@ -14,6 +14,8 @@ confined to the workspace and reported as "Result saved at <path>".
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -76,9 +78,12 @@ class Tool(NamedTuple):
     is per pixel (each output pixel depends only on the input pixels at the
     same place) sets `per_pixel`, and `fn` then runs over blocks of rows
     (`map_rows`); neighbourhoods, fitted edges and iterations to a
-    whole-array tolerance are not per pixel. With `prefix` set, the
-    tool is a batch (see `_batch_handler`). A row with `handler` bypasses
-    all of this, but it too receives its path arguments resolved.
+    whole-array tolerance are not per pixel. Without `like` or `prefix`, a
+    `files` parameter reaches `fn` as `_Loading`, which loads each raster
+    as the iteration reaches it, so a kit that lets go of each image
+    before it takes the next holds one at a time. With `prefix` set, the
+    tool is a batch (see `_batch_handler`). A row with `handler` bypasses all of
+    this, but it too receives its path arguments resolved.
     """
 
     name: str
@@ -96,12 +101,20 @@ def _save(raster: Raster, out: Path) -> ToolResult:
     return ok_result(value=str(out), text=f"Result saved at {out}", files=[str(out)])
 
 
-def _save_many(rasters: list[Raster], outs: list[Path]) -> ToolResult:
-    for r, out in zip(rasters, outs):
-        save_raster(r, out)
-    names = [str(o) for o in outs]
-    return ok_result(value=names, text="\n".join(f"Result saved at {o}" for o in names),
-                     files=names)
+class _Loading:
+    """The rasters at `paths`, each loaded when an iteration reaches it and
+    held by nothing here: what a `files` parameter of a row without `like`
+    or `prefix` gives its kit."""
+
+    def __init__(self, paths: list[Path]) -> None:
+        self.paths = paths
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __iter__(self):
+        for path in self.paths:
+            yield load_raster(path)
 
 
 def _as_list(value: Raster | list[Raster]) -> list[Raster]:
@@ -121,7 +134,9 @@ def _call(tool: Tool, args: dict):
                 given[p.name] = args[p.name]
         elif p.kind not in ("out_file", "out_dir"):
             value = args[p.name]
-            if p.kind in ("file", "files"):
+            if p.kind == "files" and tool.like is None and tool.prefix is None:
+                value = _Loading(value)
+            elif p.kind in ("file", "files"):
                 value = ([load_raster(v) for v in value] if isinstance(value, list)
                          else load_raster(value))
                 loaded.append(p.name)
@@ -148,15 +163,16 @@ def _raster_handler(tool: Tool) -> Callable[[dict], object]:
     return handler
 
 
-def _per_item(fn: Callable, items: list) -> list:
-    """`fn` of each batch item; an error names the item it came from."""
-    out = []
-    for i, item in enumerate(items):
-        try:
-            out.append(fn(item))
-        except GeoAgentError as exc:
-            raise type(exc)(f"batch item {i}: {exc}") from exc
-    return out
+def _item(i: int, fn: Callable, item):
+    """`fn` of batch item i; an error names the item it came from."""
+    try:
+        return fn(item)
+    except GeoAgentError as exc:
+        raise type(exc)(f"batch item {i}: {exc}") from exc
+
+
+# numbers the temporary files of batch outputs within this process
+_TEMPORARIES = itertools.count()
 
 
 def _batch_handler(tool: Tool, resolve: Callable) -> Callable[[dict], ToolResult]:
@@ -164,7 +180,12 @@ def _batch_handler(tool: Tool, resolve: Callable) -> Callable[[dict], ToolResult
     save item i as <out_dir>/<prefix>_<stem of its first path>.tif, a path
     that `resolve` checks as an `out_file` like any other. Every item's
     output is named before any kit runs, and two items that would share a
-    name are refused."""
+    name are refused.
+
+    Item i is computed and written before item i + 1 is loaded, each to a
+    temporary file beside its output. The temporaries replace the outputs
+    only once every item has succeeded, so a failed call leaves no output
+    (nor a directory it made), and no item reads another item's output."""
     lists = [p.name for p in tool.params if p.kind == "files"]
     out_dir = next(p.name for p in tool.params if p.kind == "out_dir")
 
@@ -173,17 +194,41 @@ def _batch_handler(tool: Tool, resolve: Callable) -> Callable[[dict], ToolResult
         if len(lengths) != 1:
             raise InvalidInputError(
                 f"band path lists must have equal lengths, got {sorted(lengths)}")
+
+        def output(item) -> Path:
+            return resolve(args[out_dir] / f"{tool.prefix}_{item[0].stem}.tif", "out_file")
+
+        def computed(item) -> Raster:
+            return _call(tool, {**args, **dict(zip(lists, item))})
+
         items = list(zip(*(args[n] for n in lists)))
-        outs = _per_item(lambda item: resolve(
-            args[out_dir] / f"{tool.prefix}_{item[0].stem}.tif", "out_file"), items)
+        outs = [_item(i, output, item) for i, item in enumerate(items)]
         first: dict[Path, int] = {}
         for i, out in enumerate(outs):
             if first.setdefault(out, i) != i:
                 raise InvalidInputError(f"batch items {first[out]} and {i} would "
                                         f"both be saved as {out.name}")
-        rasters = _per_item(lambda item: _call(tool, {**args, **dict(zip(lists, item))}),
-                            items)
-        return _save_many(rasters, outs)
+        temps = [out.with_name(f".{out.name}.{os.getpid()}-{next(_TEMPORARIES)}.tmp")
+                 for out in outs]
+        # the directories the first save makes, innermost first
+        made = list(itertools.takewhile(lambda d: not d.exists(), outs[0].parents))
+        try:
+            for i, (item, temp) in enumerate(zip(items, temps)):
+                save_raster(_item(i, computed, item), temp)
+            for temp, out in zip(temps, outs):
+                os.replace(temp, out)
+        except BaseException:
+            for temp in temps:
+                temp.unlink(missing_ok=True)
+            for d in made:
+                try:
+                    d.rmdir()
+                except OSError:
+                    break
+            raise
+        names = [str(o) for o in outs]
+        return ok_result(value=names, text="\n".join(f"Result saved at {o}" for o in names),
+                         files=names)
 
     return handler
 
@@ -604,8 +649,6 @@ def _statistics_tools() -> list[Tool]:
         stat = st.IMAGE_STATS[inner]
         return lambda images, **kw: float(outer(st.batch_image_stat(images, stat, **kw)))
 
-    mean_max_min = (of_images(np.mean, "mean"), of_images(np.max, "max"),
-                    of_images(np.min, "min"))
     return [
         *(Tool(name, blurb, (P("data", "array", items="number"),), fn)
           for name, fn, blurb in (
@@ -718,8 +761,7 @@ def _statistics_tools() -> list[Tool]:
              "Batch summary: mean of means, maximum of maxima, and "
              "minimum of minima across images.",
              (images, band),
-             _record(lambda images, **kw: [f(images, **kw) for f in mean_max_min],
-                     ("mean_of_means", "max_of_maxes", "min_of_mins"))),
+             _record(st.batch_mean_max_min, ("mean_of_means", "max_of_maxes", "min_of_mins"))),
         Tool("calc_batch_image_mean_threshold",
              "Count or percentage of images whose band mean is above "
              "or below a threshold.",

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,3 +214,89 @@ class TestTvdi:
             "ndvi_path": "ndvi.tif", "lst_path": "lst.tif",
             "output_path": "tvdi.tif", "bins": index.MAX_TVDI_BINS})
         assert result.error_class is None
+
+
+def loop_tvdi_edges(ndvi: np.ndarray, lst: np.ndarray, bins: int):
+    """The edge fit as one scan of the pixels per bin: the oracle for
+    `fit_tvdi_edges`, which assigns every pixel its bin in one search."""
+    ok = ~(np.isnan(ndvi) | np.isnan(lst))
+    x, y = ndvi[ok], lst[ok]
+    lo, hi = float(np.min(x)), float(np.max(x))
+    edges = np.linspace(lo, hi, bins + 1)
+    centers, dry, wet = [], [], []
+    for i in range(bins):
+        upper = edges[i + 1] if i < bins - 1 else hi + 1e-12
+        sel = (x >= edges[i]) & (x < upper)
+        if np.count_nonzero(sel) < index.TVDI_MIN_BIN_PIXELS:
+            continue
+        centers.append(0.5 * (edges[i] + edges[i + 1]))
+        dry.append(float(np.max(y[sel])))
+        wet.append(float(np.min(y[sel])))
+    if len(centers) < 2:
+        raise InvalidInputError(
+            f"TVDI: only {len(centers)} usable NDVI bin(s), need at least 2"
+        )
+    c = np.asarray(centers)
+    dry_fit = np.polyfit(c, np.asarray(dry), 1)
+    wet_fit = np.polyfit(c, np.asarray(wet), 1)
+    return (float(dry_fit[0]), float(dry_fit[1])), (float(wet_fit[0]), float(wet_fit[1]))
+
+
+def outcome(fit, ndvi, lst, bins) -> str:
+    """The fit's edges by `repr`, or its error text (an infinite LST in a
+    usable bin fails the least-squares fit)."""
+    try:
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return repr(fit(ndvi, lst, bins))
+    except InvalidInputError as exc:
+        return f"error: {exc}"
+    except np.linalg.LinAlgError as exc:
+        return f"fit failed: {exc}"
+
+
+NDVI_VALUES = [0.0, -0.0, 0.5, 1.0, -1.0, 1e-9, 3.4e38, -3.4e38, 1e5, 1e5 + 2**-36,
+               float("inf"), float("-inf"), float("nan")]
+LST_VALUES = [0.0, -0.0, 300.0, 250.5, -1.0, float("inf"), float("-inf"), float("nan")]
+
+
+class TestTvdiOracle:
+    """`fit_tvdi_edges` gives the per-bin scan's edges, bit for bit, or its error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_scan_per_bin(self, data):
+        n = data.draw(st.integers(1, 120))
+        pool = data.draw(st.lists(st.one_of(st.sampled_from(NDVI_VALUES),
+                                            st.floats(-2.0, 2.0)), min_size=1, max_size=10))
+        ndvi = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+        lst = np.array(data.draw(st.lists(st.one_of(st.sampled_from(LST_VALUES),
+                                                    st.floats(-1e3, 1e3)),
+                                          min_size=n, max_size=n)))
+        bins = data.draw(st.one_of(st.integers(1, 12), st.sampled_from([20, 100])))
+        if np.isnan(ndvi).all() or np.nanmin(ndvi) >= np.nanmax(ndvi):
+            return  # refused before any bin is made, by the code both share
+        assert outcome(index.fit_tvdi_edges, ndvi, lst, bins) == \
+            outcome(loop_tvdi_edges, ndvi, lst, bins)
+
+    def test_hi_plus_1e_12_rounding_to_hi_keeps_the_maximum_out(self):
+        # past 1e4 an ulp exceeds 1e-12: the last bin is [edges[-2], hi), so
+        # the pixels at hi fall in no bin and the last bin stays empty
+        ndvi = np.array([1e5] * 3 + [1e5 + 2] * 3)
+        lst = np.arange(6.0)
+        assert 1e5 + 2 + 1e-12 == 1e5 + 2
+        assert outcome(loop_tvdi_edges, ndvi, lst, 2) == \
+            "error: TVDI: only 1 usable NDVI bin(s), need at least 2"
+        assert outcome(index.fit_tvdi_edges, ndvi, lst, 2) == \
+            outcome(loop_tvdi_edges, ndvi, lst, 2)
+        small = ndvi - 1e5  # at 2, hi + 1e-12 > hi: the maximum joins the last bin
+        assert not outcome(loop_tvdi_edges, small, lst, 2).startswith("error")
+        assert outcome(index.fit_tvdi_edges, small, lst, 2) == \
+            outcome(loop_tvdi_edges, small, lst, 2)
+
+    def test_many_bins_on_a_large_field(self):
+        rng = np.random.default_rng(5)
+        ndvi = rng.uniform(-0.2, 0.9, (256, 256))
+        lst = 320.0 - 20.0 * ndvi + rng.normal(0.0, 2.0, ndvi.shape)
+        assert outcome(index.fit_tvdi_edges, ndvi, lst, 1000) == \
+            outcome(loop_tvdi_edges, ndvi, lst, 1000)
