@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from ..raster import Raster
-from .common import as_binary
+from .common import as_binary, order_statistic
 
 
 def _valid(values) -> np.ndarray:
@@ -35,6 +35,8 @@ MAX_MANN_KENDALL_VALUES = 200_000
 MAX_SENS_VALUES = 4000
 MAX_CHANGE_POINT_VALUES = 8000
 MAX_STL_VALUES = 1500
+# the ACF's products: n valid values times (max_lag + 1) lags
+MAX_ACF_WORK = 1_500_000_000
 
 
 def _refuse_past(bound: int, n: int, what: str) -> None:
@@ -161,18 +163,13 @@ def mann_kendall(values, alpha: float = 0.05) -> MannKendallResult:
 
 
 # Sen's slope builds the slopes over blocks of rows of about this many
-# (i, j) cells; a median of at least _SELECT_MIN slopes is selected from a
-# window around the middle ranks, bounded by a strided sample of about
-# _SELECT_SAMPLE slopes, _SELECT_MARGIN sample ranks to each side
+# (i, j) cells
 _SLOPE_BLOCK_CELLS = 1 << 14
-_SELECT_MIN = 1 << 14
-_SELECT_SAMPLE = 8192
-_SELECT_MARGIN = 256
 
 
 def _pair_slopes(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(y[j] - y[i]) / (t[j] - t[i]) over the pairs i < j with t[j] != t[i],
-    in the order of i, then j."""
+    in the order of i, then j; there must be one."""
     n = y.size
     out = np.empty(n * (n - 1) // 2)
     filled = 0
@@ -190,46 +187,9 @@ def _pair_slopes(y: np.ndarray, t: np.ndarray) -> np.ndarray:
             kept = slopes[keep]
             out[filled:filled + kept.size] = kept
             filled += kept.size
+    if filled == 0:
+        raise InvalidInputError("Sen's slope: no pairs with distinct times")
     return out[:filled]
-
-
-def _median(a: np.ndarray) -> float:
-    """`np.median(a)`, bit for bit, of a float64 vector the call may reorder.
-
-    A large vector's middle value(s) are selected from the window of values
-    between two bounds that a strided sample puts around the middle rank,
-    after one pass counts the values below the window. np.median takes the
-    mean of the same middle value(s); values that compare equal have the
-    same bits unless they are zeros of two signs, so np.median decides when
-    a middle value is +-0, when any value is NaN, and when the window misses
-    the middle ranks.
-    """
-    n = a.size
-    lo_rank, hi_rank = (n - 1) // 2, n // 2
-    if n >= _SELECT_MIN:
-        sample = np.sort(a[::n // _SELECT_SAMPLE])
-        r = lo_rank * sample.size // n
-        lo = sample[max(r - _SELECT_MARGIN, 0)]
-        hi = sample[min(r + _SELECT_MARGIN, sample.size - 1)]
-        under = a < lo
-        below = np.count_nonzero(under)
-        inside = a <= hi
-        inside &= ~under
-        size = np.count_nonzero(inside)
-        k0, k1 = lo_rank - below, hi_rank - below
-        # a window of more than a quarter of the values (a run of ties)
-        # saves no time and would cost a copy
-        if 0 <= k0 and k1 < size <= n // 4 and not np.isnan(a).any():
-            window = np.compress(inside, a)
-            # one kth partitions several times faster than two; the next
-            # rank is then the least value past it
-            window.partition(k0)
-            middle = window[k0:k1 + 1]
-            if k1 > k0:
-                middle = np.array([window[k0], window[k1:].min()])
-            if middle.all():
-                return float(np.mean(middle))
-    return float(np.median(a, overwrite_input=True))
 
 
 def sens_slope(values, timestamps=None) -> float:
@@ -237,17 +197,17 @@ def sens_slope(values, timestamps=None) -> float:
 
     The slopes fill one array block of rows by block of rows, in the order
     of i, then j, so it holds the values a per-row loop would concatenate.
-    Their median is `_median`'s window selection, which is np.median's
-    value bit for bit (the sign of a zero and a NaN included).
+    Their median is `order_statistic`'s, np.median's value bit for bit
+    (the sign of a zero and a NaN included). When numpy decides (a NaN
+    slope, or a -0 slope and a zero median), the slopes are built afresh
+    after the partitioned ones are let go, so one array of them is held at
+    a time.
     """
     y, t = _valid_with_times(values, timestamps)
     if y.size < 2:
         raise InvalidInputError("Sen's slope needs at least 2 valid values")
     _refuse_past(MAX_SENS_VALUES, y.size, "Sen's slope")
-    slopes = _pair_slopes(y, t)
-    if slopes.size == 0:
-        raise InvalidInputError("Sen's slope: no pairs with distinct times")
-    return _median(slopes)
+    return order_statistic(_pair_slopes(y, t), values=lambda: _pair_slopes(y, t))
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +426,18 @@ def detect_change_points(values, penalty: float) -> list[int]:
 
 
 def acf(values, max_lag: int) -> list[float]:
-    """Biased autocorrelation estimates for lags 0..max_lag."""
+    """Biased autocorrelation estimates for lags 0..max_lag.
+
+    Each lag takes one pass over the series, so a series of n valid values
+    past MAX_ACF_WORK / (max_lag + 1) is refused before the first.
+    """
     x = _valid(values)
     n = x.size
     if max_lag >= n:
         raise InvalidInputError(f"max_lag {max_lag} must be below series length {n}")
+    if n * (max_lag + 1) > MAX_ACF_WORK:
+        raise InvalidInputError(f"ACF takes at most {MAX_ACF_WORK} values times lags, "
+                                f"got {n} values times {max_lag + 1} lags")
     xc = x - x.mean()
     denom = float(np.sum(xc * xc))
     if denom == 0.0:

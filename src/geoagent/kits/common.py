@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..raster import Raster, model
+from ..raster import model
 
 
 def as_binary(band: np.ndarray, what: str = "map") -> np.ndarray:
@@ -84,19 +86,27 @@ def count_beyond(samples: np.ndarray, comparator, threshold: float) -> int:
     return int(np.count_nonzero(comparator(samples, np.float64(threshold))))
 
 
-def _order_statistic(r: Raster, band: int, samples: np.ndarray,
-                     percentile: float | None = None) -> float:
-    """`np.percentile(r.values(band), percentile)`, or `np.median` of them
-    when `percentile` is None, bit for bit, from `samples`, the nonempty
-    `r.samples(band)`, which the call reorders (a copy, when it is a view).
+def order_statistic(samples: np.ndarray, percentile: float | None = None, *,
+                    values: Callable[[], np.ndarray]) -> float:
+    """`np.percentile(values(), percentile)`, or `np.median(values())` when
+    `percentile` is None, bit for bit.
+
+    `samples` is a nonempty 1-D vector of u8, u16, f32 or f64 samples, which
+    the call reorders (a copy, when it is read-only). `values()` gives the
+    same values as a new float64 vector in their original order, which
+    numpy may reorder in turn; it is called only when numpy decides.
 
     Both need the order statistics at two neighbouring ranks. One
-    single-kth partition of the stored samples and the least value past it
-    give them; widening u8, u16 or f32 to float64 is exact and keeps the
-    order, so they are the values numpy picks, and numpy's own formula then
-    combines them. Values that compare equal have the same bits, except
-    zeros of two signs: when a picked value of a float band is zero, numpy
-    decides, on the values in their stored order.
+    single-kth partition and the least value past it give them; widening
+    to float64 is exact and keeps the order, so they are the values numpy
+    picks, and numpy's own formula then combines them. The partition puts
+    every NaN at or past the kth, so the least value past it is NaN when any
+    value is. Values that compare equal have the same bits, except zeros of
+    two signs, and the partition's vector min and max may return either of
+    two equal values, so it can turn one zero into the other: a picked zero
+    is +0 when the vector held no -0 before. So numpy decides, on `values()`
+    with `samples` let go, when a float vector holds a NaN, or holds -0 and
+    a picked value is zero.
     """
     n = samples.size
     if percentile is None:
@@ -108,15 +118,21 @@ def _order_statistic(r: Raster, band: int, samples: np.ndarray,
         if vi < n - 1:
             lo_rank = int(np.floor(vi))
             hi_rank = lo_rank + 1
+    floats = samples.dtype.kind == "f"
+    minus_zero = floats and _holds_minus_zero(samples)
     if not samples.flags.writeable:
         samples = samples.copy()
     samples.partition(lo_rank)
-    lo = np.float64(samples[lo_rank])
-    hi = lo if hi_rank == lo_rank else np.float64(samples[hi_rank:].min())
-    if samples.dtype.kind == "f" and not (lo and hi):
-        values = r.values(band)
-        return float(np.median(values) if percentile is None
-                     else np.percentile(values, percentile))
+    lo = rest = np.float64(samples[lo_rank])
+    # an odd median of floats takes the rest's minimum only to see a NaN
+    if hi_rank > lo_rank or floats and lo_rank < n - 1:
+        rest = np.float64(samples[lo_rank + 1:].min())
+    hi = rest if hi_rank > lo_rank else lo
+    if rest != rest or minus_zero and not (lo and hi):
+        del samples
+        v = values()
+        return float(np.median(v, overwrite_input=True) if percentile is None
+                     else np.percentile(v, percentile, overwrite_input=True))
     with np.errstate(over="ignore", invalid="ignore"):
         if percentile is None:  # the mean of the middle value(s)
             return float(lo if n % 2 else np.mean(np.array([lo, hi])))
@@ -125,3 +141,9 @@ def _order_statistic(r: Raster, band: int, samples: np.ndarray,
         g = float(vi - (lo_rank if vi < n - 1 else -1))
         d = hi - lo
         return float(hi - d * (1 - g) if g >= 0.5 else lo + d * g)
+
+
+def _holds_minus_zero(samples: np.ndarray) -> bool:
+    """Whether float samples hold -0, whose bits are the sign bit alone."""
+    bits = samples.view(f"u{samples.itemsize}")
+    return bool((bits == bits.dtype.type(1) << (8 * samples.itemsize - 1)).any())

@@ -94,8 +94,9 @@ def fit_tvdi_edges(ndvi: np.ndarray, lst: np.ndarray, bins: int):
 
     Returns ((dry_slope, dry_intercept), (wet_slope, wet_intercept)).
     Bins with fewer than TVDI_MIN_BIN_PIXELS pixels are skipped; fewer than two
-    usable bins is an error, and so are bins past MAX_TVDI_BINS. One search
-    over the edges bins every pixel, rather than one scan per bin.
+    usable bins is an error, and so are bins past MAX_TVDI_BINS and an edge
+    fit that is not finite (an infinite LST in a usable bin). One search over
+    the edges bins every pixel, rather than one scan per bin.
     """
     if bins < 1:
         raise InvalidInputError(f"TVDI: bins must be at least 1, got {bins}")
@@ -131,6 +132,10 @@ def fit_tvdi_edges(ndvi: np.ndarray, lst: np.ndarray, bins: int):
     c = 0.5 * (edges[usable] + edges[usable + 1])
     dry_fit = np.polyfit(c, dry[usable], 1)
     wet_fit = np.polyfit(c, wet[usable], 1)
+    for edge, fit in (("dry", dry_fit), ("wet", wet_fit)):
+        if not np.isfinite(fit).all():
+            raise InvalidInputError(f"TVDI: the {edge} edge fit is not finite: "
+                                    "an LST value in a usable bin is infinite")
     return (float(dry_fit[0]), float(dry_fit[1])), (float(wet_fit[0]), float(wet_fit[1]))
 
 

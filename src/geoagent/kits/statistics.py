@@ -19,10 +19,10 @@ from ..errors import InvalidInputError, MissingFileError
 from ..finite_json import is_finite_number
 from ..raster import Raster, map_rows, mask_like, require_same_grid
 from .common import (
-    _order_statistic,
     count_beyond,
     deviation_means,
     nonempty,
+    order_statistic,
     sample_mean,
     sample_sum,
 )
@@ -126,7 +126,8 @@ def _of_samples(reduce):
 
 
 def _median(r: Raster, band: int) -> float:
-    return _order_statistic(r, band, nonempty(r.samples(band), "image"))
+    return order_statistic(nonempty(r.samples(band), "image"),
+                           values=lambda: r.samples(band).astype(np.float64))
 
 
 def _extreme(pick):
@@ -137,7 +138,9 @@ def _extreme(pick):
     def stat(r: Raster, band: int) -> np.float64:
         samples = nonempty(r.samples(band), "image")
         value = np.float64(pick(samples))
-        return pick(r.values(band)) if value == 0 and samples.dtype.kind == "f" else value
+        if value == 0 and samples.dtype.kind == "f":
+            return pick(samples.astype(np.float64))
+        return value
 
     return stat
 
@@ -290,8 +293,8 @@ def fire_prone_areas(hotspot: Raster, percentile: float) -> Raster:
     """Binary map of pixels at or above the N-th percentile of the map."""
     if not 0.0 <= percentile <= 100.0:
         raise InvalidInputError(f"percentile must be in [0, 100], got {percentile}")
-    cut = _order_statistic(hotspot, 1, nonempty(hotspot.samples(), "hotspot map"),
-                           percentile)
+    cut = order_statistic(nonempty(hotspot.samples(), "hotspot map"), percentile,
+                          values=lambda: hotspot.samples().astype(np.float64))
     return mask_like(hotspot, hotspot.band() >= cut)
 
 
@@ -416,7 +419,8 @@ def percentile_value(r: Raster, percentile: float, band: int = 1) -> float:
     samples = nonempty(r.samples(band), "image")
     if not 0.0 <= percentile <= 100.0:
         raise InvalidInputError("percentile must be within [0, 100]")
-    return _order_statistic(r, band, samples, percentile)
+    return order_statistic(samples, percentile,
+                           values=lambda: r.samples(band).astype(np.float64))
 
 
 def _viridis_lut() -> np.ndarray:

@@ -133,20 +133,11 @@ class Raster:
         """
         return _as_band(self.plane(index), self.nodata)
 
-    def values(self, band: int = 1) -> np.ndarray:
-        """Valid pixel values of one band as a 1-D float64 vector."""
-        b = self.band(band)
-        nan_possible = self._data.dtype.kind == "f" or (
-            self.nodata is not None and not np.isnan(self.nodata))
-        # a sum is NaN when one of its terms is
-        if nan_possible and np.isnan(b.sum()):
-            return b[~np.isnan(b)]
-        return b.ravel()
-
     def samples(self, band: int = 1) -> np.ndarray:
-        """Valid samples of one band in their stored dtype, 1-D: the samples
-        `values` holds, in the same order, not widened. When no sample is
-        masked this is a read-only view of the plane, else a new array."""
+        """Valid samples of one band in their stored dtype, 1-D: the pixels of
+        `band(band)` that are not NaN, in the same order, not widened. When no
+        sample is masked this is a read-only view of the plane, else a new
+        array."""
         plane = self.plane(band)
         masked = _nodata_at(plane, self.nodata)
         # a minimum is NaN when one of the samples is

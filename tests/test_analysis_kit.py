@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import time
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 
 from geoagent.errors import InvalidInputError
 from geoagent.kits import analysis as an
+from geoagent.kits.common import order_statistic
 from geoagent.raster import from_array, load_raster
 
 from conftest import segmentation_cost, write_raster
@@ -201,7 +201,7 @@ trend_value = st.one_of(
     st.floats(-50, 50, allow_nan=False),
     st.integers(-3, 3).map(float),  # ties
     st.sampled_from([0.0, -0.0, None, *HUGE]))  # None is a gap
-# around the Mann-Kendall block of 64 and past the median's small-array path
+# around the Mann-Kendall block of 64, and longer
 trend_length = st.one_of(st.integers(0, 40), st.sampled_from([63, 64, 65, 127, 128, 129]),
                          st.integers(180, 260))
 
@@ -231,22 +231,8 @@ def series_with_times(draw):
     return values, draw(st.lists(times, min_size=len(values), max_size=len(values)))
 
 
-# the median's selection constants (_SELECT_MIN, _SELECT_SAMPLE,
-# _SELECT_MARGIN), shrunk so that short series take the selection path, with
-# windows that hold the middle ranks or miss them
-small_selection = st.integers(1, 64).flatmap(lambda sample: st.tuples(
-    st.integers(sample, 400), st.just(sample), st.integers(0, 16)))
-
-
-def selecting(constants):
-    if constants is None:
-        return contextlib.nullcontext()
-    return mock.patch.multiple(an, **dict(zip(
-        ("_SELECT_MIN", "_SELECT_SAMPLE", "_SELECT_MARGIN"), constants)))
-
-
 class TestTrendKernelsMatchOracles:
-    """Counted S, blocked slopes and the window median give the former
+    """Counted S, blocked slopes and the selected median give the former
     kernels' results bit for bit (repr: the sign of a zero, NaN)."""
 
     @settings(max_examples=100, deadline=None)
@@ -255,10 +241,9 @@ class TestTrendKernelsMatchOracles:
         same_repr(an.mann_kendall, mann_kendall_triu, x)
 
     @settings(max_examples=100, deadline=None)
-    @given(case=series_with_times(), constants=st.none() | small_selection)
-    def test_sens_slope(self, case, constants):
-        with selecting(constants):
-            same_repr(an.sens_slope, sens_slope_loop, *case)
+    @given(case=series_with_times())
+    def test_sens_slope(self, case):
+        same_repr(an.sens_slope, sens_slope_loop, *case)
 
     @pytest.mark.parametrize("n", [1, 4, 63, 64, 65, 129, 730])
     def test_mann_kendall_lengths(self, n):
@@ -270,7 +255,7 @@ class TestTrendKernelsMatchOracles:
         "walk", "constant", "signed-zeros", "zero-middle", "nan", "inf", "sorted",
         "reversed"])
     def test_sens_slope_selection_cases(self, case):
-        # 200 values give 19900 slopes, past the shipped _SELECT_MIN
+        # 200 values give 19900 slopes
         rng = np.random.default_rng(7)
         n = 200
         values, times = np.cumsum(rng.normal(size=n)), None
@@ -297,22 +282,50 @@ class TestTrendKernelsMatchOracles:
     @given(values=st.lists(st.one_of(
         st.integers(-2, 2).map(float),
         st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]),
-        st.floats(allow_nan=False)), min_size=1, max_size=300),
-        constants=small_selection)
-    def test_median_matches_numpy(self, values, constants):
+        st.floats(allow_nan=False)), min_size=1, max_size=300))
+    def test_median_matches_numpy(self, values):
         a = np.asarray(values)
-        with selecting(constants):
-            assert repr(an._median(a.copy())) == repr(float(np.median(a)))
+        got = order_statistic(a.copy(), values=lambda: a.copy())
+        assert repr(got) == repr(float(np.median(a)))
 
     @pytest.mark.parametrize("n", [365, 730])
     def test_median_of_a_series_is_selected(self, n):
-        # the window holds the middle ranks of rpc_mix-like series' slopes,
-        # so np.median is not needed
+        # rpc_mix-like series' slopes have no zero or NaN at the middle
+        # ranks, so np.median is not needed
         t = np.arange(n)
         values = np.sin(2 * np.pi * t / 365) * 3 + np.random.default_rng(n).normal(0, 0.5, n)
         want = sens_slope_loop(values)
         with mock.patch.object(np, "median", side_effect=AssertionError("fell back")):
             assert repr(an.sens_slope(values)) == repr(want)
+
+    def test_zero_slopes_of_one_sign_are_selected(self):
+        # a constant series at increasing times has only +0 slopes: their
+        # median has known bits, so np.median is not needed
+        values = np.full(300, 2.5)
+        want = sens_slope_loop(values)
+        with mock.patch.object(np, "median", side_effect=AssertionError("fell back")):
+            assert repr(an.sens_slope(values)) == repr(want) == "0.0"
+
+    def test_zero_fallback_holds_one_slope_array(self):
+        # times out of order give zero slopes of both signs: numpy decides,
+        # on slopes built afresh once the partitioned ones are let go; the
+        # slopes outweigh a block's temporaries several times at this n
+        n = 1200
+        values = np.zeros(n)
+        times = np.random.default_rng(n).permutation(n).astype(float)
+        want = sens_slope_loop(values, times)
+        slope_bytes = 8 * n * (n - 1) // 2
+        with mock.patch.object(np, "median", wraps=np.median) as median:
+            an.sens_slope(values, times)  # first-call set-up is not the kernel's memory
+            tracemalloc.start()
+            try:
+                got = an.sens_slope(values, times)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert median.call_count == 2
+        assert repr(got) == repr(want)
+        assert slope_bytes < peak < 1.5 * slope_bytes
 
 
 @pytest.mark.parametrize("n", [2, 12, 28, 130])
@@ -336,15 +349,27 @@ def test_short_series_take_little_memory(n):
     assert peak < 64 * 1024 + 64 * n * n
 
 
-@pytest.mark.parametrize("tool,bound,args", [
+values_bounds = pytest.mark.parametrize("tool,bound,args", [
     ("mann_kendall_test", "MAX_MANN_KENDALL_VALUES", {}),
     ("sens_slope", "MAX_SENS_VALUES", {}),
     ("detect_change_points", "MAX_CHANGE_POINT_VALUES", {"penalty": 1e9}),
     ("stl_decompose", "MAX_STL_VALUES", {"period": 2}),
 ])
+acf_tools = pytest.mark.parametrize("tool", ["autocorrelation_function",
+                                             "detect_seasonality_acf"])
+
+
+def acf_args(tool: str, n: int) -> tuple[dict, int]:
+    """An ACF tool's arguments for n values at its most lags, and their count."""
+    if tool == "autocorrelation_function":
+        return {"max_lag": n - 1}, n
+    return {}, n // 2 + 1  # the default max_lag, n // 2
+
+
 class TestSeriesWorkBounds:
     """Each series tool refuses a series past its bound before the work."""
 
+    @values_bounds
     def test_bound_plus_one_refused_at_once(self, tool_registry, tool, bound, args):
         limit = getattr(an, bound)
         values = np.random.default_rng(0).normal(size=limit + 1).tolist()
@@ -354,12 +379,38 @@ class TestSeriesWorkBounds:
         assert result.error_class == "InvalidParameters"
         assert f"takes at most {limit} values, got {limit + 1}" in result.text
 
+    @values_bounds
     def test_bound_is_inclusive(self, tool_registry, monkeypatch, tool, bound, args):
         monkeypatch.setattr(an, bound, 6)
         values = [1.0, 3.0, 2.0, 5.0, 4.0, 6.0]
         assert not tool_registry.call_tool(tool, {"values": values, **args}).is_error
         result = tool_registry.call_tool(tool, {"values": values + [7.0], **args})
         assert "takes at most 6 values, got 7" in result.text
+
+    @acf_tools
+    def test_acf_work_past_the_bound_refused_at_once(self, tool_registry, tool):
+        # the least n whose lags take more than MAX_ACF_WORK products
+        n = next(n for n in itertools.count(math.isqrt(an.MAX_ACF_WORK))
+                 if n * acf_args(tool, n)[1] > an.MAX_ACF_WORK)
+        args, lags = acf_args(tool, n)
+        values = np.random.default_rng(0).normal(size=n).tolist()
+        start = time.perf_counter()
+        result = tool_registry.call_tool(tool, {"values": values, **args})
+        assert time.perf_counter() - start < 0.5
+        assert result.error_class == "InvalidParameters"
+        assert (f"takes at most {an.MAX_ACF_WORK} values times lags, "
+                f"got {n} values times {lags} lags") in result.text
+
+    @acf_tools
+    def test_acf_work_bound_is_inclusive(self, tool_registry, monkeypatch, tool):
+        values = [1.0, 3.0, 2.0, 5.0, 4.0, 6.0, 7.0, 5.5]
+        args, lags = acf_args(tool, len(values))
+        monkeypatch.setattr(an, "MAX_ACF_WORK", len(values) * lags)
+        assert not tool_registry.call_tool(tool, {"values": values, **args}).is_error
+        monkeypatch.setattr(an, "MAX_ACF_WORK", len(values) * lags - 1)
+        result = tool_registry.call_tool(tool, {"values": values, **args})
+        assert result.error_class == "InvalidParameters"
+        assert f"takes at most {len(values) * lags - 1} values times lags" in result.text
 
 
 def test_gaps_do_not_count_against_the_sens_bound(tool_registry, monkeypatch):

@@ -206,6 +206,22 @@ class TestTvdi:
         assert not (workspace.root / "tvdi.tif").exists()
         return result.text.split("bins must be ", 1)[1]
 
+    @pytest.mark.parametrize("edge,bad", [("dry", np.inf), ("wet", -np.inf)])
+    def test_non_finite_edge_fit_refused(self, tool_registry, workspace, edge, bad):
+        rng = np.random.default_rng(0)
+        ndvi = rng.uniform(0.0, 0.9, (32, 32))
+        lst = 320.0 - 20.0 * ndvi + rng.normal(0.0, 1.0, ndvi.shape)
+        lst[5, 7] = bad
+        write_raster(workspace.root / "ndvi.tif", ndvi)
+        write_raster(workspace.root / "lst.tif", lst)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = tool_registry.call_tool("compute_tvdi", {
+                "ndvi_path": "ndvi.tif", "lst_path": "lst.tif", "output_path": "tvdi.tif"})
+        assert result.error_class == "InvalidParameters"
+        assert f"the {edge} edge fit is not finite" in result.text
+        assert not (workspace.root / "tvdi.tif").exists()
+
     def test_bins_at_the_bound_accepted(self, tool_registry, workspace):
         ndvi, lst, _ = tvdi_fixture()
         write_raster(workspace.root / "ndvi.tif", ndvi)
@@ -242,9 +258,23 @@ def loop_tvdi_edges(ndvi: np.ndarray, lst: np.ndarray, bins: int):
     return (float(dry_fit[0]), float(dry_fit[1])), (float(wet_fit[0]), float(wet_fit[1]))
 
 
+def refusing_non_finite(fit):
+    """`fit`, refusing an edge that is not finite as `fit_tvdi_edges` does,
+    rather than returning it to make an all-nodata TVDI."""
+    def checked(ndvi, lst, bins):
+        edges = fit(ndvi, lst, bins)
+        for edge, line in zip(("dry", "wet"), edges):
+            if not np.isfinite(line).all():
+                raise InvalidInputError(f"TVDI: the {edge} edge fit is not finite: "
+                                        "an LST value in a usable bin is infinite")
+        return edges
+
+    return checked
+
+
 def outcome(fit, ndvi, lst, bins) -> str:
     """The fit's edges by `repr`, or its error text (an infinite LST in a
-    usable bin fails the least-squares fit)."""
+    usable bin fails the least-squares fit, or makes it not finite)."""
     try:
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -277,7 +307,7 @@ class TestTvdiOracle:
         if np.isnan(ndvi).all() or np.nanmin(ndvi) >= np.nanmax(ndvi):
             return  # refused before any bin is made, by the code both share
         assert outcome(index.fit_tvdi_edges, ndvi, lst, bins) == \
-            outcome(loop_tvdi_edges, ndvi, lst, bins)
+            outcome(refusing_non_finite(loop_tvdi_edges), ndvi, lst, bins)
 
     def test_hi_plus_1e_12_rounding_to_hi_keeps_the_maximum_out(self):
         # past 1e4 an ulp exceeds 1e-12: the last bin is [edges[-2], hi), so

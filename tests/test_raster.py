@@ -93,14 +93,14 @@ class TestRoundTrip:
         save_raster(r, tmp_path / "n.tif")
         loaded = decoded(tmp_path / "n.tif")
         assert loaded.nodata == -9999.0
-        assert loaded.values().tolist() == [1.0]
+        assert loaded.samples().tolist() == [1.0]
 
     def test_nan_nodata_round_trip(self, tmp_path):
         r = from_array([[1.0, np.nan]], nodata=float("nan"))
         save_raster(r, tmp_path / "nn.tif")
         loaded = decoded(tmp_path / "nn.tif")
         assert np.isnan(loaded.nodata)
-        assert loaded.values().tolist() == [1.0]
+        assert loaded.samples().tolist() == [1.0]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -337,7 +337,7 @@ class TestLazyPlanes:
         for k in range(1, bands + 1):
             r = load_raster(tmp_path / "p.tif")
             assert np.array_equal(r.band(k), eager.band(k))
-            assert np.array_equal(r.values(k), eager.values(k))
+            assert np.array_equal(r.samples(k), eager.samples(k))
             assert r.plane(k).flags.writeable is False
         assert rasters_equal(decoded(tmp_path / "p.tif"), eager)
 
@@ -348,7 +348,7 @@ class TestLazyPlanes:
         assert len(inflations) == 0
         assert np.array_equal(r.band(3), data[2])
         assert len(inflations) == 3  # plane 3's three strips
-        r.band(3), r.values(3), r.plane(3)
+        r.band(3), r.samples(3), r.plane(3)
         assert len(inflations) == 3
         assert np.array_equal(r.data, data)
         assert len(inflations) == 12
@@ -778,7 +778,7 @@ class TestWorkspace:
 class TestStatsWithNodata:
     def test_valid_values_filter(self):
         r = from_array([[1.0, 2.0], [3.0, -1.0]], nodata=-1.0)
-        vals = r.values()
+        vals = r.samples().astype(np.float64)
         dense = [v for v in [1.0, 2.0, 3.0, -1.0] if v != -1.0]
         assert sorted(vals.tolist()) == sorted(dense)
         assert float(np.mean(vals)) == float(np.mean(dense))
@@ -795,8 +795,9 @@ class TestStatsWithNodata:
         r = from_array(data, dtype=dtype, nodata=nodata)
         for band in (1, 2):
             b = r.band(band)
-            assert np.array_equal(r.values(band), b[~np.isnan(b)])
-            assert r.values(band).dtype == np.float64
+            values = r.samples(band).astype(np.float64)
+            assert np.array_equal(values, b[~np.isnan(b)])
+            assert values.dtype == np.float64
 
     def test_band_out_of_range(self):
         r = from_array(np.ones((2, 2)))
@@ -815,7 +816,7 @@ class TestStatsWithNodata:
         values = [[0, 2.5 if dtype == "f32" else 2], [3, 255]]
         r = from_array(values, dtype=dtype, nodata=nodata)
         assert np.flatnonzero(np.isnan(r.band())).tolist() == masked
-        assert r.values().size == 4 - len(masked)
+        assert r.samples().size == 4 - len(masked)
 
 
 def _fuzz_seeds() -> list[bytes]:

@@ -235,7 +235,7 @@ class TestImageUtils:
     def test_percentile_extremes(self):
         rng = np.random.default_rng(2)
         img = from_array(rng.normal(size=(5, 5)))
-        vals = img.values()
+        vals = img.samples().astype(np.float64)
         assert stats.percentile_value(img, 0.0) == float(vals.min())
         assert stats.percentile_value(img, 100.0) == float(vals.max())
 

@@ -1,10 +1,10 @@
 """Per-image means, sums, moments, extremes and pixel counts on the stored
-samples are the `Raster.values` results, bit for bit.
+samples are the results on the band's valid values, bit for bit.
 
 The statistics reduce a band's valid samples in their stored dtype and widen
 one leaf of at most `BLOCK_SAMPLES` samples to float64 at a time, following
 numpy's pairwise summation tree. The oracle is the code that reduced the
-whole float64 `values` vector, kept here and compared by `repr`. Each case
+whole float64 vector of valid values, kept here and compared by `repr`. Each case
 shrinks `BLOCK_SAMPLES` to 8-64 samples, so a band of a few thousand
 samples makes a tree of many levels with leaves of odd lengths, over u8,
 u16 and f32 bands with NaN samples, zeros of both signs, +-3.4e38 and every
@@ -55,8 +55,14 @@ def old_kurtosis(data) -> float:
     return float(np.mean((arr - m) ** 4) / (m2 * m2) - 3.0)
 
 
+def valid_values(r, band=1) -> np.ndarray:
+    """The band's valid values in float64: its pixels that are not NaN."""
+    b = r.band(band)
+    return b[~np.isnan(b)]
+
+
 def of_values(reduce):
-    return lambda r, band: reduce(nonempty(r.values(band), "image"))
+    return lambda r, band: reduce(nonempty(valid_values(r, band), "image"))
 
 
 OLD_STATS = {
@@ -72,7 +78,7 @@ OLD_STATS = {
 
 
 def old_percent(r, comparator, threshold, band):
-    vals = nonempty(r.values(band), "image")
+    vals = nonempty(valid_values(r, band), "image")
     return float(100.0 * np.count_nonzero(comparator(vals, threshold)) / vals.size)
 
 
@@ -162,12 +168,12 @@ class TestOracle:
             assert outcome(stats.percent_satisfying, r, comparator, threshold, 2) \
                 == outcome(old_percent, r, comparator, threshold, 2)
             with np.errstate(all="ignore"):  # a nodata of 1e39 overflows f32
-                values = r.values(2)
+                values = valid_values(r, 2)
                 assert stats.fire_pixel_counts([r], threshold, 2) == \
                     [int(np.count_nonzero(values > threshold))]
                 assert stats.area_nonzero(r, 2) == int(np.count_nonzero(values != 0.0))
                 assert perception.count_above_threshold(single, threshold) == \
-                    int(np.count_nonzero(single.values() > threshold))
+                    int(np.count_nonzero(valid_values(single) > threshold))
 
     @settings(max_examples=100, deadline=None)
     @given(rasters=st.lists(bands(max_size=600), min_size=1, max_size=4), block=block_samples)
