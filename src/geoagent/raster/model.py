@@ -106,7 +106,7 @@ class Raster:
                 self._fill(k)
                 self._pending.discard(k)
                 if not self._pending:
-                    object.__setattr__(self, "_fill", None)  # drops the file's bytes
+                    object.__setattr__(self, "_fill", None)  # a reader closes its file then
 
     @property
     def bands(self) -> int:

@@ -2,10 +2,15 @@
 
 Deliberately small subset: classic (non-Big) TIFF, baseline strips,
 uncompressed or Deflate without a predictor, u8/u16/f32 samples,
-band-sequential or pixel-interleaved planes. The planes of a band-sequential
-Deflate file are inflated one at a time, the first time each is read. Georeference tags
+band-sequential or pixel-interleaved planes. Georeference tags
 (ModelPixelScale, ModelTiepoint and the three GeoKey tags) plus the nodata
 tag are carried through; anything fancier raises UnsupportedLayoutError.
+
+The reader takes an open file: it reads the header, the IFD and the
+out-of-line tag values, then reads or inflates the strips into the one
+sample array. The planes of a band-sequential multi-band file are read one
+at a time, from the same open file, the first time each is used; the file is
+closed once the last of them is read, or when the raster is collected.
 
 The writer always emits little-endian files with one strip per plane, which
 keeps round-trips byte-stable for testing.
@@ -13,9 +18,12 @@ keeps round-trips byte-stable for testing.
 
 from __future__ import annotations
 
+import io
 import struct
+import weakref
 import zlib
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -42,6 +50,9 @@ _TAG_NODATA = 42113
 
 GEO_TAGS = (33550, 33922, 34735, 34736, 34737)
 
+# integer field types (BYTE, SHORT, LONG) -> struct codes
+_INT_CODES = {1: "B", 3: "H", 4: "I"}
+
 # (bits, sample format) -> dtype name
 _FORMATS = {(8, 1): "u8", (16, 1): "u16", (32, 3): "f32"}
 _FORMATS_INV = {"u8": (8, 1), "u16": (16, 1), "f32": (32, 3)}
@@ -51,68 +62,110 @@ _FORMATS_INV = {"u8": (8, 1), "u16": (16, 1), "f32": (32, 3)}
 DEFLATE_MAX_RATIO = 1032
 
 
-def _read_entries(buf: bytes, order: str) -> dict[int, tuple[int, int, bytes]]:
-    """Parse IFD0 into tag -> (field type, count, raw value bytes)."""
-    (ifd_off,) = struct.unpack(order + "I", buf[4:8])
-    if ifd_off + 2 > len(buf):
+def _read_at(fh: BinaryIO, offset: int, size: int) -> bytes:
+    """The `size` bytes at `offset`, which the caller has checked lie inside
+    the file; a file cut short since is a `CorruptFileError`."""
+    fh.seek(offset)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise CorruptFileError("file ends before its data")
+    return raw
+
+
+def _read_entries(fh: BinaryIO, size: int, ifd_off: int,
+                  order: str) -> dict[int, tuple[int, int, bytes]]:
+    """Parse IFD0 into tag -> (field type, count, raw value bytes). Nothing
+    is read that does not lie inside the file's `size` bytes."""
+    if ifd_off + 2 > size:
         raise CorruptFileError("IFD offset beyond end of file")
-    (n_entries,) = struct.unpack(order + "H", buf[ifd_off:ifd_off + 2])
+    (n_entries,) = struct.unpack(order + "H", _read_at(fh, ifd_off, 2))
+    if ifd_off + 2 + 12 * n_entries > size:
+        raise CorruptFileError("truncated IFD")
+    table = _read_at(fh, ifd_off + 2, 12 * n_entries)
     entries: dict[int, tuple[int, int, bytes]] = {}
-    for i in range(n_entries):
-        base = ifd_off + 2 + 12 * i
-        if base + 12 > len(buf):
-            raise CorruptFileError("truncated IFD")
-        tag, ftype, count = struct.unpack(order + "HHI", buf[base:base + 8])
-        size = _TYPE_SIZE.get(ftype, 1) * count
-        if size <= 4:
-            raw = buf[base + 8:base + 8 + size]
-        else:
-            (off,) = struct.unpack(order + "I", buf[base + 8:base + 12])
-            if off + size > len(buf):
-                raise CorruptFileError(f"tag {tag} value beyond end of file")
-            raw = buf[off:off + size]
-        entries[tag] = (ftype, count, raw)
+    for tag, ftype, count, value in struct.iter_unpack(order + "HHI4s", table):
+        nbytes = _TYPE_SIZE.get(ftype, 1) * count
+        if nbytes <= 4:
+            entries[tag] = (ftype, count, value[:nbytes])
+            continue
+        (off,) = struct.unpack(order + "I", value)
+        if off + nbytes > size:
+            raise CorruptFileError(f"tag {tag} value beyond end of file")
+        entries[tag] = (ftype, count, _read_at(fh, off, nbytes))
     return entries
 
 
-def _ints(entry: tuple[int, int, bytes], order: str) -> list[int]:
+def _ints(entry: tuple[int, int, bytes], order: str) -> tuple[int, ...]:
     ftype, count, raw = entry
-    fmt = {3: "H", 4: "I", 1: "B"}.get(ftype)
-    if fmt is None:
+    code = _INT_CODES.get(ftype)
+    if code is None:
         raise CorruptFileError(f"unexpected field type {ftype} for integer tag")
-    return list(struct.unpack(order + fmt * count, raw))
+    return struct.unpack(f"{order}{count}{code}", raw)
 
 
-def _required(entries, tag: int, order: str) -> list[int]:
+def _required(entries, tag: int, order: str) -> tuple[int, ...]:
     if tag not in entries:
         raise CorruptFileError(f"required TIFF tag {tag} missing")
     return _ints(entries[tag], order)
 
 
 def _scalar(entries, tag: int, order: str, default: int | None = None) -> int:
-    if tag not in entries and default is not None:
+    """The first value of an integer tag; a tag left out is `default`, or
+    missing when there is none."""
+    if tag not in entries:
+        if default is None:
+            raise CorruptFileError(f"required TIFF tag {tag} missing")
         return default
-    values = _required(entries, tag, order)
-    if not values:
+    ftype, count, raw = entries[tag]
+    if ftype not in _INT_CODES:
+        raise CorruptFileError(f"unexpected field type {ftype} for integer tag")
+    if not count:
         raise CorruptFileError(f"TIFF tag {tag} has no value")
-    return values[0]
+    return int.from_bytes(raw[:_TYPE_SIZE[ftype]], "little" if order == "<" else "big")
 
 
 def decode_tiff(buf: bytes) -> Raster:
     """The raster a classic TIFF file's bytes hold."""
-    if len(buf) < 8:
+    return read_tiff(io.BytesIO(buf), len(buf))
+
+
+def read_tiff(fh: BinaryIO, size: int) -> Raster:
+    """The raster of the classic TIFF file open as `fh`, of `size` bytes.
+
+    The reader takes `fh` over. A raster with planes still to read holds it
+    until the last of them is read or the raster is collected; otherwise,
+    and on any error, `fh` is closed before this returns. Every header,
+    strip and size check runs here, against `size`, before the reads it
+    bounds.
+    """
+    try:
+        raster, fill = _read(fh, size)
+    except BaseException:
+        fh.close()
+        raise
+    if fill is None:
+        fh.close()
+    else:  # the raster drops `fill` once its last plane is read
+        weakref.finalize(fill, fh.close)
+    return raster
+
+
+def _read(fh: BinaryIO, size: int):
+    """The raster of `read_tiff`, and the `fill` it holds, or None."""
+    head = fh.read(8)
+    if len(head) < 8:
         raise CorruptFileError("file too short to be a TIFF")
-    if buf[:2] == b"II":
+    if head[:2] == b"II":
         order = "<"
-    elif buf[:2] == b"MM":
+    elif head[:2] == b"MM":
         order = ">"
     else:
         raise CorruptFileError("not a TIFF file (bad byte-order mark)")
-    (magic,) = struct.unpack(order + "H", buf[2:4])
+    magic, ifd_off = struct.unpack(order + "HI", head[2:])
     if magic != 42:
         raise CorruptFileError(f"not a classic TIFF (magic {magic})")
 
-    entries = _read_entries(buf, order)
+    entries = _read_entries(fh, size, ifd_off, order)
     for tag in _TAG_TILE_MARKERS:
         if tag in entries:
             raise UnsupportedLayoutError("tiled TIFF not supported")
@@ -148,13 +201,13 @@ def decode_tiff(buf: bytes) -> Raster:
         raise CorruptFileError("strip offset/count mismatch")
     if not offsets:
         raise CorruptFileError("TIFF has no strips")
-    if any(off + cnt > len(buf) for off, cnt in zip(offsets, counts)):
+    if any(off + cnt > size for off, cnt in zip(offsets, counts)):
         raise CorruptFileError("strip beyond end of file")
     if planar == 2 and (rows_per_strip < 1 or len(offsets)
                         != max(1, -(-height // rows_per_strip)) * samples):
         raise CorruptFileError("strip count does not match planar layout")
 
-    data, fill = _decode(buf, offsets, counts, compression != 1, order,
+    data, fill = _decode(fh, offsets, counts, compression != 1, order,
                          DTYPES[dtype_name], (samples, height, width), planar)
 
     nodata = None
@@ -172,45 +225,39 @@ def decode_tiff(buf: bytes) -> Raster:
             if order == ">":
                 raw = _swap_to_le(raw, ftype)
             geo_tags.append((tag, ftype, raw))
-    return Raster(data, nodata=nodata, geo=GeoRef(tags=tuple(geo_tags)), fill=fill)
+    return Raster(data, nodata=nodata, geo=GeoRef(tags=tuple(geo_tags)), fill=fill), fill
 
 
-def _decode(buf: bytes, offsets: list[int], counts: list[int], deflate: bool,
-            order: str, dtype: np.dtype, shape: tuple[int, int, int], planar: int):
+def _decode(fh: BinaryIO, offsets: tuple[int, ...], counts: tuple[int, ...],
+            deflate: bool, order: str, dtype: np.dtype, shape: tuple[int, int, int],
+            planar: int):
     """The samples of the strips concatenated in tag order, as a native
-    (bands, height, width) array, and the `fill(k)` that decodes plane k into
-    it, or None when the array is already whole.
+    (bands, height, width) array, and the `fill(k)` that reads plane k into
+    it from `fh`, or None when the array is already whole.
 
-    Uncompressed strips that lie back to back in the file give a read-only
-    view of `buf`. Otherwise the strips are copied or inflated into one new
-    array, and nothing past the samples the image needs is inflated. The
-    planes of a band-sequential Deflate file are left to `fill`, so a plane
-    never read is never inflated; every check but the inflate itself runs
-    here.
+    The strips go into one new array: raw strips are read straight into
+    it, Deflate strips are read and inflated into it, and nothing past the
+    samples the image needs is read or inflated. The planes of a
+    band-sequential multi-band file are left to `fill`, so a plane never
+    used is never read; every check but the reads themselves runs here.
     """
     samples, height, width = shape
-    size = samples * height * width
-    lazy = deflate and planar == 2 and samples > 1
+    lazy = planar == 2 and samples > 1
     planes = samples if lazy else 1
     per_plane = len(offsets) // planes
     strips = [(offsets[k * per_plane:(k + 1) * per_plane],
                counts[k * per_plane:(k + 1) * per_plane]) for k in range(planes)]
-    plane_size = size // planes
+    plane_size = samples * height * width // planes
     nbytes = plane_size * dtype.itemsize
     if any(sum(c) * (DEFLATE_MAX_RATIO if deflate else 1) < nbytes for _, c in strips):
         raise CorruptFileError("pixel data shorter than image dimensions require")
 
-    if not deflate and all(off + cnt == nxt
-                           for off, cnt, nxt in zip(offsets, counts, offsets[1:])):
-        flat = np.frombuffer(buf, dtype.newbyteorder(order), size, offsets[0])
-        return _arrange(flat.astype(dtype, copy=False), shape, planar), None
-
     raw = np.empty(nbytes * planes, np.uint8)
     flat = raw.view(dtype)
-    src, dest = memoryview(buf), memoryview(raw)
+    dest = memoryview(raw)
 
     def fill(k: int) -> None:
-        _read_strips(src, *strips[k], deflate, dest[k * nbytes:(k + 1) * nbytes])
+        _read_strips(fh, *strips[k], deflate, dest[k * nbytes:(k + 1) * nbytes])
         if order == ">":
             flat[k * plane_size:(k + 1) * plane_size].byteswap(inplace=True)
 
@@ -222,26 +269,30 @@ def _decode(buf: bytes, offsets: list[int], counts: list[int], deflate: bool,
 
 def _arrange(flat: np.ndarray, shape: tuple[int, int, int], planar: int) -> np.ndarray:
     samples, height, width = shape
-    if planar == 1:
+    if planar == 1 and samples > 1:
         return np.ascontiguousarray(flat.reshape(height, width, samples).transpose(2, 0, 1))
     return flat.reshape(shape)
 
 
-def _read_strips(src: memoryview, offsets: list[int], counts: list[int],
+def _read_strips(fh: BinaryIO, offsets: tuple[int, ...], counts: tuple[int, ...],
                  deflate: bool, dest: memoryview) -> None:
     """Fill `dest` with the strips concatenated in order; nothing past its
-    end is inflated."""
+    end is read or inflated."""
     nbytes, pos = len(dest), 0
     for off, cnt in zip(offsets, counts):
         want = nbytes - pos
         if want == 0:
             break
         if deflate:
-            strip = inflate(src[off:off + cnt], want)
+            strip = inflate(_read_at(fh, off, cnt), want)
+            dest[pos:pos + len(strip)] = strip
+            pos += len(strip)
         else:
-            strip = src[off:off + min(cnt, want)]
-        dest[pos:pos + len(strip)] = strip
-        pos += len(strip)
+            n = min(cnt, want)
+            fh.seek(off)
+            if fh.readinto(dest[pos:pos + n]) != n:
+                raise CorruptFileError("file ends before its data")
+            pos += n
     if pos < nbytes:
         raise CorruptFileError("pixel data shorter than image dimensions require")
 

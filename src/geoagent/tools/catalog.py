@@ -28,7 +28,8 @@ from ..kits import index as ix
 from ..kits import inversion as inv
 from ..kits import perception as perc
 from ..kits import statistics as st
-from ..raster import Raster, like, load_raster, map_rows, require_same_grid, save_raster
+from ..raster import (Raster, like, load_raster, map_rows, require_same_grid, save_raster,
+                      temporary_beside)
 from ..workspace import Workspace
 from ..errors import GeoAgentError, InvalidInputError
 from .registry import NOT_FINITE, ParamSpec, ToolRegistry, ToolResult, ToolSpec, ok_result
@@ -171,10 +172,6 @@ def _item(i: int, fn: Callable, item):
         raise type(exc)(f"batch item {i}: {exc}") from exc
 
 
-# numbers the temporary files of batch outputs within this process
-_TEMPORARIES = itertools.count()
-
-
 def _batch_handler(tool: Tool, resolve: Callable) -> Callable[[dict], ToolResult]:
     """Call `tool.fn` once per item of the equal-length `files` lists and
     save item i as <out_dir>/<prefix>_<stem of its first path>.tif, a path
@@ -208,8 +205,7 @@ def _batch_handler(tool: Tool, resolve: Callable) -> Callable[[dict], ToolResult
             if first.setdefault(out, i) != i:
                 raise InvalidInputError(f"batch items {first[out]} and {i} would "
                                         f"both be saved as {out.name}")
-        temps = [out.with_name(f".{out.name}.{os.getpid()}-{next(_TEMPORARIES)}.tmp")
-                 for out in outs]
+        temps = [temporary_beside(out) for out in outs]
         # the directories the first save makes, innermost first
         made = list(itertools.takewhile(lambda d: not d.exists(), outs[0].parents))
         try:

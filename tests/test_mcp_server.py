@@ -4,6 +4,8 @@ import io
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from geoagent.tools.registry import ToolSpec
 from geoagent.workspace import Workspace
 
 from conftest import write_raster
-from mcp_wire import McpClient, connection_pids, tcp_server
+from mcp_wire import SRC, McpClient, connection_pids, tcp_server
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "mcp"
 
@@ -244,6 +246,38 @@ class TestConnectionProcesses:
             fresh = initialized(port)
             fresh.close()
             survivor.close()
+
+
+class TestOpenFileLimit:
+    def test_inputs_past_the_limit_are_a_system_error_and_serving_goes_on(self, tmp_path):
+        """A band-sequential raster holds its file until its last plane is
+        read, so a call that holds more rasters than the process may open
+        files ends as a SystemError, and the files it opened are closed: the
+        next call on the same server opens as many, one at a time."""
+        names = [f"s{i:02d}.tif" for i in range(80)]
+        for name in names:
+            write_raster(tmp_path / name, np.ones((4, 2, 2)))
+        calls = [("multi_freq_bt", {"band_paths": names, "output_path": "out.tif"}),
+                 ("calc_batch_image_mean", {"image_paths": names})]
+        lines = "".join(request("tools/call", {"name": n, "arguments": a}, id=i) + "\n"
+                        for i, (n, a) in enumerate(calls))
+        script = ("import resource, sys\n"
+                  "from geoagent import cli\n"
+                  "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+                  "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))\n"
+                  f"sys.exit(cli.main(['serve', '--workspace', {str(tmp_path)!r}]))\n")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], input=lines, text=True,
+                              capture_output=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert done.returncode == 0, done.stderr
+        replies = {r["id"]: r["result"] for r in map(json.loads, done.stdout.splitlines())}
+        assert replies[0]["isError"] is True
+        assert replies[0]["structured"] == {"error_class": "SystemError"}
+        assert "Too many open files" in replies[0]["content"][0]["text"]
+        assert not (tmp_path / "out.tif").exists()
+        assert replies[1]["isError"] is False
+        assert replies[1]["structured"]["value"] == [1.0] * len(names)
 
 
 def request(method, params=None, **extra):

@@ -308,8 +308,9 @@ class TestForeignLayouts:
         assert np.array_equal(r.data, data)
 
     def test_raw_read_copies_no_pixels(self, tmp_path):
-        # back-to-back raw strips are viewed in place: the read allocates
-        # about the file once, not once more per copy of the pixels
+        # raw strips are read straight into the raster's one sample array:
+        # the read allocates about the file once, not once more per copy of
+        # the pixels
         r = from_array(np.arange(4 * 256 * 256).reshape(4, 256, 256), dtype="u16")
         save_raster(r, tmp_path / "raw.tif")
         size = (tmp_path / "raw.tif").stat().st_size
@@ -324,7 +325,8 @@ class TestForeignLayouts:
 
 
 class TestLazyPlanes:
-    """Band-sequential Deflate planes are inflated one at a time, on first use."""
+    """Band-sequential planes, raw or Deflate, are read one at a time, on
+    first use, from the file the raster opened."""
 
     @pytest.mark.parametrize("dtype", ["u16", "f32"])
     @pytest.mark.parametrize("order", ["<", ">"])
@@ -433,6 +435,78 @@ class TestLazyPlanes:
         assert len(inflations) == rounds * 4 * 8
 
 
+    def test_raw_plane_is_read_in_place(self, tmp_path):
+        data = (np.arange(4 * 256 * 256) * 7919 % 65536).reshape(4, 256, 256)
+        save_raster(from_array(data, dtype="u16"), tmp_path / "raw.tif")
+        r = load_raster(tmp_path / "raw.tif")
+        tracemalloc.start()
+        try:
+            plane = r.plane(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(plane, data[1])
+        assert peak <= 1.25 * plane.nbytes
+
+    @pytest.mark.parametrize("replace", ["os.replace", "save_raster"])
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_replaced_file_still_reads_its_samples(self, tmp_path, compress, replace):
+        old = from_array(np.arange(4 * 8 * 8).reshape(4, 8, 8), dtype="u16")
+        new = from_array(np.ones((4, 8, 8)), dtype="u16")
+        write_tiff(old, tmp_path / "p.tif", compress=compress)
+        r = load_raster(tmp_path / "p.tif")
+        assert np.array_equal(r.plane(1), old.plane(1))
+        if replace == "os.replace":
+            write_tiff(new, tmp_path / "new.tif")
+            os.replace(tmp_path / "new.tif", tmp_path / "p.tif")
+        else:
+            save_raster(new, tmp_path / "p.tif")
+        assert rasters_equal(r, old)
+        assert rasters_equal(decoded(tmp_path / "p.tif"), new)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_truncated_file_fails_when_plane_read(self, tmp_path, compress):
+        # planes larger than the reader's buffer, so that no plane is read
+        # before it is used
+        data = (np.arange(4 * 256 * 256) * 7919 % 65536).reshape(4, 256, 256)
+        old = from_array(data, dtype="u16")
+        write_tiff(old, tmp_path / "p.tif", compress=compress)
+        stored = [plane.astype("<u2").tobytes() for plane in old.data]
+        sizes = [len(zlib.compress(p) if compress else p) for p in stored]
+        r = load_raster(tmp_path / "p.tif")
+        assert np.array_equal(r.plane(1), data[0])
+        os.truncate(tmp_path / "p.tif", 8 + sum(sizes[:2]) + sizes[2] // 2)
+        assert np.array_equal(r.plane(2), data[1])  # lies before the cut
+        for read in (lambda: r.plane(3), lambda: r.band(4), lambda: r.data,
+                     lambda: r.plane(3)):
+            with pytest.raises(CorruptFileError):
+                read()
+
+    def test_no_file_outlives_its_raster(self, tmp_path):
+        data = np.arange(4 * 3 * 2).reshape(4, 3, 2)
+        paths = [tmp_path / "raw.tif", tmp_path / "deflate.tif"]
+        for path, compress in zip(paths, (False, True)):
+            write_tiff(from_array(data, dtype="u16"), path, compress=compress)
+
+        def open_files():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_files()
+        r = load_raster(paths[0])
+        r.band(1)
+        assert open_files() == before + 1  # planes 2 to 4 are still to read
+        r.data
+        assert open_files() == before  # closed once the last plane is read
+        for i in range(2000):
+            r = load_raster(paths[i % 2])
+            if i % 4 < 2:
+                assert np.array_equal(r.data, data)
+            else:  # dropped with planes still to read
+                assert np.array_equal(r.plane(2), data[1])
+        del r
+        assert open_files() == before
+
+
 class TestWriterGolden:
     """write_tiff output pinned byte for byte. The Deflate cases also pin
     the zlib build's output at its default level."""
@@ -474,14 +548,67 @@ class TestErrors:
         import builtins
         import io
 
+        # the four band-sequential planes are read one at a time, each from
+        # the file the load opened
+        stack = np.arange(4 * 2 * 2).reshape(4, 2, 2)
         save_raster(from_array(np.ones((2, 2))), tmp_path / "f.tif")
+        write_tiff(from_array(stack), tmp_path / "raw.tif")
+        write_tiff(from_array(stack), tmp_path / "deflate.tif", compress=True)
         opened = []
         for owner, name in ((os, "open"), (io, "open"), (builtins, "open")):
             real = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda f, *a, _real=real, **kw: (
                 opened.append(f) if not isinstance(f, int) else None) or _real(f, *a, **kw))
-        load_raster(tmp_path / "f.tif")
-        assert opened == [tmp_path / "f.tif"]
+        for name, data in (("f.tif", np.ones((1, 2, 2))), ("raw.tif", stack),
+                           ("deflate.tif", stack)):
+            opened.clear()
+            r = load_raster(tmp_path / name)
+            for k in range(1, r.bands + 1):
+                assert np.array_equal(r.plane(k), data[k - 1])
+            assert opened == [tmp_path / name]
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path, monkeypatch):
+        import geoagent.raster
+
+        save_raster(from_array(np.ones((4, 4))), tmp_path / "f.tif")
+        before = (tmp_path / "f.tif").read_bytes()
+        real = geoagent.raster.write_tiff
+
+        def failing(raster, path, compress=False):
+            real(raster, path, compress)
+            with open(path, "r+b") as fh:  # as if the disk filled up half way
+                fh.truncate(len(before) // 2)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(geoagent.raster, "write_tiff", failing)
+        with pytest.raises(OSError, match="No space"):
+            save_raster(from_array(np.zeros((4, 4))), tmp_path / "f.tif")
+        assert (tmp_path / "f.tif").read_bytes() == before
+        assert os.listdir(tmp_path) == ["f.tif"]
+
+    @pytest.mark.parametrize("tag,ftype,count,value,match", [
+        (262, 12, 2**32 - 1, struct.pack("<I", 8), "tag 262 value beyond end"),
+        (273, 4, 2**30, struct.pack("<I", 8), "tag 273 value beyond end"),
+        (273, 4, 1, struct.pack("<I", 2**32 - 64), "strip beyond end"),
+        (279, 4, 1, struct.pack("<I", 2**31), "strip beyond end"),
+    ], ids=["2^32-1-doubles", "2^30-offsets", "offset-past-end", "count-past-end"])
+    def test_hostile_counts_read_nothing_past_the_file(self, tmp_path, tag, ftype,
+                                                       count, value, match):
+        buf = bytearray(build_tiff(4, 4, 1, (32, 3), [bytes(64)], planar=1))
+        (ifd,) = struct.unpack_from("<I", buf, 4)
+        (n_entries,) = struct.unpack_from("<H", buf, ifd)
+        bases = [ifd + 2 + 12 * i for i in range(n_entries)]
+        base = next(b for b in bases if struct.unpack_from("<H", buf, b)[0] == tag)
+        struct.pack_into("<HHI4s", buf, base, tag, ftype, count, value)
+        (tmp_path / "h.tif").write_bytes(buf)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptFileError, match=match):
+                load_raster(tmp_path / "h.tif")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_what_is_no_regular_file_is_missing(self, tmp_path):
         """A directory, a FIFO (without blocking on it), a path through a
@@ -832,6 +959,8 @@ def _fuzz_seeds() -> list[bytes]:
         build_tiff(5, 4, 3, (16, 1), [stack.astype("<u2").transpose(1, 2, 0).tobytes()],
                    planar=1),
         build_png(4, 3, 0, zlib.compress(filtered)),
+        build_tiff(5, 4, 3, (16, 1), [plane.astype("<u2").tobytes() for plane in stack],
+                   planar=2),
     ]
 
 
@@ -852,6 +981,7 @@ class TestByteFuzz:
     @example(blob=FUZZ_SEEDS[0])
     @example(blob=FUZZ_SEEDS[1])
     @example(blob=FUZZ_SEEDS[4])
+    @example(blob=FUZZ_SEEDS[5])
     def test_any_bytes_load_or_raise_taxonomy_error(self, tmp_path_factory, blob):
         path = tmp_path_factory.mktemp("fuzz") / "f.tif"
         path.write_bytes(blob)
