@@ -8,11 +8,8 @@ registered tool schemas, and maps the model's reply back to a decision.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
-import urllib.error
-import urllib.request
 import weakref
 from typing import Any, Callable, Protocol, Sequence
 
@@ -126,13 +123,10 @@ def replay_policy(steps: list[tuple[str, dict]], answer_text: str | None = None,
     return ScriptedPolicy(plan)
 
 
-Transport = Callable[[str, bytes, dict, float], dict]
+# a transport returns the decoded reply or raises finite_json.ReplyError
+Transport = Callable[[str, bytes, dict, float], Any]
 
-
-def _urllib_transport(url: str, body: bytes, headers: dict, timeout: float) -> dict:
-    req = urllib.request.Request(url, data=body, headers=headers)
-    with urllib.request.urlopen(req, timeout=timeout) as resp:
-        return json.loads(finite_json.read_reply(resp))
+_urllib_transport = finite_json.post_json
 
 
 # registry -> its chat `tools` array as JSON text
@@ -213,10 +207,7 @@ class LLMPolicy:
             try:
                 return self.transport(self.endpoint + "/chat/completions",
                                       payload, headers, self.timeout)
-            except (urllib.error.URLError, TimeoutError, ConnectionError,
-                    ValueError, RecursionError, OSError, http.client.HTTPException) as exc:
-                # ValueError covers undecodable JSON and integers too long to convert;
-                # HTTPException, broken framing: status line, header or chunk size
+            except finite_json.ReplyError as exc:
                 last = exc
         raise PolicyUnreachable(f"chat endpoint unreachable: {last}")
 

@@ -32,7 +32,7 @@ from .bench import (
 )
 from .bench.fixtures import SUITE_SEED
 from .bench.runner import replay_factory
-from .errors import GeoAgentError
+from .errors import GeoAgentError, of_type
 from .evaluation import score_trajectory
 from .kits.perception import MOCK_MANIFEST, HttpExpertBackend, MockExpertBackend
 from .tools import ToolContext, ToolRegistry, build_registry
@@ -53,10 +53,12 @@ def resolve_settings(args) -> None:
     config = {}
     config_path = getattr(args, "config", None) or os.environ.get("GEOAGENT_CONFIG")
     if config_path:
-        config = json.loads(Path(config_path).read_text())
+        config = of_type(json.loads(Path(config_path).read_text()), dict, "config")
         unknown = sorted(set(config) - set(CONFIG_KEYS))
         if unknown:
             raise GeoAgentError(f"unknown config keys {unknown}")
+        for key, value in config.items():
+            of_type(value, (str, type(None)), f"config {key}")
     env = {
         "workspace": os.environ.get("WORKSPACE_ROOT"),
         "expert_endpoint": os.environ.get("EXPERT_ENDPOINT"),

@@ -9,11 +9,8 @@ by a fixture manifest so episodes can run hermetically.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -108,16 +105,11 @@ class HttpExpertBackend(ExpertBackend):
     def call(self, model, task, image_paths, prompt):
         payload = {"model": model, "task": task, "prompt": prompt,
                    "images": [str(p) for p in image_paths]}
-        req = urllib.request.Request(
-            self.base_url + "/infer",
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                reply = finite_json.loads(finite_json.read_reply(resp))
-        except (urllib.error.URLError, TimeoutError, ValueError, RecursionError,
-                http.client.HTTPException) as exc:  # the last: broken HTTP framing
+            reply = finite_json.post_json(self.base_url + "/infer",
+                                          json.dumps(payload).encode("utf-8"),
+                                          {"Content-Type": "application/json"}, self.timeout)
+        except finite_json.ReplyError as exc:
             raise ExternalServiceError(f"expert endpoint failed: {exc}") from exc
         if not isinstance(reply, dict):
             raise ExternalServiceError(

@@ -12,6 +12,11 @@ sample array. The planes of a band-sequential multi-band file are read one
 at a time, from the same open file, the first time each is used; the file is
 closed once the last of them is read, or when the raster is collected.
 
+Tag fields are read through one table of the twelve TIFF 6.0 field types:
+their sizes, the integer reads, the byte swap of a big-endian georeference
+tag (a RATIONAL as its two 32-bit halves) and the writer's counts. A field of
+any other type is skipped, so it is never carried to an output.
+
 The writer always emits little-endian files with one strip per plane, which
 keeps round-trips byte-stable for testing.
 """
@@ -30,8 +35,13 @@ import numpy as np
 from ..errors import CorruptFileError, UnsupportedLayoutError
 from .model import DTYPES, GeoRef, Raster
 
-# TIFF field types and their byte widths
-_TYPE_SIZE = {1: 1, 2: 1, 3: 2, 4: 4, 5: 8, 6: 1, 7: 1, 8: 2, 9: 4, 10: 8, 11: 4, 12: 8}
+# TIFF 6.0 field type -> (struct code of one element, elements per value,
+# bytes per value). ASCII and UNDEFINED are opaque bytes; RATIONAL and
+# SRATIONAL are two 32-bit halves, numerator then denominator.
+_FIELD_TYPES = {ftype: (code, per, struct.calcsize(code) * per) for ftype, (code, per) in {
+    1: ("B", 1), 2: ("s", 1), 3: ("H", 1), 4: ("I", 1), 5: ("I", 2), 6: ("b", 1),
+    7: ("s", 1), 8: ("h", 1), 9: ("i", 1), 10: ("i", 2), 11: ("f", 1), 12: ("d", 1),
+}.items()}
 
 _TAG_WIDTH = 256
 _TAG_HEIGHT = 257
@@ -49,9 +59,6 @@ _TAG_TILE_MARKERS = (322, 323, 324, 325)
 _TAG_NODATA = 42113
 
 GEO_TAGS = (33550, 33922, 34735, 34736, 34737)
-
-# integer field types (BYTE, SHORT, LONG) -> struct codes
-_INT_CODES = {1: "B", 3: "H", 4: "I"}
 
 # (bits, sample format) -> dtype name
 _FORMATS = {(8, 1): "u8", (16, 1): "u16", (32, 3): "f32"}
@@ -74,8 +81,9 @@ def _read_at(fh: BinaryIO, offset: int, size: int) -> bytes:
 
 def _read_entries(fh: BinaryIO, size: int, ifd_off: int,
                   order: str) -> dict[int, tuple[int, int, bytes]]:
-    """Parse IFD0 into tag -> (field type, count, raw value bytes). Nothing
-    is read that does not lie inside the file's `size` bytes."""
+    """Parse IFD0 into tag -> (field type, count, raw value bytes). An entry
+    of a field type outside 1-12 is skipped, as TIFF 6.0 asks of readers.
+    Nothing is read that does not lie inside the file's `size` bytes."""
     if ifd_off + 2 > size:
         raise CorruptFileError("IFD offset beyond end of file")
     (n_entries,) = struct.unpack(order + "H", _read_at(fh, ifd_off, 2))
@@ -84,7 +92,10 @@ def _read_entries(fh: BinaryIO, size: int, ifd_off: int,
     table = _read_at(fh, ifd_off + 2, 12 * n_entries)
     entries: dict[int, tuple[int, int, bytes]] = {}
     for tag, ftype, count, value in struct.iter_unpack(order + "HHI4s", table):
-        nbytes = _TYPE_SIZE.get(ftype, 1) * count
+        field = _FIELD_TYPES.get(ftype)
+        if field is None:
+            continue
+        nbytes = field[2] * count
         if nbytes <= 4:
             entries[tag] = (ftype, count, value[:nbytes])
             continue
@@ -95,33 +106,23 @@ def _read_entries(fh: BinaryIO, size: int, ifd_off: int,
     return entries
 
 
-def _ints(entry: tuple[int, int, bytes], order: str) -> tuple[int, ...]:
-    ftype, count, raw = entry
-    code = _INT_CODES.get(ftype)
-    if code is None:
-        raise CorruptFileError(f"unexpected field type {ftype} for integer tag")
-    return struct.unpack(f"{order}{count}{code}", raw)
-
-
-def _required(entries, tag: int, order: str) -> tuple[int, ...]:
-    if tag not in entries:
-        raise CorruptFileError(f"required TIFF tag {tag} missing")
-    return _ints(entries[tag], order)
-
-
-def _scalar(entries, tag: int, order: str, default: int | None = None) -> int:
-    """The first value of an integer tag; a tag left out is `default`, or
-    missing when there is none."""
-    if tag not in entries:
+def _ints(entries, tag: int, order: str, default: tuple[int, ...] | None = None
+          ) -> tuple[int, ...]:
+    """The values of an unsigned integer (BYTE, SHORT or LONG) tag, at least
+    one; a tag left out is `default`, or missing when there is none."""
+    entry = entries.get(tag)
+    if entry is None:
         if default is None:
             raise CorruptFileError(f"required TIFF tag {tag} missing")
         return default
-    ftype, count, raw = entries[tag]
-    if ftype not in _INT_CODES:
+    ftype, count, raw = entry
+    code, per, _ = _FIELD_TYPES[ftype]
+    if code not in "BHI" or per != 1:
         raise CorruptFileError(f"unexpected field type {ftype} for integer tag")
     if not count:
         raise CorruptFileError(f"TIFF tag {tag} has no value")
-    return int.from_bytes(raw[:_TYPE_SIZE[ftype]], "little" if order == "<" else "big")
+    # most tags hold one value, and the format without a count is the cheaper
+    return struct.unpack(order + code if count == 1 else f"{order}{count}{code}", raw)
 
 
 def decode_tiff(buf: bytes) -> Raster:
@@ -170,13 +171,13 @@ def _read(fh: BinaryIO, size: int):
         if tag in entries:
             raise UnsupportedLayoutError("tiled TIFF not supported")
 
-    width = _scalar(entries, _TAG_WIDTH, order)
-    height = _scalar(entries, _TAG_HEIGHT, order)
-    samples = _scalar(entries, _TAG_SAMPLES, order, default=1)
-    compression = _scalar(entries, _TAG_COMPRESSION, order, default=1)
-    planar = _scalar(entries, _TAG_PLANAR, order, default=1)
-    rows_per_strip = _scalar(entries, _TAG_ROWS_PER_STRIP, order, default=height)
-    predictor = _scalar(entries, _TAG_PREDICTOR, order, default=1)
+    width = _ints(entries, _TAG_WIDTH, order)[0]
+    height = _ints(entries, _TAG_HEIGHT, order)[0]
+    samples = _ints(entries, _TAG_SAMPLES, order, (1,))[0]
+    compression = _ints(entries, _TAG_COMPRESSION, order, (1,))[0]
+    planar = _ints(entries, _TAG_PLANAR, order, (1,))[0]
+    rows_per_strip = _ints(entries, _TAG_ROWS_PER_STRIP, order, (height,))[0]
+    predictor = _ints(entries, _TAG_PREDICTOR, order, (1,))[0]
 
     if compression not in (1, 8, 32946):
         raise UnsupportedLayoutError(f"compression {compression} not supported")
@@ -185,9 +186,8 @@ def _read(fh: BinaryIO, size: int):
     if predictor != 1:
         raise UnsupportedLayoutError(f"predictor {predictor} not supported")
 
-    bits = _ints(entries[_TAG_BITS], order) if _TAG_BITS in entries else [1] * samples
-    fmts = (_ints(entries[_TAG_SAMPLE_FORMAT], order)
-            if _TAG_SAMPLE_FORMAT in entries else [1] * samples)
+    bits = _ints(entries, _TAG_BITS, order, (1,))
+    fmts = _ints(entries, _TAG_SAMPLE_FORMAT, order, (1,))
     if len(set(bits)) != 1 or len(set(fmts)) != 1:
         raise UnsupportedLayoutError("mixed per-band sample types not supported")
     key = (bits[0], fmts[0])
@@ -195,12 +195,10 @@ def _read(fh: BinaryIO, size: int):
         raise UnsupportedLayoutError(f"sample layout bits={bits[0]} format={fmts[0]} not supported")
     dtype_name = _FORMATS[key]
 
-    offsets = _required(entries, _TAG_STRIP_OFFSETS, order)
-    counts = _required(entries, _TAG_STRIP_COUNTS, order)
+    offsets = _ints(entries, _TAG_STRIP_OFFSETS, order)
+    counts = _ints(entries, _TAG_STRIP_COUNTS, order)
     if len(offsets) != len(counts):
         raise CorruptFileError("strip offset/count mismatch")
-    if not offsets:
-        raise CorruptFileError("TIFF has no strips")
     if any(off + cnt > size for off, cnt in zip(offsets, counts)):
         raise CorruptFileError("strip beyond end of file")
     if planar == 2 and (rows_per_strip < 1 or len(offsets)
@@ -222,8 +220,9 @@ def _read(fh: BinaryIO, size: int):
     for tag in GEO_TAGS:
         if tag in entries:
             ftype, _count, raw = entries[tag]
-            if order == ">":
-                raw = _swap_to_le(raw, ftype)
+            if order == ">":  # reverse the bytes of each element
+                _code, per, nbytes = _FIELD_TYPES[ftype]
+                raw = np.frombuffer(raw, np.uint8).reshape(-1, nbytes // per)[:, ::-1].tobytes()
             geo_tags.append((tag, ftype, raw))
     return Raster(data, nodata=nodata, geo=GeoRef(tags=tuple(geo_tags)), fill=fill), fill
 
@@ -311,14 +310,6 @@ def inflate(stream, limit: int) -> memoryview:
     return memoryview(out)[:limit]
 
 
-def _swap_to_le(raw: bytes, ftype: int) -> bytes:
-    size = _TYPE_SIZE[ftype]
-    if size == 1:
-        return raw
-    arr = np.frombuffer(raw, dtype=f">u{size}" if ftype != 12 else ">f8")
-    return arr.astype(f"<u{size}" if ftype != 12 else "<f8").tobytes()
-
-
 def write_tiff(raster: Raster, path: str | Path, compress: bool = False) -> None:
     bands, height, width = raster.data.shape
     # SamplesPerPixel is 16-bit; like the 4 GiB check below, this refuses
@@ -379,7 +370,7 @@ def write_tiff(raster: Raster, path: str | Path, compress: bool = False) -> None
     entry_bytes = b""
     overflow = b""
     for tag, ftype, raw in fields:
-        count = len(raw) // _TYPE_SIZE[ftype]
+        count = len(raw) // _FIELD_TYPES[ftype][2]
         entry = struct.pack("<HHI", tag, ftype, count)
         if len(raw) <= 4:
             entry += raw.ljust(4, b"\x00")

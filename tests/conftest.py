@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import socket
+import socketserver
+import struct
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -33,6 +39,53 @@ def tool_registry(workspace):
 @pytest.fixture
 def georef() -> GeoRef:
     return make_georef()
+
+
+class RawReplyHandler(socketserver.StreamRequestHandler):
+    """Reads one request and answers it with `server.reply`, byte for byte,
+    after `server.delay` seconds. With `server.reset` the connection is then
+    reset, not closed."""
+
+    def handle(self):
+        length = 0
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.lower() == "content-length":
+                length = int(value)
+        self.rfile.read(length)
+        time.sleep(self.server.delay)
+        try:
+            self.wfile.write(self.server.reply)
+        except OSError:  # the client gave up first
+            return
+        if self.server.reset:
+            self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                       struct.pack("ii", 1, 0))
+            self.connection.close()
+
+
+@pytest.fixture
+def raw_server():
+    """A one-thread loopback stub; set `.reply` before the request."""
+    server = socketserver.TCPServer(("127.0.0.1", 0), RawReplyHandler)
+    server.delay, server.reset = 0.0, False
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def server_url(server) -> str:
+    host, port = server.server_address
+    return f"http://{host}:{port}"
+
+
+def http_reply(body: bytes) -> bytes:
+    """A well-framed 200 reply carrying `body`."""
+    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
 
 
 def write_raster(path, values, dtype="f32", nodata=None, geo=None):

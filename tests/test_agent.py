@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoagent import finite_json
 from geoagent.agent import (
     FinalAnswerDecision,
     Goal,
@@ -27,7 +28,7 @@ from geoagent.tools import (ToolContext, ToolRegistry, ToolSpec,
                             build_registry, ok_result)
 from geoagent.workspace import Workspace
 
-from conftest import write_raster
+from conftest import http_reply, server_url, write_raster
 
 
 @pytest.fixture
@@ -152,7 +153,7 @@ class FakeTransport:
         self.requests.append({"url": url, "body": json.loads(body.decode()),
                               "payload": body, "headers": headers})
         if not self.replies:
-            raise ConnectionError("no reply queued")
+            raise finite_json.ReplyError("no reply queued")
         reply = self.replies.pop(0)
         if isinstance(reply, Exception):
             raise reply
@@ -216,8 +217,7 @@ class TestLLMPolicy:
         assert traj.stop_reason == "policy_failure"
 
     def test_unreachable_endpoint_fails_policy(self, registry):
-        transport = FakeTransport([ConnectionError("down"), ConnectionError("down"),
-                                   ConnectionError("down")])
+        transport = FakeTransport([finite_json.ReplyError("down")] * 3)
         policy = LLMPolicy("http://llm.test/v1", "m", registry=registry,
                            retries=2, transport=transport)
         with pytest.raises(PolicyUnreachable):
@@ -398,11 +398,16 @@ class TestHostileReplies:
                            transport=FakeTransport([text_reply(text)]))
         assert policy.next(GOAL, []) == FinalAnswerDecision(text=text, value=None)
 
-    @pytest.mark.parametrize("body", ["[" * 100_000, "1" * 5000, "{"],
-                             ids=["deep_nesting", "long_integer", "truncated"])
-    def test_undecodable_reply_is_unreachable(self, registry, body):
-        policy = LLMPolicy("http://llm.test/v1", "m", registry=registry, retries=1,
-                           transport=lambda *_: json.loads(body))
+    @pytest.mark.parametrize("body", [
+        "[" * 100_000, "1" * 5000, "{",
+        '{"choices": [{"message": {"content": "1", "score": NaN}}]}',
+        '{"choices": [{"message": {"content": "1", "score": -Infinity}}]}',
+        '{"choices": [{"message": {"content": "1", "score": 1e999}}]}',
+    ], ids=["deep_nesting", "long_integer", "truncated", "nan", "infinity", "overflow"])
+    def test_undecodable_reply_is_unreachable(self, registry, raw_server, body):
+        raw_server.reply = http_reply(body.encode())
+        policy = LLMPolicy(server_url(raw_server) + "/v1", "m", registry=registry,
+                           retries=1, timeout=5)
         with pytest.raises(PolicyUnreachable):
             policy.next(GOAL, [])
 

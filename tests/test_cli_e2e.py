@@ -83,6 +83,21 @@ class TestConfigFile:
         assert main(["tools", "--config", str(cfg)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document,message", [
+        ([], "config must be object, got array"),
+        (5, "config must be object, got number"),
+        ({"workspace": 5}, "config workspace must be string or null, got number"),
+    ], ids=["array", "number", "number_value"])
+    def test_config_that_is_not_an_object_of_strings(self, tmp_path, capsys, document,
+                                                     message):
+        from geoagent.cli import main
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(document))
+        assert main(["tools", "--config", str(cfg)]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "SchemaError",
+                                                       "message": message}
+
     def test_flag_beats_config(self, tmp_path, capsys):
         from geoagent.cli import main
 

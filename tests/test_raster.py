@@ -145,7 +145,7 @@ class TestRoundTrip:
 
 def build_tiff(width, height, samples, dtype_bits_fmt, strips, planar,
                rows_per_strip=None, order="<", compression=1, file_order=None,
-               gap=b"", drop=(), predictor=None):
+               gap=b"", drop=(), predictor=None, extra=()):
     """Hand-assemble a classic TIFF to exercise reader paths the writer
     never produces (chunky interleave, multiple strips, big-endian, strips
     out of order or apart, missing tags).
@@ -154,6 +154,8 @@ def build_tiff(width, height, samples, dtype_bits_fmt, strips, planar,
     is the Compression tag. The strips lie in the file in `file_order`
     (default: tag order), each followed by `gap`. Tags in `drop` are left out.
     A `predictor` adds the Predictor tag; the strips are stored as given.
+    `extra` fields (tag, field type, value bytes in `order`) are added as
+    they are.
     """
     bits, fmt = dtype_bits_fmt
     offsets, counts = [0] * len(strips), [len(s) for s in strips]
@@ -181,13 +183,13 @@ def build_tiff(width, height, samples, dtype_bits_fmt, strips, planar,
     ]
     if predictor is not None:
         fields.insert(-1, (317, 3, pack("H", predictor)))
-    fields = [f for f in fields if f[0] not in drop]
+    fields = sorted([f for f in fields if f[0] not in drop] + list(extra))
 
     ifd_offset = pos
     n_entries = len(fields)
     overflow_start = ifd_offset + 2 + 12 * n_entries + 4
     entries, overflow = b"", b""
-    type_size = {3: 2, 4: 4}
+    type_size = {2: 1, 3: 2, 4: 4, 5: 8, 12: 8, 13: 4}
     for tag, ftype, raw in fields:
         count = len(raw) // type_size[ftype]
         entry = struct.pack(order + "HHI", tag, ftype, count)
@@ -946,6 +948,13 @@ class TestStatsWithNodata:
         assert r.samples().size == 4 - len(masked)
 
 
+def geo_fields(order):
+    """DOUBLE, SHORT and ASCII georeference tags, in byte order `order`."""
+    return [(33550, 12, struct.pack(order + "3d", 30.0, 30.0, 0.0)),
+            (34735, 3, struct.pack(order + "8H", 1, 1, 0, 1, 3072, 0, 1, 32633)),
+            (34737, 2, b"WGS 84|\x00")]
+
+
 def _fuzz_seeds() -> list[bytes]:
     stack = (np.arange(3 * 4 * 5) * 2741 % 65536).reshape(3, 4, 5)
     rows = (np.arange(20) - 7.5).astype(">f4").reshape(5, 4)
@@ -961,6 +970,8 @@ def _fuzz_seeds() -> list[bytes]:
         build_png(4, 3, 0, zlib.compress(filtered)),
         build_tiff(5, 4, 3, (16, 1), [plane.astype("<u2").tobytes() for plane in stack],
                    planar=2),
+        build_tiff(4, 5, 1, (32, 3), [rows.tobytes()], planar=1, order=">",
+                   extra=geo_fields(">")),
     ]
 
 
@@ -982,6 +993,7 @@ class TestByteFuzz:
     @example(blob=FUZZ_SEEDS[1])
     @example(blob=FUZZ_SEEDS[4])
     @example(blob=FUZZ_SEEDS[5])
+    @example(blob=FUZZ_SEEDS[6])
     def test_any_bytes_load_or_raise_taxonomy_error(self, tmp_path_factory, blob):
         path = tmp_path_factory.mktemp("fuzz") / "f.tif"
         path.write_bytes(blob)
@@ -995,3 +1007,41 @@ class TestByteFuzz:
         except GeoAgentError:
             return
         assert data.shape == (r.bands, r.height, r.width)
+        # what loads also saves, or raises a taxonomy error, and reads back
+        out = path.with_name("out.tif")
+        try:
+            save_raster(r, out)
+        except GeoAgentError:
+            return
+        back = load_raster(out)
+        assert back.data.shape == data.shape and back.data.tobytes() == data.tobytes()
+        assert back.geo == r.geo
+
+
+class TestFieldTypes:
+    """Tag fields of a type outside TIFF 6.0's twelve are skipped, and
+    big-endian fields are swapped element by element."""
+
+    @pytest.mark.parametrize("order", ["<", ">"])
+    def test_unknown_type_geo_tag_is_skipped(self, tmp_path, order):
+        rows = np.arange(6, dtype=order + "f4").reshape(2, 3)
+        tie = (33922, 13, struct.pack(order + "6I", *range(6)))
+        (tmp_path / "in.tif").write_bytes(build_tiff(
+            3, 2, 1, (32, 3), [rows.tobytes()], planar=1, order=order,
+            extra=geo_fields(order) + [tie]))
+        r = load_raster(tmp_path / "in.tif")
+        assert [tag for tag, _, _ in r.geo.tags] == [33550, 34735, 34737]
+        save_raster(r, tmp_path / "out.tif")
+        assert rasters_equal(load_raster(tmp_path / "out.tif"), r)
+
+    def test_big_endian_fields_read_as_their_little_endian_twins(self, tmp_path):
+        loaded = []
+        for order in "<>":
+            rational = (34736, 5, struct.pack(order + "4I", 1, 3, 72, 1))
+            path = tmp_path / f"{order == '>'}.tif"
+            path.write_bytes(build_tiff(1, 1, 1, (8, 1), [b"\x07"], planar=1, order=order,
+                                        extra=geo_fields(order) + [rational]))
+            loaded.append(load_raster(path).geo)
+        assert loaded[0] == loaded[1]
+        assert dict((tag, raw) for tag, _, raw in loaded[1].tags)[34736] == \
+            struct.pack("<4I", 1, 3, 72, 1)
