@@ -4,6 +4,9 @@ Subcommands: `serve` (tool server), `tools` (list the registry), `run` (one
 task), `bench` (a task suite), `eval` (score a stored trajectory), `annotate`
 (plan file -> ground truth), `fixtures` (generate the mini-benchmark).
 Operational failures exit 1 with a JSON error object on stderr.
+
+`serve` and `tools` load the tool layer alone: the benchmark runner, the
+evaluation and the fixture modules are imported by the commands that run them.
 """
 
 from __future__ import annotations
@@ -18,22 +21,7 @@ from pathlib import Path
 from .agent import AUTO_PLANNING, INSTRUCTION_FOLLOWING, LLMPolicy, replay_policy
 from .agent.engine import MAX_STEPS
 from .agent.policies import LLM_TIMEOUT_S, OBSERVATION_BUDGET
-from .bench import (
-    annotate_from_plan,
-    canonical_json,
-    generate_fixture_suite,
-    load_plan,
-    load_record,
-    load_suite,
-    load_task,
-    run_benchmark,
-    run_task,
-    save_record,
-)
-from .bench.fixtures import SUITE_SEED
-from .bench.runner import replay_factory
 from .errors import GeoAgentError, of_type
-from .evaluation import score_trajectory
 from .kits.perception import MOCK_MANIFEST, HttpExpertBackend, MockExpertBackend
 from .tools import ToolContext, ToolRegistry, build_registry
 from .tools.mcp import DEFAULT_HOST, DEFAULT_PORT, serve_stdio, serve_tcp
@@ -86,12 +74,22 @@ def make_context(workspace_root: str, expert_endpoint: str | None = None,
     return ToolContext(workspace=ws, perception=backend)
 
 
+def load_suite(tasks_dir: str | Path, workspace_root: str | Path | None = None,
+               registry: ToolRegistry | None = None) -> list:
+    """The tasks of a suite directory: `bench.load_suite`, imported on first call."""
+    from .bench import load_suite
+
+    return load_suite(tasks_dir, workspace_root, registry)
+
+
 def _registry(args) -> ToolRegistry:
     return build_registry(make_context(args.workspace, args.expert_endpoint,
                                        args.mock_manifest))
 
 
 def _policy_factory(args, registry):
+    from .bench import load_plan, replay_factory
+
     kind = args.policy
     if kind == "replay":
         return replay_factory
@@ -149,6 +147,8 @@ def cmd_tools(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .bench import canonical_json, load_task, run_task, save_record
+
     registry = _registry(args)
     task = load_task(args.task, workspace_root=registry.workspace.root,
                      registry=registry)
@@ -167,6 +167,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import run_benchmark
+
     registry = _registry(args)
     tasks = load_suite(args.tasks_dir, workspace_root=registry.workspace.root,
                        registry=registry)
@@ -191,6 +193,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .bench import canonical_json, load_record, load_task
+    from .evaluation import score_trajectory
+
     trajectory = load_record(args.pred)
     task = load_task(args.gt)
     score = score_trajectory(task, trajectory,
@@ -200,6 +205,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_annotate(args) -> int:
+    from .bench import annotate_from_plan, canonical_json, load_plan
+
     registry = _registry(args)
     plan, plan_doc = load_plan(args.plan)
     gt = annotate_from_plan(plan, registry, registry.workspace,
@@ -214,7 +221,10 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    tasks = generate_fixture_suite(args.out, seed=args.seed)
+    from .bench.fixtures import SUITE_SEED, generate_fixture_suite
+
+    tasks = generate_fixture_suite(args.out,
+                                   seed=SUITE_SEED if args.seed is None else args.seed)
     print(json.dumps({"generated": len(tasks),
                       "tasks_dir": str(Path(args.out) / "tasks"),
                       "workspace": str(Path(args.out).resolve())}, sort_keys=True))
@@ -299,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixtures", help="generate the synthetic mini-benchmark")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=SUITE_SEED)
+    p.add_argument("--seed", type=int, default=None,
+                   help="suite seed (default: the fixture suite's)")
     p.set_defaults(fn=cmd_fixtures)
 
     return parser

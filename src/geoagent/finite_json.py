@@ -5,19 +5,22 @@ replies follow.
 reply. A reply must be well-framed HTTP with a 2xx status, a body of at most
 `MAX_REPLY_BYTES`, and standard JSON whose numbers are all finite: `NaN`,
 `Infinity` and numbers that overflow a float (`1e999`) are refused, as RFC
-8259 has none of them. Every transport, framing, size or decoding fault is
-one `ReplyError`. `is_finite_number` is the same test for a value already
-decoded: tool arguments, condition and tie-point objects, and task answer
-rules use it.
+8259 has none of them. A redirect is not followed. Every transport, framing,
+status, size or decoding fault is one `ReplyError`. `is_finite_number` is
+the same test for a value already decoded: tool arguments, condition and
+tie-point objects, and task answer rules use it.
+
+The HTTP client stack (`urllib.request`, `http.client`, `ssl`) is imported
+by `http_opener` at an HTTP peer's first use, so a process that talks to no
+peer, such as a tool server with the mock expert backend, never loads it.
 """
 
 from __future__ import annotations
 
-import http.client
+import functools
 import json
 import math
 import sys
-import urllib.request
 from typing import Any
 
 MAX_REPLY_BYTES = 16 * 2**20
@@ -45,18 +48,37 @@ def loads(text: str | bytes) -> Any:
     return json.loads(text, parse_constant=_finite, parse_float=_finite)
 
 
+@functools.cache
+def http_opener():
+    """The opener `post_json` sends with, built on first call: urllib's
+    default handlers and headers, but a 3xx reply is an error status, not a
+    redirect to follow. Two threads that call it at once may each build one;
+    both are equal and one of them is kept."""
+    import urllib.request
+
+    class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None  # the default error handler then raises HTTPError
+
+    return urllib.request.build_opener(RefuseRedirects)
+
+
 def post_json(url: str, body: bytes, headers: dict, timeout: float) -> Any:
     """The decoded JSON reply to POSTing `body` to `url`, or ReplyError."""
+    opener = http_opener()
+    from http.client import HTTPException
+    from urllib.request import Request
+
     limit = MAX_REPLY_BYTES
     try:
-        req = urllib.request.Request(url, data=body, headers=headers)
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
+        with opener.open(Request(url, data=body, headers=headers), timeout=timeout) as resp:
             raw = resp.read(limit + 1)
         if len(raw) > limit:
             raise ReplyError(f"reply body exceeds {limit} bytes")
         return loads(raw.decode("utf-8"))
-    # OSError: unreachable, reset, timed out, or an error status; HTTPException:
-    # broken framing; ValueError: not UTF-8, not finite JSON, or an integer too
-    # long to convert; RecursionError: nesting past the interpreter's limit
-    except (OSError, http.client.HTTPException, ValueError, RecursionError) as exc:
+    # OSError: unreachable, reset, timed out, or an error or redirect status;
+    # HTTPException: broken framing; ValueError: not UTF-8, not finite JSON,
+    # or an integer too long to convert; RecursionError: nesting past the
+    # interpreter's limit
+    except (OSError, HTTPException, ValueError, RecursionError) as exc:
         raise ReplyError(str(exc)) from exc

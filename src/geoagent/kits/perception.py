@@ -101,6 +101,9 @@ class HttpExpertBackend(ExpertBackend):
     def __init__(self, base_url: str, timeout: float = 60.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        # load the HTTP client now: a TCP listener then loads it once, before
+        # it forks, and its connection processes share those pages
+        finite_json.http_opener()
 
     def call(self, model, task, image_paths, prompt):
         payload = {"model": model, "task": task, "prompt": prompt,

@@ -323,7 +323,11 @@ class ToolRegistry:
             for key, kind in self._paths[name]:
                 if key in checked:
                     checked[key] = self.workspace.resolve(checked[key], kind)
-            outcome = self._handlers[name](checked)
+            # a float64 overflow in a kernel ends in a non-finite result,
+            # which is refused, or a finite one: its warning would only
+            # reach the server's stderr
+            with np.errstate(all="ignore"):
+                outcome = self._handlers[name](checked)
             return outcome if isinstance(outcome, ToolResult) else ok_result(value=outcome)
         except Exception as exc:  # errors are data, never crashes
             return error_result(classify_exception(exc), f"{name}: {exc}")

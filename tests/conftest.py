@@ -42,11 +42,12 @@ def georef() -> GeoRef:
 
 
 class RawReplyHandler(socketserver.StreamRequestHandler):
-    """Reads one request and answers it with `server.reply`, byte for byte,
-    after `server.delay` seconds. With `server.reset` the connection is then
-    reset, not closed."""
+    """Reads one request, appends its request line to `server.requests`, and
+    answers it with `server.reply`, byte for byte, after `server.delay`
+    seconds. With `server.reset` the connection is then reset, not closed."""
 
     def handle(self):
+        self.server.requests.append(self.rfile.readline())
         length = 0
         while (line := self.rfile.readline()) not in (b"\r\n", b""):
             name, _, value = line.decode("latin-1").partition(":")
@@ -68,7 +69,7 @@ class RawReplyHandler(socketserver.StreamRequestHandler):
 def raw_server():
     """A one-thread loopback stub; set `.reply` before the request."""
     server = socketserver.TCPServer(("127.0.0.1", 0), RawReplyHandler)
-    server.delay, server.reset = 0.0, False
+    server.delay, server.reset, server.requests = 0.0, False, []
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
                               daemon=True)
     thread.start()

@@ -6,6 +6,8 @@ raises `ReplyError` whatever bytes come back."""
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -157,3 +159,40 @@ def test_post_json_decodes_a_well_formed_reply(raw_server):
     raw_server.reply = http_reply(b'{"label": "Harbor", "score": 0.93}')
     assert finite_json.post_json(url(raw_server), b"{}", {}, 5.0) == \
         {"label": "Harbor", "score": 0.93}
+
+
+@pytest.mark.parametrize("code", [301, 302, 303, 307, 308])
+def test_post_json_follows_no_redirect(raw_server, code):
+    """A 3xx reply is an error status: the POST is not sent again, and no
+    other request is made, to the `Location` the peer names."""
+    raw_server.reply = (b"HTTP/1.1 %d Moved\r\nLocation: /elsewhere\r\n"
+                        b"Content-Length: 2\r\n\r\n{}" % code)
+    with pytest.raises(finite_json.ReplyError, match=f"HTTP Error {code}"):
+        finite_json.post_json(url(raw_server) + "/infer", b"{}", {}, 5.0)
+    assert raw_server.requests == [b"POST /infer HTTP/1.1\r\n"]
+
+
+def test_threads_that_post_first_at_once_all_get_the_reply(raw_server):
+    """The HTTP client is built on first use; threads racing to build it
+    each send their request and decode its reply."""
+    raw_server.reply = http_reply(b'{"label": "Harbor"}')
+    finite_json.http_opener.cache_clear()
+    threads, got = 4, []
+    barrier = threading.Barrier(threads)
+
+    def post():
+        barrier.wait(timeout=10)
+        got.append(finite_json.post_json(url(raw_server), b"{}", {}, 10.0))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=post) for _ in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert got == [{"label": "Harbor"}] * threads

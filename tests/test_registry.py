@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -400,3 +402,36 @@ class TestNonFiniteResults:
         res = registry.call_tool(name, args)
         assert res.error_class == INVALID_PARAMETERS
         assert res.text == f"{name}: result is not finite"
+
+
+# finite arguments at the float64 limit that overflow inside the kernel
+OVERFLOWS = [
+    ("mean", {"data": [1e308, 1e308]}, INVALID_PARAMETERS, "mean: result is not finite"),
+    ("skewness", {"data": [1e308, -1e308, 1e308, -1e308, 0.0]}, INVALID_PARAMETERS,
+     "skewness: result is not finite"),
+    ("kurtosis", {"data": [1e308, -1e308, 1e308, -1e308, 0.0]}, INVALID_PARAMETERS,
+     "kurtosis: result is not finite"),
+    ("coefficient_of_variation", {"data": [1e308, 1e308, 1e307]}, INVALID_PARAMETERS,
+     "coefficient_of_variation: result is not finite"),
+    ("stl_decompose", {"values": [1e308, -1e308] * 4, "period": 2}, INVALID_PARAMETERS,
+     "stl_decompose: result is not finite"),
+    ("autocorrelation_function", {"values": [1e308, -1e308] * 2, "max_lag": 1},
+     INVALID_PARAMETERS, "autocorrelation_function: result is not finite"),
+    ("detect_change_points", {"values": [1e308, -1e308] * 4, "penalty": 1.0}, None, "[]"),
+    ("bboxes2centroids", {"bboxes": [[1e308, -1e308, 1e308, -1e308]]}, INVALID_PARAMETERS,
+     "bboxes2centroids: result is not finite"),
+    ("compute_linear_trend", {"values": [1e308, -1e308] * 4}, INVALID_PARAMETERS,
+     "compute_linear_trend: result is not finite"),
+    ("count_spikes_from_values", {"values": [1e308, -1e308] * 4, "threshold": 1.0}, None, "3"),
+    ("detect_seasonality_acf", {"values": [1e308, -1e308] * 4}, None, '{"period": null}'),
+]
+
+
+@pytest.mark.parametrize("name,args,error_class,text", OVERFLOWS,
+                         ids=[case[0] for case in OVERFLOWS])
+def test_overflow_in_a_kernel_warns_nothing(registry, name, args, error_class, text):
+    """The outcome is the same with numpy's RuntimeWarning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = registry.call_tool(name, args)
+    assert (res.error_class, res.text) == (error_class, text)
