@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..raster import Raster, like, map_rows, mask_like, require_same_grid
+from ..raster import Raster, map_rows, mask_like, require_same_grid
 from .common import as_binary, nonempty
 
 FVC_NDVI_MIN = 0.05
@@ -139,15 +139,13 @@ def fit_tvdi_edges(ndvi: np.ndarray, lst: np.ndarray, bins: int):
     return (float(dry_fit[0]), float(dry_fit[1])), (float(wet_fit[0]), float(wet_fit[1]))
 
 
-def compute_tvdi(ndvi: Raster, lst: Raster, bins: int = 20) -> Raster:
+def compute_tvdi(ndvi: np.ndarray, lst: np.ndarray, bins: int = 20) -> np.ndarray:
     """Temperature-vegetation dryness index in [0,1], between the dry and
     wet edges fitted from the data."""
-    require_same_grid(ndvi, lst)
-    nb, lb = ndvi.band(), lst.band()
-    (ds, di), (ws, wi) = fit_tvdi_edges(nb, lb, bins=bins)
-    dry = ds * nb + di
-    wet = ws * nb + wi
+    (ds, di), (ws, wi) = fit_tvdi_edges(ndvi, lst, bins=bins)
+    dry = ds * ndvi + di
+    wet = ws * ndvi + wi
     span = dry - wet
     with np.errstate(divide="ignore", invalid="ignore"):
-        tvdi = np.where(span <= 0.0, np.nan, (lb - wet) / span)
-    return like(ndvi, np.clip(tvdi, 0.0, 1.0))
+        tvdi = np.where(span <= 0.0, np.nan, (lst - wet) / span)
+    return np.clip(tvdi, 0.0, 1.0)

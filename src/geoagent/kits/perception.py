@@ -50,8 +50,8 @@ class MockExpertBackend(ExpertBackend):
 
     The manifest maps (image stem, task, prompt) to a typed result. For
     segment/change tasks the result may carry a `mask_threshold`; the mask is
-    then derived from the first input image, which keeps the backend
-    referentially transparent.
+    then the `threshold_segmentation` of the first input image, which keeps
+    the backend referentially transparent.
     """
 
     def __init__(self, entries: list[dict], workspace: Workspace):
@@ -88,8 +88,7 @@ class MockExpertBackend(ExpertBackend):
         return result
 
     def _write_mask(self, image_paths, threshold, stem, task) -> str:
-        src = load_raster(image_paths[0])
-        mask = mask_like(src, src.band() > threshold, 255)
+        mask = threshold_segmentation(load_raster(image_paths[0]), threshold)
         out = self.workspace.resolve(f"perception/{task}_{stem}.tif", "out_file")
         save_raster(mask, out)
         return str(out)
@@ -251,26 +250,26 @@ def _zhang_suen(img: np.ndarray) -> np.ndarray:
 
 
 def _count_components(img: np.ndarray) -> int:
-    """Count 8-connected components of a binary image."""
-    visited = np.zeros_like(img, dtype=bool)
-    h, w = img.shape
+    """Count 8-connected components of a binary image, walking only its
+    foreground pixels."""
+    ys, xs = np.nonzero(img)
+    starts = list(zip(ys.tolist(), xs.tolist()))  # row-major
+    unvisited = set(starts)
     count = 0
-    for sy in range(h):
-        for sx in range(w):
-            if img[sy, sx] == 0 or visited[sy, sx]:
-                continue
-            count += 1
-            stack = [(sy, sx)]
-            visited[sy, sx] = True
-            while stack:
-                y, x = stack.pop()
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        ny, nx = y + dy, x + dx
-                        if 0 <= ny < h and 0 <= nx < w and img[ny, nx] \
-                                and not visited[ny, nx]:
-                            visited[ny, nx] = True
-                            stack.append((ny, nx))
+    for start in starts:
+        if start not in unvisited:
+            continue
+        count += 1
+        unvisited.remove(start)
+        stack = [start]
+        while stack:
+            y, x = stack.pop()
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    pixel = (y + dy, x + dx)
+                    if pixel in unvisited:
+                        unvisited.remove(pixel)
+                        stack.append(pixel)
     return count
 
 

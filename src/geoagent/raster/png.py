@@ -76,24 +76,24 @@ def _unfilter(ftype: int, line: np.ndarray, prev: np.ndarray, bpp: int) -> np.nd
         return np.cumsum(line.reshape(-1, bpp), axis=0, dtype=np.uint8).reshape(-1)
     if ftype == 2:
         return (line.astype(np.int32) + prev).astype(np.uint8)
-    out = np.zeros_like(line)
-    for i in range(line.size):
-        a = int(out[i - bpp]) if i >= bpp else 0
-        b = int(prev[i])
-        c = int(prev[i - bpp]) if i >= bpp else 0
-        x = int(line[i])
-        if ftype == 3:
-            val = x + (a + b) // 2
-        elif ftype == 4:
-            p = a + b - c
-            pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-            if pa <= pb and pa <= pc:
-                val = x + a
-            elif pb <= pc:
-                val = x + b
-            else:
-                val = x + c
-        else:
-            raise CorruptFileError(f"unknown PNG filter type {ftype}")
-        out[i] = val & 0xFF
-    return out
+    # Average and Paeth run on Python ints: numpy scalar indexing costs
+    # more than the arithmetic
+    out, up = bytearray(line.tobytes()), prev.tobytes()
+    n = len(out)
+    if ftype == 3:
+        for i in range(min(bpp, n)):
+            out[i] = (out[i] + (up[i] >> 1)) & 0xFF
+        for i in range(bpp, n):
+            out[i] = (out[i] + ((out[i - bpp] + up[i]) >> 1)) & 0xFF
+    elif ftype == 4:
+        # with no left neighbour (a = c = 0) the predictor is the byte above
+        for i in range(min(bpp, n)):
+            out[i] = (out[i] + up[i]) & 0xFF
+        for i in range(bpp, n):
+            a, b, c = out[i - bpp], up[i], up[i - bpp]
+            pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - c - c)
+            pred = a if pa <= pb and pa <= pc else b if pb <= pc else c
+            out[i] = (out[i] + pred) & 0xFF
+    elif n:  # a row of no bytes has nothing to undo, whatever its filter
+        raise CorruptFileError(f"unknown PNG filter type {ftype}")
+    return np.frombuffer(out, np.uint8)

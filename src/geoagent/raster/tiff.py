@@ -17,13 +17,12 @@ their sizes, the integer reads, the byte swap of a big-endian georeference
 tag (a RATIONAL as its two 32-bit halves) and the writer's counts. A field of
 any other type is skipped, so it is never carried to an output.
 
-The writer always emits little-endian files with one strip per plane, which
-keeps round-trips byte-stable for testing.
+The writer always emits little-endian files with one uncompressed strip per
+plane, which keeps round-trips byte-stable for testing.
 """
 
 from __future__ import annotations
 
-import io
 import struct
 import weakref
 import zlib
@@ -125,11 +124,6 @@ def _ints(entries, tag: int, order: str, default: tuple[int, ...] | None = None
     return struct.unpack(order + code if count == 1 else f"{order}{count}{code}", raw)
 
 
-def decode_tiff(buf: bytes) -> Raster:
-    """The raster a classic TIFF file's bytes hold."""
-    return read_tiff(io.BytesIO(buf), len(buf))
-
-
 def read_tiff(fh: BinaryIO, size: int) -> Raster:
     """The raster of the classic TIFF file open as `fh`, of `size` bytes.
 
@@ -185,6 +179,8 @@ def _read(fh: BinaryIO, size: int):
         raise UnsupportedLayoutError(f"planar configuration {planar} not supported")
     if predictor != 1:
         raise UnsupportedLayoutError(f"predictor {predictor} not supported")
+    if samples < 1:  # a raster of no bands could not be saved and read back
+        raise CorruptFileError("SamplesPerPixel is 0")
 
     bits = _ints(entries, _TAG_BITS, order, (1,))
     fmts = _ints(entries, _TAG_SAMPLE_FORMAT, order, (1,))
@@ -310,7 +306,7 @@ def inflate(stream, limit: int) -> memoryview:
     return memoryview(out)[:limit]
 
 
-def write_tiff(raster: Raster, path: str | Path, compress: bool = False) -> None:
+def write_tiff(raster: Raster, path: str | Path) -> None:
     bands, height, width = raster.data.shape
     # SamplesPerPixel is 16-bit; like the 4 GiB check below, this refuses
     # before any plane is copied or the file is opened
@@ -323,7 +319,7 @@ def write_tiff(raster: Raster, path: str | Path, compress: bool = False) -> None
         (_TAG_WIDTH, 4, struct.pack("<I", width)),
         (_TAG_HEIGHT, 4, struct.pack("<I", height)),
         (_TAG_BITS, 3, struct.pack("<" + "H" * bands, *([bits] * bands))),
-        (_TAG_COMPRESSION, 3, struct.pack("<H", 8 if compress else 1)),
+        (_TAG_COMPRESSION, 3, struct.pack("<H", 1)),
         (_TAG_PHOTOMETRIC, 3, struct.pack("<H", 1)),
         (_TAG_SAMPLES, 3, struct.pack("<H", bands)),
         (_TAG_ROWS_PER_STRIP, 4, struct.pack("<I", height)),
@@ -336,10 +332,8 @@ def write_tiff(raster: Raster, path: str | Path, compress: bool = False) -> None
         fields.append((_TAG_NODATA, 2, text))
 
     # offsets and counts are 32-bit, so a file past 4 GiB is refused before
-    # any plane is copied; a Deflate plane is bounded by zlib's compressBound
+    # any plane is copied
     plane_bytes = height * width * raster.data.dtype.itemsize
-    if compress:
-        plane_bytes += (plane_bytes >> 12) + (plane_bytes >> 14) + (plane_bytes >> 25) + 13
     ifd_bytes = 6 + 12 * (len(fields) + 2) + sum(len(f[2]) + 1 for f in fields) + 8 * bands + 2
     if 8 + bands * plane_bytes + ifd_bytes > 0xFFFFFFFF:
         raise UnsupportedLayoutError(
@@ -348,8 +342,6 @@ def write_tiff(raster: Raster, path: str | Path, compress: bool = False) -> None
 
     le = raster.data.astype(raster.data.dtype.newbyteorder("<"), copy=False)
     planes = [memoryview(np.ascontiguousarray(plane)).cast("B") for plane in le]
-    if compress:
-        planes = [zlib.compress(p) for p in planes]
 
     # strip offsets/counts are filled in once the layout is known
     n_entries = len(fields) + 2

@@ -306,7 +306,7 @@ def _index_tools() -> list[Tool]:
               P("lst_path", "string"),
               P("output_path", "string"),
               P("bins", "integer", False, "NDVI bin count for the edge fit")),
-             ix.compute_tvdi),
+             ix.compute_tvdi, like="ndvi_path"),
     ]
 
 

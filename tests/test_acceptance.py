@@ -40,7 +40,6 @@ from geoagent.kits import inversion as inv
 from geoagent.kits import perception as perc
 from geoagent.kits.perception import MockExpertBackend
 from geoagent.raster import from_array, load_raster
-from geoagent.raster.tiff import decode_tiff, write_tiff
 from geoagent.tools import ToolContext, build_registry
 from geoagent.tools.mcp import McpServer
 from geoagent.workspace import Workspace
@@ -48,6 +47,7 @@ from geoagent.workspace import Workspace
 from conftest import make_georef, segmentation_cost, write_raster
 from mcp_wire import McpClient, tcp_server
 from test_mcp_server import GOLDEN_DIR
+from test_raster import store
 
 
 @contextmanager
@@ -417,8 +417,8 @@ def test_criterion_7_raster_round_trip(tmp_path):
                 data = rng.integers(0, 250, size=(bands, h, w))
             r = from_array(data, dtype=dtype, geo=geo)
             path = tmp_path / f"rt_{i}.tif"
-            write_tiff(r, path, compress=bool(rng.integers(0, 2)))
-            back = decode_tiff(path.read_bytes())
+            store(r, path, compress=bool(rng.integers(0, 2)))
+            back = load_raster(path)
             assert back.data.dtype == r.data.dtype
             assert np.array_equal(back.data, r.data)
             assert back.geo == r.geo

@@ -10,8 +10,7 @@ It also pins what each call produced against `data/catalog_sweep_outputs.json`:
 the error class, or a digest of the value (workspace root masked) and of
 every output raster's decoded samples, dtype, shape, nodata and georeference
 tags. Message text is left out. The digests depend on numpy's floating-point
-results, as the `write_tiff` golden depends on zlib; after a deliberate
-output change, rewrite the file with
+results; after a deliberate output change, rewrite the file with
 
     PYTHONPATH=src python tests/test_catalog_sweep.py
 """
@@ -170,28 +169,32 @@ def generic_value(tool_name: str, param):
 GOLDEN = Path(__file__).parent / "data" / "catalog_sweep_outputs.json"
 
 
-def make_sweep_registry(tmp: Path):
+def make_sweep_registry(tmp: Path, side: int = 6):
     """The sweep's registry over a fresh workspace in `tmp`, and the
-    workspace root as the tools report it."""
+    workspace root as the tools report it. The input rasters are `side`
+    pixels on a side, but for `mask.tif`, at least 8, and `odd.tif`, whose
+    grid matches none of the others."""
     ws = Workspace(tmp)
     rng = np.random.default_rng(12)
     geo = make_georef()
+    shape = (side, side)
     d = tmp / "src"
     d.mkdir()
-    write_raster(d / "a.tif", rng.uniform(0.1, 0.9, (6, 6)), geo=geo)
-    write_raster(d / "b.tif", rng.uniform(0.1, 0.9, (6, 6)), geo=geo)
-    write_raster(d / "ndvi.tif", np.linspace(0.1, 0.9, 36).reshape(6, 6), geo=geo)
-    write_raster(d / "t1.tif", rng.uniform(290, 310, (6, 6)), geo=geo)
-    write_raster(d / "t2.tif", rng.uniform(289, 309, (6, 6)), geo=geo)
-    write_raster(d / "t3.tif", rng.uniform(289, 309, (6, 6)), geo=geo)
-    write_raster(d / "night.tif", rng.uniform(275, 284, (6, 6)), geo=geo)
-    write_raster(d / "dn.tif", rng.integers(8000, 40000, (6, 6)), dtype="u16",
+    write_raster(d / "a.tif", rng.uniform(0.1, 0.9, shape), geo=geo)
+    write_raster(d / "b.tif", rng.uniform(0.1, 0.9, shape), geo=geo)
+    write_raster(d / "ndvi.tif", np.linspace(0.1, 0.9, side * side).reshape(shape), geo=geo)
+    write_raster(d / "t1.tif", rng.uniform(290, 310, shape), geo=geo)
+    write_raster(d / "t2.tif", rng.uniform(289, 309, shape), geo=geo)
+    write_raster(d / "t3.tif", rng.uniform(289, 309, shape), geo=geo)
+    write_raster(d / "night.tif", rng.uniform(275, 284, shape), geo=geo)
+    write_raster(d / "dn.tif", rng.integers(8000, 40000, shape), dtype="u16",
                  geo=geo)
-    write_raster(d / "qa.tif", rng.integers(0, 2, (6, 6)) << 3, dtype="u16",
+    write_raster(d / "qa.tif", rng.integers(0, 2, shape) << 3, dtype="u16",
                  geo=geo)
-    write_raster(d / "refl.tif", rng.uniform(0.01, 0.15, (6, 6)), geo=geo)
-    write_raster(d / "mask.tif", rng.integers(0, 2, (8, 8)), dtype="u8", geo=geo)
-    write_raster(d / "scene.tif", rng.uniform(0.0, 1.0, (6, 6)), geo=geo)
+    write_raster(d / "refl.tif", rng.uniform(0.01, 0.15, shape), geo=geo)
+    write_raster(d / "mask.tif", rng.integers(0, 2, (max(side, 8),) * 2), dtype="u8",
+                 geo=geo)
+    write_raster(d / "scene.tif", rng.uniform(0.0, 1.0, shape), geo=geo)
     write_raster(d / "odd.tif", rng.uniform(0.1, 0.9, (3, 5)), geo=geo)
     registry = build_registry(ToolContext(
         workspace=ws, perception=MockExpertBackend(MANIFEST, ws)))

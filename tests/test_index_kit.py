@@ -168,21 +168,22 @@ class TestTvdi:
         on_dry = ds * ndvi + di
         # an LST on one edge would fit both edges to it, so the fit is fixed
         monkeypatch.setattr(index, "fit_tvdi_edges", lambda *a, **kw: edges)
-        zero = index.compute_tvdi(from_array(ndvi), from_array(on_wet))
-        one = index.compute_tvdi(from_array(ndvi), from_array(on_dry))
-        assert np.allclose(zero.data, 0.0, atol=1e-6)
-        assert np.allclose(one.data, 1.0, atol=1e-6)
+        band = from_array(ndvi).band()
+        zero = index.compute_tvdi(band, from_array(on_wet).band())
+        one = index.compute_tvdi(band, from_array(on_dry).band())
+        assert np.allclose(zero, 0.0, atol=1e-6)
+        assert np.allclose(one, 1.0, atol=1e-6)
 
     def test_insufficient_bins(self):
-        ndvi = from_array([[0.5, 0.5001, 0.9]])
-        lst = from_array([[300.0, 301.0, 302.0]])
+        ndvi = from_array([[0.5, 0.5001, 0.9]]).band()
+        lst = from_array([[300.0, 301.0, 302.0]]).band()
         with pytest.raises(InvalidInputError):
             index.compute_tvdi(ndvi, lst, bins=3)
 
     def test_constant_ndvi_rejected(self):
         with pytest.raises(InvalidInputError):
-            index.compute_tvdi(from_array(np.full((2, 2), 0.4)),
-                               from_array(np.full((2, 2), 300.0)))
+            index.compute_tvdi(from_array(np.full((2, 2), 0.4)).band(),
+                               from_array(np.full((2, 2), 300.0)).band())
 
     @pytest.mark.parametrize("bins", [0, -1, -10**6])
     def test_bins_below_one_refused(self, tool_registry, workspace, bins):

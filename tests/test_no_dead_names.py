@@ -13,10 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # name -> why it stays although nothing in the package or benchmark loads it
-ALLOWED: dict[str, str] = {
-    "decode_tiff": "the TIFF reader over bytes in memory, kept as the API that "
-                   "tests/test_acceptance.py decodes written files with",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _defined(tree: ast.Module):

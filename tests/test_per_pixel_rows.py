@@ -18,6 +18,7 @@ from geoagent.workspace import Workspace
 
 # `like` row -> why its kernel is evaluated on whole arrays
 WHOLE_ARRAY = {
+    "compute_tvdi": "fitted edges: the dry and wet edges are fitted over the whole image",
     "getis_ord_gi_star": "neighbourhood: each z-score sums a square window around its pixel",
     "temperature_emissivity_separation":
         "iteration: the loop stops when the largest change over the whole image is small",

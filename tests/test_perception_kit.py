@@ -49,6 +49,20 @@ class TestExpertCall:
         mask = load_raster(out["mask"])
         assert set(np.unique(mask.data)) <= {0, 255}
 
+    def test_mask_is_the_threshold_segmentation(self, mock_backend):
+        backend, root = mock_backend
+        p = str(root / "airport_01.tif")
+        mask = load_raster(backend.call("SAM2", "segment", [p], None)["mask"])
+        want = perc.threshold_segmentation(load_raster(p), 7.5)
+        assert mask.data.tobytes() == want.data.tobytes()
+        assert mask.data.dtype == want.data.dtype and mask.geo == want.geo
+
+    def test_multi_band_mask_input_refused(self, mock_backend):
+        backend, root = mock_backend
+        save_raster(from_array(np.zeros((3, 4, 4))), root / "airport_01.tif")
+        with pytest.raises(InvalidInputError, match="expects a single band, got 3"):
+            backend.call("SAM2", "segment", [str(root / "airport_01.tif")], None)
+
     def test_missing_fixture_is_service_error(self, mock_backend):
         backend, root = mock_backend
         with pytest.raises(ExternalServiceError):
@@ -316,3 +330,63 @@ class TestSkeletonContours:
     def test_non_binary_rejected(self):
         with pytest.raises(InvalidInputError):
             perc.count_skeleton_contours(from_array([[0, 9]], dtype="u8"))
+
+
+def count_components_loop(img: np.ndarray) -> int:
+    """The former `perception._count_components`, which visits all h x w
+    pixels in Python."""
+    visited = np.zeros_like(img, dtype=bool)
+    h, w = img.shape
+    count = 0
+    for sy in range(h):
+        for sx in range(w):
+            if img[sy, sx] == 0 or visited[sy, sx]:
+                continue
+            count += 1
+            stack = [(sy, sx)]
+            visited[sy, sx] = True
+            while stack:
+                y, x = stack.pop()
+                for dy in (-1, 0, 1):
+                    for dx in (-1, 0, 1):
+                        ny, nx = y + dy, x + dx
+                        if 0 <= ny < h and 0 <= nx < w and img[ny, nx] \
+                                and not visited[ny, nx]:
+                            visited[ny, nx] = True
+                            stack.append((ny, nx))
+    return count
+
+
+@hst.composite
+def binary_images(draw):
+    """Empty, full, diagonal-only (pixels touching at corners alone) and
+    random binary images, of any shape up to 24 x 24."""
+    h, w = draw(hst.integers(0, 24)), draw(hst.integers(0, 24))
+    kind = draw(hst.sampled_from(["empty", "full", "diagonal", "random"]))
+    if kind == "empty":
+        return np.zeros((h, w), np.uint8)
+    if kind == "full":
+        return np.ones((h, w), np.uint8)
+    if kind == "diagonal":  # a checkerboard: every foreground pixel touches only at corners
+        keep = draw(hst.integers(0, 2**32 - 1))
+        board = (np.add.outer(np.arange(h), np.arange(w)) % 2 == 0).astype(np.uint8)
+        return board & (np.random.default_rng(keep).uniform(size=(h, w)) < 0.8)
+    density = draw(hst.floats(0.0, 1.0))
+    seed = draw(hst.integers(0, 2**32 - 1))
+    return (np.random.default_rng(seed).uniform(size=(h, w)) < density).astype(np.uint8)
+
+
+class TestCountComponents:
+    """The foreground walk counts what the all-pixel loop counted."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(img=binary_images())
+    @example(img=np.zeros((0, 0), np.uint8))
+    @example(img=np.ones((5, 7), np.uint8))
+    @example(img=np.eye(6, dtype=np.uint8))
+    def test_matches_the_all_pixel_loop(self, img):
+        assert perc._count_components(img) == count_components_loop(img)
+
+    def test_diagonal_pixels_are_one_component(self):
+        assert perc._count_components(np.eye(6, dtype=np.uint8)[::-1]) == 1
+        assert perc._count_components(np.eye(6, dtype=np.uint8)[::2]) == 3

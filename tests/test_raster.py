@@ -73,7 +73,7 @@ class TestRoundTrip:
         data = rng.integers(0, 200, size=(bands, 4, 5)) if dtype != "f32" \
             else rng.normal(size=(bands, 4, 5))
         r = from_array(data, dtype=dtype, geo=make_georef())
-        write_tiff(r, tmp_path / "x.tif", compress=compress)
+        store(r, tmp_path / "x.tif", compress)
         assert rasters_equal(decoded(tmp_path / "x.tif"), r)
 
     def test_f32_bitwise_samples(self, tmp_path):
@@ -117,7 +117,7 @@ class TestRoundTrip:
         data = rng.integers(0, 255, size=(bands, h, w)) if dtype != "f32" \
             else rng.normal(size=(bands, h, w)) * 50
         r = from_array(data, dtype=dtype, geo=make_georef())
-        write_tiff(r, tmp / "p.tif", compress=compress)
+        store(r, tmp / "p.tif", compress)
         assert rasters_equal(decoded(tmp / "p.tif"), r)
 
     @settings(max_examples=40, deadline=None)
@@ -209,6 +209,30 @@ def build_tiff(width, height, samples, dtype_bits_fmt, strips, planar,
 
 def deflated(strips):
     return [zlib.compress(s) for s in strips]
+
+
+def deflate_tiff(raster) -> bytes:
+    """`raster` as a Deflate TIFF laid out as `write_tiff` lays it out: one
+    strip per plane, band-sequential past one band, with its georeference
+    and nodata tags."""
+    bands, height, width = raster.data.shape
+    bits = raster.data.dtype.itemsize * 8
+    fmt = 3 if raster.dtype_name == "f32" else 1
+    extra = list(raster.geo.tags)
+    if raster.nodata is not None:
+        extra.append((42113, 2, repr(float(raster.nodata)).encode("ascii") + b"\x00"))
+    strips = [plane.astype(plane.dtype.newbyteorder("<")).tobytes() for plane in raster.data]
+    return build_tiff(width, height, bands, (bits, fmt), deflated(strips),
+                      planar=1 if bands == 1 else 2, compression=8, extra=extra)
+
+
+def store(raster, path, compress: bool) -> None:
+    """Write `raster` to `path` uncompressed with `write_tiff`, or as the
+    Deflate file `deflate_tiff` builds."""
+    if compress:
+        path.write_bytes(deflate_tiff(raster))
+    else:
+        write_tiff(raster, path)
 
 
 def build_png(width, height, color, idat):
@@ -455,7 +479,7 @@ class TestLazyPlanes:
     def test_replaced_file_still_reads_its_samples(self, tmp_path, compress, replace):
         old = from_array(np.arange(4 * 8 * 8).reshape(4, 8, 8), dtype="u16")
         new = from_array(np.ones((4, 8, 8)), dtype="u16")
-        write_tiff(old, tmp_path / "p.tif", compress=compress)
+        store(old, tmp_path / "p.tif", compress)
         r = load_raster(tmp_path / "p.tif")
         assert np.array_equal(r.plane(1), old.plane(1))
         if replace == "os.replace":
@@ -472,7 +496,7 @@ class TestLazyPlanes:
         # before it is used
         data = (np.arange(4 * 256 * 256) * 7919 % 65536).reshape(4, 256, 256)
         old = from_array(data, dtype="u16")
-        write_tiff(old, tmp_path / "p.tif", compress=compress)
+        store(old, tmp_path / "p.tif", compress)
         stored = [plane.astype("<u2").tobytes() for plane in old.data]
         sizes = [len(zlib.compress(p) if compress else p) for p in stored]
         r = load_raster(tmp_path / "p.tif")
@@ -488,7 +512,7 @@ class TestLazyPlanes:
         data = np.arange(4 * 3 * 2).reshape(4, 3, 2)
         paths = [tmp_path / "raw.tif", tmp_path / "deflate.tif"]
         for path, compress in zip(paths, (False, True)):
-            write_tiff(from_array(data, dtype="u16"), path, compress=compress)
+            store(from_array(data, dtype="u16"), path, compress)
 
         def open_files():
             return len(os.listdir("/proc/self/fd"))
@@ -510,35 +534,35 @@ class TestLazyPlanes:
 
 
 class TestWriterGolden:
-    """write_tiff output pinned byte for byte. The Deflate cases also pin
-    the zlib build's output at its default level."""
+    """write_tiff output pinned byte for byte. The Deflate cases save what
+    they read from a Deflate file of the same raster, which must give the
+    same bytes."""
 
     NODATA = {"u8": 0.0, "u16": 65535.0, "f32": -9999.0}
     SHA256 = {
-        ("u8", 1, False): "74000ebb8ef2f1e19a3dc4175e8912e5593a72845d06ba73df5a247ff9a332e9",
-        ("u8", 1, True): "edb5c02f7bee9d68013e67fcd166d870dd211a6a1ca75bb148bd37d12506091e",
-        ("u8", 4, False): "1712577b70314c1e1c1498aa0710a1cdc919f11ac228aca113192bdabd2a9360",
-        ("u8", 4, True): "8ee8dd64576ef05bbc1e2dbeb76735cfe83dc9b31b531a4726b7deb403efef27",
-        ("u16", 1, False): "7422736b5ce0a44e51855ce30e612ff34fac189c0bb9fb32f5323de0f1fffd82",
-        ("u16", 1, True): "e95da06a59763f27fedf37642f9206faacaa278d2bc83568800caeda8c96f16b",
-        ("u16", 4, False): "bfee2b782417d8c1be60e942ba7b7f4ce7574214b4e23ed815a3eec015c33517",
-        ("u16", 4, True): "9d60500d6609843ba1834a0525a04ca55f95405cfa660965468eb803aa712078",
-        ("f32", 1, False): "a87cf0926afc67716a38d0d972e9e218a7bf1dc41cb9a0edc819e8a0269b7ffa",
-        ("f32", 1, True): "9a741de528d269bd0473511ce257924abf17f47faf472ca059c2e1a0c1e6d5af",
-        ("f32", 4, False): "c1ff8927ae81b2bfd879b380dcf2df2d3c7cbd0a34e5432f946df1432adc436c",
-        ("f32", 4, True): "e1633f30fefc60117ab9a4eb3136b48b34e6fec69e56368f55c55fe163d78bbc",
+        ("u8", 1): "74000ebb8ef2f1e19a3dc4175e8912e5593a72845d06ba73df5a247ff9a332e9",
+        ("u8", 4): "1712577b70314c1e1c1498aa0710a1cdc919f11ac228aca113192bdabd2a9360",
+        ("u16", 1): "7422736b5ce0a44e51855ce30e612ff34fac189c0bb9fb32f5323de0f1fffd82",
+        ("u16", 4): "bfee2b782417d8c1be60e942ba7b7f4ce7574214b4e23ed815a3eec015c33517",
+        ("f32", 1): "a87cf0926afc67716a38d0d972e9e218a7bf1dc41cb9a0edc819e8a0269b7ffa",
+        ("f32", 4): "c1ff8927ae81b2bfd879b380dcf2df2d3c7cbd0a34e5432f946df1432adc436c",
     }
 
-    @pytest.mark.parametrize("dtype,bands,compress", sorted(SHA256))
+    @pytest.mark.parametrize("dtype,bands,compress",
+                             [(*key, compress) for key in sorted(SHA256)
+                              for compress in (False, True)])
     def test_bytes(self, tmp_path, dtype, bands, compress):
         n = np.arange(bands * 7 * 5)
         values = ((n * 37 % 1001 - 500) / 8.0 if dtype == "f32"
                   else n * 2654435761 % {"u8": 256, "u16": 65536}[dtype])
         r = from_array(values.reshape(bands, 7, 5), dtype=dtype,
                        nodata=self.NODATA[dtype], geo=make_georef())
-        write_tiff(r, tmp_path / "g.tif", compress=compress)
+        if compress:
+            (tmp_path / "in.tif").write_bytes(deflate_tiff(r))
+            r = load_raster(tmp_path / "in.tif")
+        write_tiff(r, tmp_path / "g.tif")
         digest = hashlib.sha256((tmp_path / "g.tif").read_bytes()).hexdigest()
-        assert digest == self.SHA256[dtype, bands, compress]
+        assert digest == self.SHA256[dtype, bands]
 
 
 class TestErrors:
@@ -555,7 +579,7 @@ class TestErrors:
         stack = np.arange(4 * 2 * 2).reshape(4, 2, 2)
         save_raster(from_array(np.ones((2, 2))), tmp_path / "f.tif")
         write_tiff(from_array(stack), tmp_path / "raw.tif")
-        write_tiff(from_array(stack), tmp_path / "deflate.tif", compress=True)
+        store(from_array(stack), tmp_path / "deflate.tif", compress=True)
         opened = []
         for owner, name in ((os, "open"), (io, "open"), (builtins, "open")):
             real = getattr(owner, name)
@@ -576,8 +600,8 @@ class TestErrors:
         before = (tmp_path / "f.tif").read_bytes()
         real = geoagent.raster.write_tiff
 
-        def failing(raster, path, compress=False):
-            real(raster, path, compress)
+        def failing(raster, path):
+            real(raster, path)
             with open(path, "r+b") as fh:  # as if the disk filled up half way
                 fh.truncate(len(before) // 2)
             raise OSError(28, "No space left on device")
@@ -587,6 +611,14 @@ class TestErrors:
             save_raster(from_array(np.zeros((4, 4))), tmp_path / "f.tif")
         assert (tmp_path / "f.tif").read_bytes() == before
         assert os.listdir(tmp_path) == ["f.tif"]
+
+    def test_no_samples_per_pixel_refused(self, tmp_path):
+        # a raster of no bands loaded, but what it saved could not be read back
+        (tmp_path / "t.tif").write_bytes(build_tiff(
+            4, 5, 1, (32, 3), [bytes(80)], planar=2, drop=(277,),
+            extra=[(277, 3, struct.pack("<H", 0))]))
+        with pytest.raises(CorruptFileError, match="SamplesPerPixel is 0"):
+            load_raster(tmp_path / "t.tif")
 
     @pytest.mark.parametrize("tag,ftype,count,value,match", [
         (262, 12, 2**32 - 1, struct.pack("<I", 8), "tag 262 value beyond end"),
@@ -655,13 +687,14 @@ class TestErrors:
         ((2, 32768, 16384), np.float32, "4 GiB"),
         ((70000, 1, 1), np.uint8, "65535 bands"),
     ], ids=["4GiB-plane", "4GiB-file", "70000-bands"])
-    @pytest.mark.parametrize("compress", [False, True])
-    def test_past_classic_tiff_limit(self, tmp_path, shape, dtype, limit, compress):
-        # a zero-stride view: the refusal must come before any copy
+    @pytest.mark.parametrize("saved", [False, True])
+    def test_past_classic_tiff_limit(self, tmp_path, shape, dtype, limit, saved):
+        # a zero-stride view: the refusal must come before any copy, and
+        # `save_raster` leaves no temporary behind
         big = Raster(np.broadcast_to(np.zeros((1, 1, 1), dtype), shape))
         with pytest.raises(UnsupportedLayoutError, match=limit):
-            write_tiff(big, tmp_path / "big.tif", compress=compress)
-        assert not (tmp_path / "big.tif").exists()
+            (save_raster if saved else write_tiff)(big, tmp_path / "big.tif")
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("predictor", [2, 3])
     def test_predictor_rejected(self, tmp_path, predictor):
@@ -827,6 +860,24 @@ class TestPngFilters:
         got = png._unfilter(ftype, line.copy(), prev, bpp)
         assert got.dtype == np.uint8
         assert got.tobytes() == unfilter_loop(ftype, line.copy(), prev, bpp).tobytes()
+
+    @settings(max_examples=250, deadline=None)
+    @given(ftype=st.one_of(st.sampled_from([3, 4]), st.integers(5, 255)),
+           bpp=st.integers(1, 4), data=st.data())
+    def test_average_paeth_and_unknown_filters_match_loop(self, ftype, bpp, data):
+        # rows of no pixels too: they have nothing to undo, whatever the filter
+        width = data.draw(st.integers(0, 40))
+        row = st.binary(min_size=width * bpp, max_size=width * bpp)
+        line = np.frombuffer(data.draw(row), dtype=np.uint8)
+        prev = np.frombuffer(data.draw(row), dtype=np.uint8)
+
+        def outcome(unfilter):
+            try:
+                return unfilter(ftype, line.copy(), prev, bpp).tobytes()
+            except CorruptFileError as exc:
+                return str(exc)
+
+        assert outcome(png._unfilter) == outcome(unfilter_loop)
 
     @pytest.mark.parametrize("color", sorted(PNG_COLORS))
     @pytest.mark.parametrize("width,height", [(1, 5), (7, 10), (33, 6)])
