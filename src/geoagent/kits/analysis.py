@@ -127,6 +127,8 @@ def mann_kendall(values, alpha: float = 0.05) -> MannKendallResult:
     when they are equal, and overflows to an infinity of the same sign), so
     S is the same integer, in O(n) memory.
     """
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
     x = _valid(values)
     n = x.size
     if n < 4:
@@ -431,6 +433,8 @@ def acf(values, max_lag: int) -> list[float]:
     Each lag takes one pass over the series, so a series of n valid values
     past MAX_ACF_WORK / (max_lag + 1) is refused before the first.
     """
+    if max_lag < 0:
+        raise InvalidInputError(f"max_lag must be at least 0, got {max_lag}")
     x = _valid(values)
     n = x.size
     if max_lag >= n:

@@ -203,49 +203,43 @@ def total_bbox_area(boxes_xywh) -> float:
     return total
 
 
+# a pixel's 8 neighbours as (dy, dx), clockwise from north: Zhang and Suen's
+# P2 ... P9 (N, NE, E, SE, S, SW, W, NW)
+_RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+
+
 def _erode(img: np.ndarray) -> np.ndarray:
     """One pass of 3x3 binary erosion (edges treated as background)."""
+    h, w = img.shape
     padded = np.pad(img, 1, constant_values=0)
-    out = np.ones_like(img)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            out &= padded[1 + dy: 1 + dy + img.shape[0], 1 + dx: 1 + dx + img.shape[1]]
+    out = img.copy()
+    for dy, dx in _RING:
+        out &= padded[1 + dy: 1 + dy + h, 1 + dx: 1 + dx + w]
     return out
 
 
 def _zhang_suen(img: np.ndarray) -> np.ndarray:
-    """Zhang-Suen thinning of a binary image to a 1-pixel skeleton."""
-    skel = np.pad(img.copy(), 1, constant_values=0)
-
-    def neighbors(y, x):
-        return [skel[y - 1, x], skel[y - 1, x + 1], skel[y, x + 1], skel[y + 1, x + 1],
-                skel[y + 1, x], skel[y + 1, x - 1], skel[y, x - 1], skel[y - 1, x - 1]]
-
+    """Zhang-Suen thinning of a binary image to a 1-pixel skeleton. Each
+    sub-iteration tests every foreground pixel against the image as it
+    stands, then clears the ones it marked at once."""
+    skel = np.pad(img, 1, constant_values=0)  # the border stays 0
+    flat = skel.reshape(-1)
+    ring = np.array([dy * skel.shape[1] + dx for dy, dx in _RING])  # flat offsets
     changed = True
     while changed:
         changed = False
-        for phase in (0, 1):
-            to_clear = []
-            ys, xs = np.nonzero(skel[1:-1, 1:-1])
-            for y, x in zip(ys + 1, xs + 1):
-                p = neighbors(y, x)
-                b = sum(p)
-                if not 2 <= b <= 6:
-                    continue
-                a = sum(1 for k in range(8) if p[k] == 0 and p[(k + 1) % 8] == 1)
-                if a != 1:
-                    continue
-                if phase == 0:
-                    if p[0] * p[2] * p[4] != 0 or p[2] * p[4] * p[6] != 0:
-                        continue
-                else:
-                    if p[0] * p[2] * p[6] != 0 or p[0] * p[4] * p[6] != 0:
-                        continue
-                to_clear.append((y, x))
-            if to_clear:
+        # a pixel with either triple all foreground stays: P2 P4 P6 or P4 P6 P8,
+        # then P2 P4 P8 or P2 P6 P8
+        for triples in (((0, 2, 4), (2, 4, 6)), ((0, 2, 6), (0, 4, 6))):
+            at = np.flatnonzero(flat)
+            p = flat[at[:, None] + ring].astype(bool)  # (n, 8): P2 ... P9
+            b = p.sum(axis=1)
+            a = (~p & np.roll(p, -1, axis=1)).sum(axis=1)  # 0 -> 1 steps round the ring
+            kept = p[:, triples].all(axis=2).any(axis=1)
+            clear = (b >= 2) & (b <= 6) & (a == 1) & ~kept
+            if clear.any():
                 changed = True
-                for y, x in to_clear:
-                    skel[y, x] = 0
+                flat[at[clear]] = 0
     return skel[1:-1, 1:-1]
 
 
@@ -264,12 +258,11 @@ def _count_components(img: np.ndarray) -> int:
         stack = [start]
         while stack:
             y, x = stack.pop()
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    pixel = (y + dy, x + dx)
-                    if pixel in unvisited:
-                        unvisited.remove(pixel)
-                        stack.append(pixel)
+            for dy, dx in _RING:
+                pixel = (y + dy, x + dx)
+                if pixel in unvisited:
+                    unvisited.remove(pixel)
+                    stack.append(pixel)
     return count
 
 

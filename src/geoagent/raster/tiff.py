@@ -61,7 +61,7 @@ GEO_TAGS = (33550, 33922, 34735, 34736, 34737)
 
 # (bits, sample format) -> dtype name
 _FORMATS = {(8, 1): "u8", (16, 1): "u16", (32, 3): "f32"}
-_FORMATS_INV = {"u8": (8, 1), "u16": (16, 1), "f32": (32, 3)}
+_FORMATS_INV = {name: key for key, name in _FORMATS.items()}
 
 # Deflate codes at most 258 bytes in 2 bits, so a stream inflates to at most
 # 1032 times its size.

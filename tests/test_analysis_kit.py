@@ -413,6 +413,29 @@ class TestSeriesWorkBounds:
         assert f"takes at most {len(values) * lags - 1} values times lags" in result.text
 
 
+@acf_tools
+def test_negative_max_lag_refused(tool_registry, tool):
+    result = tool_registry.call_tool(tool, {"values": [1, 2, 3, 4, 5], "max_lag": -3})
+    assert (result.error_class, result.text) == (
+        "InvalidParameters", f"{tool}: max_lag must be at least 0, got -3")
+
+
+@pytest.mark.parametrize("alpha", [7, 1, 0, -0.05, 1.5])
+def test_mann_kendall_alpha_outside_0_1_refused(tool_registry, alpha):
+    result = tool_registry.call_tool("mann_kendall_test",
+                                     {"values": [1, 2, 3, 4, 5], "alpha": alpha})
+    assert (result.error_class, result.text) == (
+        "InvalidParameters",
+        f"mann_kendall_test: alpha must lie strictly between 0 and 1, got {alpha}")
+
+
+def test_mann_kendall_alpha_inside_0_1_kept(tool_registry):
+    for alpha, trend in [(0.05, "increasing"), (1e-9, "no-trend"), (0.999, "increasing")]:
+        result = tool_registry.call_tool("mann_kendall_test",
+                                         {"values": [1, 2, 3, 4, 5], "alpha": alpha})
+        assert result.value["trend"] == trend
+
+
 def test_gaps_do_not_count_against_the_sens_bound(tool_registry, monkeypatch):
     monkeypatch.setattr(an, "MAX_SENS_VALUES", 3)
     result = tool_registry.call_tool("sens_slope", {"values": [1.0, None, 2.0, None, 4.0]})

@@ -357,6 +357,10 @@ def count_components_loop(img: np.ndarray) -> int:
     return count
 
 
+def checkerboard(h: int, w: int) -> np.ndarray:
+    return (np.add.outer(np.arange(h), np.arange(w)) % 2 == 0).astype(np.uint8)
+
+
 @hst.composite
 def binary_images(draw):
     """Empty, full, diagonal-only (pixels touching at corners alone) and
@@ -369,8 +373,7 @@ def binary_images(draw):
         return np.ones((h, w), np.uint8)
     if kind == "diagonal":  # a checkerboard: every foreground pixel touches only at corners
         keep = draw(hst.integers(0, 2**32 - 1))
-        board = (np.add.outer(np.arange(h), np.arange(w)) % 2 == 0).astype(np.uint8)
-        return board & (np.random.default_rng(keep).uniform(size=(h, w)) < 0.8)
+        return checkerboard(h, w) & (np.random.default_rng(keep).uniform(size=(h, w)) < 0.8)
     density = draw(hst.floats(0.0, 1.0))
     seed = draw(hst.integers(0, 2**32 - 1))
     return (np.random.default_rng(seed).uniform(size=(h, w)) < density).astype(np.uint8)
@@ -390,3 +393,95 @@ class TestCountComponents:
     def test_diagonal_pixels_are_one_component(self):
         assert perc._count_components(np.eye(6, dtype=np.uint8)[::-1]) == 1
         assert perc._count_components(np.eye(6, dtype=np.uint8)[::2]) == 3
+
+
+def zhang_suen_loop(img: np.ndarray) -> np.ndarray:
+    """The former `perception._zhang_suen`, which tests each foreground pixel
+    in Python on every pass."""
+    skel = np.pad(img.copy(), 1, constant_values=0)
+
+    def neighbors(y, x):
+        return [skel[y - 1, x], skel[y - 1, x + 1], skel[y, x + 1], skel[y + 1, x + 1],
+                skel[y + 1, x], skel[y + 1, x - 1], skel[y, x - 1], skel[y - 1, x - 1]]
+
+    changed = True
+    while changed:
+        changed = False
+        for phase in (0, 1):
+            to_clear = []
+            ys, xs = np.nonzero(skel[1:-1, 1:-1])
+            for y, x in zip(ys + 1, xs + 1):
+                p = neighbors(y, x)
+                b = sum(p)
+                if not 2 <= b <= 6:
+                    continue
+                a = sum(1 for k in range(8) if p[k] == 0 and p[(k + 1) % 8] == 1)
+                if a != 1:
+                    continue
+                if phase == 0:
+                    if p[0] * p[2] * p[4] != 0 or p[2] * p[4] * p[6] != 0:
+                        continue
+                else:
+                    if p[0] * p[2] * p[6] != 0 or p[0] * p[4] * p[6] != 0:
+                        continue
+                to_clear.append((y, x))
+            if to_clear:
+                changed = True
+                for y, x in to_clear:
+                    skel[y, x] = 0
+    return skel[1:-1, 1:-1]
+
+
+@hst.composite
+def thinning_images(draw):
+    """Empty, solid, one-pixel-line, checkerboard and random binary images of
+    any shape up to 24 x 24, each eroded once or not."""
+    h, w = draw(hst.integers(0, 24)), draw(hst.integers(0, 24))
+    kind = draw(hst.sampled_from(["empty", "solid", "row", "column", "diagonal",
+                                  "checkerboard", "random"]))
+    img = np.zeros((h, w), np.uint8)
+    if kind == "solid":
+        img[:] = 1
+    elif kind == "row":
+        img[h // 2: h // 2 + 1, :] = 1
+    elif kind == "column":
+        img[:, w // 2: w // 2 + 1] = 1
+    elif kind == "diagonal":
+        img = np.eye(h, w, dtype=np.uint8)
+    elif kind == "checkerboard":
+        img = checkerboard(h, w)
+    elif kind == "random":
+        density = draw(hst.floats(0.2, 0.95))
+        seed = draw(hst.integers(0, 2**32 - 1))
+        img = (np.random.default_rng(seed).uniform(size=(h, w)) < density).astype(np.uint8)
+    return perc._erode(img) if draw(hst.booleans()) else img
+
+
+def eroded_random(side: int, density: float, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return perc._erode((rng.uniform(size=(side, side)) < density).astype(np.uint8))
+
+
+class TestZhangSuen:
+    """The array sub-iterations thin to the skeleton the per-pixel loop did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(img=thinning_images())
+    @example(img=np.zeros((0, 0), np.uint8))
+    @example(img=np.zeros((0, 7), np.uint8))
+    @example(img=np.zeros((5, 0), np.uint8))
+    @example(img=np.zeros((6, 6), np.uint8))
+    @example(img=np.ones((1, 1), np.uint8))
+    @example(img=np.ones((2, 2), np.uint8))
+    @example(img=np.ones((7, 7), np.uint8))
+    @example(img=np.ones((20, 20), np.uint8))
+    @example(img=np.ones((1, 12), np.uint8))
+    @example(img=np.ones((12, 1), np.uint8))
+    @example(img=np.eye(9, dtype=np.uint8)[::-1])
+    @example(img=checkerboard(9, 8))
+    @example(img=eroded_random(24, 0.9, 3))
+    def test_matches_the_per_pixel_loop(self, img):
+        before = img.copy()
+        got, want = perc._zhang_suen(img), zhang_suen_loop(img)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(img, before)  # the input is not thinned in place

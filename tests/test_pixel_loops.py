@@ -34,8 +34,6 @@ GROWTH = 1.5  # the largest line-count ratio of a row that loops over no pixel
 # row -> the Python loop over pixels it still runs
 PIXEL_LOOPS = {
     "ttm_lst": "a damped Newton solve in Python once per pixel (`inversion._ttm_pixel`)",
-    "count_skeleton_contours":
-        "Zhang-Suen thinning visits every foreground pixel in Python on every pass",
 }
 
 
